@@ -1,6 +1,7 @@
 #include "core/characterization.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "util/error.hpp"
@@ -33,9 +34,9 @@ void WorkflowCharacterization::validate() const {
   if (!(nodes_per_task >= 1))
     throw util::InvalidArgument("nodes_per_task must be >= 1");
   auto non_negative = [this](double v, const char* field) {
-    if (!(v >= 0.0))
+    if (!(v >= 0.0 && std::isfinite(v)))
       throw util::InvalidArgument(util::format(
-          "workflow '%s': %s must be >= 0", name.c_str(), field));
+          "workflow '%s': %s must be finite and >= 0", name.c_str(), field));
   };
   non_negative(flops_per_node, "flops_per_node");
   non_negative(dram_bytes_per_node, "dram_bytes_per_node");

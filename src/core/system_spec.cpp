@@ -14,9 +14,9 @@ void SystemSpec::validate() const {
   if (!(total_nodes >= 1))
     throw util::InvalidArgument("system must have >= 1 node");
   auto non_negative = [this](double v, const char* field) {
-    if (!(v >= 0.0))
+    if (!(v >= 0.0 && std::isfinite(v)))
       throw util::InvalidArgument(util::format(
-          "system '%s': %s must be >= 0", name.c_str(), field));
+          "system '%s': %s must be finite and >= 0", name.c_str(), field));
   };
   non_negative(node.peak_flops, "node.peak_flops");
   non_negative(node.dram_gbs, "node.dram_gbs");

@@ -1,7 +1,7 @@
 #include "exec/sweep.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "core/advisor.hpp"
@@ -357,10 +357,11 @@ void SweepGrid::at_into(std::size_t flat, Scenario& out) const {
     if (!out.label.empty()) out.label += ' ';
     out.label += name;
     out.label += '=';
-    // The same "%g" bytes util::format produced here before; snprintf
-    // into a stack buffer keeps the per-point label free of temporaries.
-    std::snprintf(value_text, sizeof(value_text), "%g", value);
-    out.label += value_text;
+    // general at precision 6 is printf's "%g", without its format parsing.
+    out.label.append(value_text,
+                     std::to_chars(value_text, value_text + sizeof(value_text),
+                                   value, std::chars_format::general, 6)
+                         .ptr);
   }
   if (out.label.empty()) out.label = base_workflow_.name;
 }

@@ -174,16 +174,15 @@ void Tracer::record_batch(std::vector<TraceSpan> batch) {
 void Tracer::flush(std::vector<TraceSpan>& batch) {
   if (batch.empty()) return;
   std::unique_lock<std::mutex> lock(mutex_);
-  if (ring_.size() != options_.capacity) ring_.resize(options_.capacity);
   for (TraceSpan& span : batch) {
-    if (size_ == options_.capacity) {
-      // Full: overwrite the oldest slot.
+    // Grow on demand, so a lightly used tracer holds only what it
+    // recorded; once full, overwrite the oldest slot.
+    if (ring_.size() < options_.capacity) {
+      ring_.push_back(std::move(span));
+    } else {
       ring_[head_] = std::move(span);
       head_ = (head_ + 1) % options_.capacity;
       ++evicted_;
-    } else {
-      ring_[(head_ + size_) % options_.capacity] = std::move(span);
-      ++size_;
     }
     ++recorded_;
   }
@@ -201,12 +200,12 @@ Tracer::Stats Tracer::stats() const {
 
 std::vector<TraceSpan> Tracer::snapshot(std::size_t last) const {
   std::unique_lock<std::mutex> lock(mutex_);
-  const std::size_t take =
-      (last == 0 || last > size_) ? size_ : last;
+  const std::size_t size = ring_.size();
+  const std::size_t take = (last == 0 || last > size) ? size : last;
   std::vector<TraceSpan> spans;
   spans.reserve(take);
-  for (std::size_t i = size_ - take; i < size_; ++i)
-    spans.push_back(ring_[(head_ + i) % options_.capacity]);
+  for (std::size_t i = size - take; i < size; ++i)
+    spans.push_back(ring_[(head_ + i) % size]);
   return spans;
 }
 
@@ -248,8 +247,8 @@ util::Json Tracer::trace_events_json(std::size_t last) const {
 
 void Tracer::clear() {
   std::unique_lock<std::mutex> lock(mutex_);
+  ring_.clear();
   head_ = 0;
-  size_ = 0;
 }
 
 }  // namespace wfr::obs

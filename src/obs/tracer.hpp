@@ -202,10 +202,10 @@ class Tracer {
   std::atomic<std::uint64_t> trace_ids_{0};
   std::atomic<std::uint64_t> span_ids_{0};
   mutable std::mutex mutex_;
-  /// Ring storage: ring_[(head_ + i) % capacity] for i in [0, size_).
+  /// Ring storage, grown by push_back up to capacity: the i-th oldest span
+  /// is ring_[(head_ + i) % ring_.size()]; head_ stays 0 until it wraps.
   std::vector<TraceSpan> ring_;
   std::size_t head_ = 0;
-  std::size_t size_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t evicted_ = 0;
 };

@@ -386,7 +386,7 @@ void write_escaped(std::string* out, const std::string& s) {
 void write_number(std::string* out, double d) {
   // Shortest-round-trip formatting (util/strings) so JSON output, the
   // Prometheus exposition, and check repro dumps agree byte-for-byte.
-  *out += format_double(d);
+  append_double(*out, d);
 }
 
 }  // namespace

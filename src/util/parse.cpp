@@ -1,6 +1,7 @@
 #include "util/parse.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -46,7 +47,8 @@ double parse_double_flag(const std::string& flag, const std::string& text) {
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(trimmed.c_str(), &end);
-  if (trimmed.empty() || end == nullptr || *end != '\0' || errno == ERANGE)
+  if (trimmed.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value))
     bad_flag_value(flag, text);
   return value;
 }

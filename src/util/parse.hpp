@@ -28,7 +28,9 @@ long parse_long_flag_in(const std::string& flag, const std::string& text,
 std::uint64_t parse_u64_flag(const std::string& flag,
                              const std::string& text);
 
-/// Parses a floating-point value with the same full-consumption rules.
+/// Parses a floating-point value with the same full-consumption rules,
+/// rejecting "inf", "nan" and their spellings: every caller needs a finite
+/// number, and a non-finite one would reach JSON output as a bare token.
 double parse_double_flag(const std::string& flag, const std::string& text);
 
 }  // namespace wfr::util

@@ -1,10 +1,10 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 namespace wfr::util {
 
@@ -106,23 +106,38 @@ std::string format(const char* fmt, ...) {
 }
 
 void append_double(std::string& out, double value) {
-  // Large enough for "%.0f" below 1e15 (16 digits + sign) and for
-  // "%.17g" (17 significand digits + point + "e+308" + sign).
+  // Large enough for fixed-0 below 1e15 (16 digits + sign) and for general
+  // at precision 17 (17 significand digits + point + "e-308" + sign, or
+  // "0.0001" + 17 digits + sign).
   char buf[40];
+  char* const end = buf + sizeof(buf);
   if (value == std::nearbyint(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    out += buf;
+    out.append(buf,
+               std::to_chars(buf, end, value, std::chars_format::fixed, 0).ptr);
     return;
   }
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) {
-      out += buf;
+  // The shortest round-tripping digit string sets the lowest precision
+  // worth trying: a %g string at fewer digits cannot round-trip.  The
+  // correctly rounded one at that many digits may still miss (next to a
+  // power of two, whose lower neighbour is half as far), hence the loop.
+  // "inf" has no digits and round-trips at once; NaN never compares equal
+  // and ends at precision 17, as printf's "nan" or "-nan".
+  const char* const shortest_end =
+      std::to_chars(buf, end, value, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* p = buf; p != shortest_end && *p != 'e'; ++p)
+    precision += *p >= '0' && *p <= '9';
+  for (;; ++precision) {
+    char* const last =
+        std::to_chars(buf, end, value, std::chars_format::general, precision)
+            .ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, last, parsed);
+    if (parsed == value || precision == 17) {
+      out.append(buf, last);
       return;
     }
   }
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
 }
 
 std::string format_double(double value) {

@@ -41,12 +41,25 @@ std::string pad_left(std::string_view s, std::size_t w);
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// Formats a double with the fewest digits that round-trip back to the same
-/// value: integers print without a decimal point ("42", not "42.0000..."),
-/// everything else uses the shortest %g precision whose strtod() recovers the
-/// input bit-for-bit ("0.1", not "0.10000000000000001").  This is the single
-/// number formatter shared by JSON serialization, the Prometheus exposition
-/// in obs, and the differential-check repro dumps, so the same value always
-/// serializes to the same bytes everywhere.
+/// value.  The output contract: integers below 1e15 in magnitude print as
+/// printf's "%.0f" ("42", not "42.0000..."); non-finite values print as
+/// "inf", "-inf", "nan" or "-nan"; everything else prints as printf's
+/// "%.{p}g" at the lowest precision p whose parse recovers the input
+/// bit-for-bit ("0.1", not "0.10000000000000001").
+///
+/// The algorithm runs on <charconv>, with no printf or strtod: the digit
+/// count of the shortest std::to_chars scientific form is the first p
+/// tried, since no %g string with fewer digits can round-trip; from there
+/// to_chars(general, p) — the standard's definition of "%.{p}g" — is
+/// checked with from_chars, raising p until it round-trips (at a power of
+/// two, the correctly rounded string at the shortest length may miss).
+/// The bytes equal those of a printf/strtod loop from p = 1, which
+/// tests/util/test_strings.cpp keeps as the reference.
+///
+/// This is the single number formatter shared by JSON serialization, the
+/// sweep NDJSON rows, the Prometheus exposition in obs, and the
+/// differential-check repro dumps, so the same value always serializes to
+/// the same bytes everywhere.
 std::string format_double(double value);
 
 /// format_double appended to `out` without a temporary string — the hot

@@ -1,5 +1,7 @@
 #include "core/characterization.hpp"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "sim/runner.hpp"
@@ -44,6 +46,21 @@ TEST(Characterization, ValidationCatchesInconsistencies) {
   c.parallel_tasks = 1;
   c.flops_per_node = -1.0;
   EXPECT_THROW(c.validate(), util::InvalidArgument);
+}
+
+TEST(Characterization, ValidationRejectsNonFiniteVolumes) {
+  for (double WorkflowCharacterization::*field :
+       {&WorkflowCharacterization::flops_per_node,
+        &WorkflowCharacterization::network_bytes_per_task,
+        &WorkflowCharacterization::fs_bytes_per_task,
+        &WorkflowCharacterization::overhead_seconds_per_task}) {
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      WorkflowCharacterization c;
+      c.*field = bad;
+      EXPECT_THROW(c.validate(), util::InvalidArgument);
+    }
+  }
 }
 
 TEST(Characterization, JsonRoundTrip) {

@@ -1,5 +1,8 @@
 #include "core/system_spec.hpp"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
@@ -79,6 +82,32 @@ TEST(SystemSpec, ValidationRejectsNegativeRates) {
   EXPECT_THROW(s.validate(), util::InvalidArgument);
   s = SystemSpec::perlmutter_gpu();
   s.total_nodes = 0;
+  EXPECT_THROW(s.validate(), util::InvalidArgument);
+}
+
+TEST(SystemSpec, ValidationRejectsNonFiniteRates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double SystemSpec::*field :
+       {&SystemSpec::fs_gbs, &SystemSpec::external_gbs}) {
+    for (const double bad : {inf, nan}) {
+      SystemSpec s = SystemSpec::perlmutter_gpu();
+      s.*field = bad;
+      EXPECT_THROW(s.validate(), util::InvalidArgument);
+    }
+  }
+  SystemSpec s = SystemSpec::perlmutter_gpu();
+  s.node.nic_gbs = inf;
+  try {
+    s.validate();
+    FAIL() << "expected InvalidArgument";
+  } catch (const util::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("node.nic_gbs must be finite"),
+              std::string::npos)
+        << e.what();
+  }
+  s = SystemSpec::perlmutter_gpu();
+  s.node.peak_flops = inf;
   EXPECT_THROW(s.validate(), util::InvalidArgument);
 }
 

@@ -6,9 +6,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -255,6 +259,28 @@ TEST(SweepGridTest, LazyAtMatchesExpandGrid) {
     EXPECT_EQ(scenario_hash(lazy), scenario_hash(expanded[i]));
   }
   EXPECT_THROW(grid.at(grid.size()), util::InvalidArgument);
+}
+
+TEST(SweepGridTest, LabelValuesArePrintfG) {
+  // Labels print each axis value as printf's "%g" would.
+  std::vector<double> values = {0.0, -0.0, 1.0, 0.8, 0.5, 2.5e-7, 1e6,
+                                123456.5, 1234567.0, 1e-5, 9.9999995e5,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::denorm_min()};
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    double value = 0.0;
+    const std::uint64_t bits = rng();
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+    values.push_back(static_cast<double>(rng() % 100000) / 1000.0);
+  }
+  const SweepGrid grid(test_system(), test_workflow(), {{"fs_gbs", values}});
+  char expected[32];
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    std::snprintf(expected, sizeof(expected), "%g", values[i]);
+    EXPECT_EQ(grid.at(i).label, std::string("fs_gbs=") + expected);
+  }
 }
 
 TEST(SweepGridTest, RejectsDuplicateAxis) {

@@ -202,11 +202,41 @@ TEST(TracerTest, ConcurrentThreadsFlushWithoutLossOrCrosstalk) {
 }
 
 TEST(TracerTest, ClearDropsSpansButKeepsStats) {
-  Tracer tracer;
+  Tracer tracer(TracerOptions{/*enabled=*/true, /*capacity=*/4});
+  const auto record = [&tracer](const std::string& name) {
+    tracer.record_span(name, "test", 1, 2);
+  };
+  const auto names = [&tracer] {
+    std::vector<std::string> out;
+    for (const TraceSpan& span : tracer.snapshot()) out.push_back(span.name);
+    return out;
+  };
+  using Names = std::vector<std::string>;
+
   { SpanScope scope(&tracer, "request", "serve"); }
   tracer.clear();
   EXPECT_TRUE(tracer.snapshot().empty());
   EXPECT_EQ(tracer.stats().spans_recorded, 1u);
+
+  // After a partial fill, new spans follow only what was recorded since.
+  record("a");
+  record("b");
+  tracer.clear();
+  record("c");
+  EXPECT_EQ(names(), Names({"c"}));
+
+  // After a wrap (head moved off slot 0), likewise.
+  for (const char* name : {"d", "e", "f", "g", "h"}) record(name);
+  EXPECT_EQ(names(), Names({"e", "f", "g", "h"}));
+  tracer.clear();
+  EXPECT_TRUE(tracer.snapshot().empty());
+  record("i");
+  record("j");
+  EXPECT_EQ(names(), Names({"i", "j"}));
+  for (const char* name : {"k", "l", "m"}) record(name);
+  EXPECT_EQ(names(), Names({"j", "k", "l", "m"}));
+  EXPECT_EQ(tracer.stats().spans_recorded, 14u);
+  EXPECT_EQ(tracer.stats().spans_evicted, 3u);
 }
 
 TEST(TracerTest, BeginTraceAllocatesIdsAndCountsTheTrace) {

@@ -33,6 +33,23 @@ TEST(ParseFlagTest, RejectsEmptyAndNonNumeric) {
   EXPECT_THROW(parse_double_flag("scale", "."), InvalidArgument);
 }
 
+TEST(ParseFlagTest, DoubleRejectsNonFinite) {
+  // strtod reads these as numbers; no caller can use them, and a sweep
+  // axis value of inf used to reach the NDJSON rows as a bare `inf`.
+  for (const char* text : {"inf", "-inf", "INF", "infinity", "nan", "-nan",
+                           "nan(0x1)", "1e999", "-1e999"})
+    EXPECT_THROW(parse_double_flag("param fs_gbs", text), InvalidArgument)
+        << text;
+  try {
+    parse_double_flag("param fs_gbs", "inf");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "bad value for --param fs_gbs: 'inf'");
+  }
+  EXPECT_DOUBLE_EQ(parse_double_flag("scale", "1.7976931348623157e308"),
+                   1.7976931348623157e308);
+}
+
 TEST(ParseFlagTest, ErrorNamesTheFlagAndText) {
   try {
     parse_long_flag("port", "80x");

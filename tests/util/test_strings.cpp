@@ -1,9 +1,66 @@
 #include "util/strings.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace wfr::util {
 namespace {
+
+// The shortest-round-trip formatter as first written, on snprintf and
+// strtod: "%.0f" for integers below 1e15, else the first "%.{p}g" from
+// p = 1 that parses back to the input.  format_double must reproduce its
+// bytes exactly; it is the reference for the differential tests below.
+std::string reference_format_double(double value) {
+  char buf[40];
+  if (value == std::nearbyint(value) && std::fabs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+    return buf;
+  }
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// Counts values whose format_double bytes differ from the reference,
+// reporting the first few.
+class FormatDiff {
+ public:
+  void check(double value) {
+    ++checked_;
+    const std::string got = format_double(value);
+    const std::string want = reference_format_double(value);
+    if (got == want) return;
+    if (++mismatches_ <= 5) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      ADD_FAILURE() << "bits 0x" << std::hex << bits << ": got '" << got
+                    << "', reference '" << want << "'";
+    }
+  }
+  std::size_t checked() const { return checked_; }
+  std::size_t mismatches() const { return mismatches_; }
+
+ private:
+  std::size_t checked_ = 0;
+  std::size_t mismatches_ = 0;
+};
 
 TEST(Strings, TrimRemovesSurroundingWhitespace) {
   EXPECT_EQ(trim("  hello  "), "hello");
@@ -74,6 +131,88 @@ TEST(Strings, RepeatAndPad) {
 TEST(Strings, Format) {
   EXPECT_EQ(format("%d tasks at %.1f GB/s", 28, 5.6), "28 tasks at 5.6 GB/s");
   EXPECT_EQ(format("plain"), "plain");
+}
+
+TEST(FormatDouble, ShortestRoundTripExamples) {
+  EXPECT_EQ(format_double(42.0), "42");
+  EXPECT_EQ(format_double(-0.0), "-0");
+  EXPECT_EQ(format_double(0.1), "0.1");
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(format_double(1e15), "1e+15");
+  EXPECT_EQ(format_double(123456789012345.0), "123456789012345");
+  EXPECT_EQ(format_double(2.5e-7), "2.5e-07");
+  EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "inf");
+  std::string out = "x=";
+  append_double(out, 0.25);
+  EXPECT_EQ(out, "x=0.25");
+}
+
+TEST(FormatDouble, MatchesReferenceOnRandomBitPatterns) {
+  std::mt19937_64 rng(20240611);
+  FormatDiff diff;
+  for (int i = 0; i < 1'000'000; ++i) diff.check(from_bits(rng()));
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
+}
+
+TEST(FormatDouble, MatchesReferenceOnPowersOfTwoAndNeighbours) {
+  // The binary exponent boundaries, where the gap below a value is half
+  // the gap above it and the shortest digit count is most likely to need
+  // one more digit under %g.
+  FormatDiff diff;
+  for (int e = -1074; e <= 1023; ++e) {
+    for (const double sign : {1.0, -1.0}) {
+      const double p = sign * std::ldexp(1.0, e);
+      diff.check(p);
+      diff.check(std::nextafter(p, 0.0));
+      diff.check(std::nextafter(p, sign * std::numeric_limits<double>::max()));
+    }
+  }
+  EXPECT_EQ(diff.checked(), 2098u * 6u);
+  EXPECT_EQ(diff.mismatches(), 0u);
+}
+
+TEST(FormatDouble, MatchesReferenceOnSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FormatDiff diff;
+  for (const double value :
+       {0.0, -0.0, inf, -inf, nan, -nan, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::epsilon()})
+    diff.check(value);
+  EXPECT_EQ(diff.mismatches(), 0u);
+}
+
+TEST(FormatDouble, MatchesReferenceAroundTheIntegerCutoff) {
+  // Integers switch from "%.0f" to %g at 1e15; check the integers and the
+  // halves either side of the cutoff, and the neighbours of each.
+  FormatDiff diff;
+  for (double k = -2000; k <= 2000; ++k) {
+    for (const double base :
+         {1e15, -1e15, 1e15 - 0.5, 1e16, 9007199254740992.0}) {
+      const double value = base + k;
+      diff.check(value);
+      diff.check(std::nextafter(value, 0.0));
+      diff.check(std::nextafter(value, 2 * value));
+    }
+  }
+  EXPECT_EQ(diff.mismatches(), 0u);
+}
+
+TEST(FormatDouble, MatchesReferenceOnGridStyleDecimals) {
+  // The values sweep axes and model outputs are made of: short decimals,
+  // their reciprocals and products, across magnitudes.
+  FormatDiff diff;
+  for (int k = 1; k <= 20000; ++k) {
+    for (const double scale : {1e-9, 1e-3, 0.01, 0.1, 1.0, 1e3, 1e9, 1e12}) {
+      diff.check(k * scale);
+      diff.check(k / 100.0 * scale);
+      diff.check(scale / k);
+    }
+  }
+  EXPECT_EQ(diff.mismatches(), 0u);
 }
 
 TEST(Strings, ReplaceAll) {
