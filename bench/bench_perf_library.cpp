@@ -226,8 +226,7 @@ BENCHMARK(BM_RenderRooflineSvg);
 // points/sec; compare Arg(8) vs Arg(1) for the speedup (the recorded
 // baseline bench/baselines/BENCH_sweep.json also stamps
 // sweep/hardware_jobs — on a 1-core builder the args just measure pool
-// overhead).  A fresh runner per iteration keeps the memo cache from
-// collapsing the 64 distinct points.
+// overhead).
 void BM_SweepScaling(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
   core::SystemSpec system = core::SystemSpec::perlmutter_gpu();
@@ -257,10 +256,12 @@ void BM_SweepScaling(benchmark::State& state) {
     return exec::evaluate_model_scenario(point);
   };
 
+  exec::ThreadPool pool(jobs);
   for (auto _ : state) {
-    exec::SweepRunner runner({jobs});
     const std::vector<exec::ScenarioResult> results =
-        runner.run<exec::ScenarioResult>(grid, eval);
+        exec::parallel_map<exec::ScenarioResult>(
+            pool, grid.size(),
+            [&grid, &eval](std::size_t i) { return eval(grid[i]); });
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() *

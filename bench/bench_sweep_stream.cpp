@@ -1,20 +1,18 @@
 // Campaign-scale streaming sweep benchmark (BENCH_sweep_1m): streams a
 // large all-distinct parameter grid through SweepRunner::stream_lines —
-// the flattened per-scenario hot path behind `wfr sweep --stream` — with
-// a modest LRU cache cap and measures sustained throughput (points/s)
-// plus memory behaviour — peak RSS and the RSS growth across the stream,
-// which must stay flat regardless of grid size (the whole point of the
-// streaming layer; docs/PARALLELISM.md).
+// the flattened per-scenario hot path behind `wfr sweep --stream` — and
+// measures sustained throughput (points/s) plus memory behaviour — peak
+// RSS and the RSS growth across the stream, which must stay flat
+// regardless of grid size (the whole point of the streaming layer;
+// docs/PARALLELISM.md).
 //
-// Four in-binary correctness floors exit the process nonzero when
+// Three in-binary correctness floors exit the process nonzero when
 // violated (bugs, not perf regressions):
-//   * stream_matches_batch — streamed bytes of a small subgrid equal the
-//     buffering run_models bytes;
+//   * stream_matches_batch — stream_lines bytes of a small subgrid equal
+//     the buffering run_models + scenario_result_line bytes;
 //   * resume_matches — streaming rows [0,k) and [k,n) in two separate
 //     runner lifetimes concatenates to the uninterrupted byte sequence
 //     (the library-level checkpoint/resume contract);
-//   * lines_match_models — the flattened stream_lines bytes equal the
-//     stream_models + scenario_result_line bytes;
 //   * shard_merge_matches — a 3-way stride shard split of the subgrid,
 //     merged back through exec::merge_shard_outputs, equals the
 //     single-stream bytes (the multi-process contract; exec/shard.hpp).
@@ -92,8 +90,7 @@ core::WorkflowCharacterization bench_workflow() {
   return wf;
 }
 
-/// An approximately `points`-sized grid of all-distinct scenarios
-/// (every point is a cache miss, so the LRU cap is exercised for real).
+/// An approximately `points`-sized grid of all-distinct scenarios.
 exec::SweepGrid bench_grid(std::size_t points) {
   const auto side = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(points))));
@@ -114,17 +111,16 @@ void stream_into(const exec::SweepGrid& grid, std::size_t start,
   exec::SweepRunner runner({0});
   exec::StreamOptions stream;
   stream.start_row = start;
-  runner.stream_models(grid, stream,
-                       [&out](std::size_t, const exec::ScenarioResult& r) {
-                         out += exec::scenario_result_line(r) + "\n";
-                       });
+  runner.stream_lines(grid, stream,
+                      [&out](std::size_t, std::string_view line) {
+                        out += line;
+                      });
 }
 
 }  // namespace
 
 int main() {
-  bench::banner("SWEEP1M",
-                "campaign-scale streaming sweep (stream_lines + LRU cache)");
+  bench::banner("SWEEP1M", "campaign-scale streaming sweep (stream_lines)");
   bench::emit_result_line("sweep1m/hardware_jobs", exec::hardware_jobs(),
                           "jobs");
 
@@ -146,20 +142,19 @@ int main() {
                           "bool");
 
   // Correctness floor 2: a resume split re-assembles the same bytes even
-  // across runner lifetimes (fresh cache, different completion order).
+  // across runner lifetimes (different completion order).
   const std::size_t split = small.size() / 3;
   std::string halves;
   {
     exec::SweepRunner first({0});
-    exec::StreamOptions head;
     std::size_t emitted = 0;
     try {
-      first.stream_models(small, head,
-                          [&](std::size_t, const exec::ScenarioResult& r) {
-                            halves += exec::scenario_result_line(r) + "\n";
-                            if (++emitted == split)
-                              throw std::runtime_error("stop at split");
-                          });
+      first.stream_lines(small, {},
+                         [&](std::size_t, std::string_view line) {
+                           halves += line;
+                           if (++emitted == split)
+                             throw std::runtime_error("stop at split");
+                         });
     } catch (const std::runtime_error&) {
       // The simulated kill: rows [0, split) are already in `halves`.
     }
@@ -171,23 +166,7 @@ int main() {
   bench::emit_result_line("resume_matches", resume_matches ? 1.0 : 0.0,
                           "bool");
 
-  // Correctness floor 3: the flattened hot path emits the same bytes as
-  // serializing stream_models results.
-  std::string lines;
-  {
-    exec::SweepRunner runner({0});
-    runner.stream_lines(small, {},
-                        [&lines](std::size_t, std::string_view line) {
-                          lines += line;
-                        });
-  }
-  const bool lines_match = lines == batch;
-  std::printf("stream_lines vs stream_models: %s\n",
-              lines_match ? "byte-identical" : "DIVERGED");
-  bench::emit_result_line("lines_match_models", lines_match ? 1.0 : 0.0,
-                          "bool");
-
-  // Correctness floor 4: a 3-way stride shard split, each shard streamed
+  // Correctness floor 3: a 3-way stride shard split, each shard streamed
   // on its own runner into its own part file, merges back byte-identical
   // to the single stream.
   bool shard_merge_matches = false;
@@ -223,17 +202,15 @@ int main() {
   bench::emit_result_line("shard_merge_matches",
                           shard_merge_matches ? 1.0 : 0.0, "bool");
 
-  // The campaign: stream the large grid with a modest cache cap.  The
-  // sink only counts bytes — resident state must stay O(window + cap).
+  // The campaign: stream the large grid.  The sink only counts bytes —
+  // resident state must stay O(window + jobs).
   std::size_t points = 1 << 16;
   if (const char* env = std::getenv("WFR_BENCH_SWEEP_POINTS")) {
     const unsigned long long parsed = std::strtoull(env, nullptr, 10);
     if (parsed > 0) points = static_cast<std::size_t>(parsed);
   }
   const exec::SweepGrid grid = bench_grid(points);
-  exec::SweepOptions options;
-  options.cache_capacity = 4096;
-  exec::SweepRunner runner(options);
+  exec::SweepRunner runner;
   const double rss_before = status_mb("VmRSS");
   std::uint64_t rows = 0;
   std::uint64_t bytes = 0;
@@ -251,17 +228,12 @@ int main() {
   const double rss_growth = rss_after > rss_before
                                 ? rss_after - rss_before
                                 : 0.0;
-  const exec::SweepStats stats = runner.stats();
   const double points_per_s = static_cast<double>(rows) / seconds;
 
   std::printf("streamed %llu rows (%llu NDJSON bytes) in %.2f s — "
               "%.0f points/s\n",
               static_cast<unsigned long long>(rows),
               static_cast<unsigned long long>(bytes), seconds, points_per_s);
-  std::printf("cache: %llu evictions, %llu entries resident (cap %zu)\n",
-              static_cast<unsigned long long>(stats.cache_evictions),
-              static_cast<unsigned long long>(stats.cache_entries),
-              runner.cache_capacity());
   std::printf("RSS: %.1f MB peak, %.1f MB growth across the stream\n",
               peak_rss, rss_growth);
 
@@ -269,20 +241,12 @@ int main() {
   bench::emit_result_line("campaign/peak_rss", peak_rss, "MB");
   bench::emit_result_line("campaign/rss_growth", rss_growth, "MB");
 
-  // The cache must actually have been capped: an all-distinct campaign
-  // bigger than the cap without evictions means the LRU is broken.
-  const bool cache_capped =
-      stats.cache_entries <= runner.cache_capacity() &&
-      (rows <= runner.cache_capacity() || stats.cache_evictions > 0);
-  if (!cache_capped)
-    std::printf("cache cap VIOLATED: %llu entries resident\n",
-                static_cast<unsigned long long>(stats.cache_entries));
   const bool rows_complete = rows == grid.size();
   if (!rows_complete)
     std::printf("row count MISMATCH: %llu of %zu emitted\n",
                 static_cast<unsigned long long>(rows), grid.size());
 
-  const bool ok = stream_matches && resume_matches && lines_match &&
-                  shard_merge_matches && cache_capped && rows_complete;
+  const bool ok = stream_matches && resume_matches && shard_merge_matches &&
+                  rows_complete;
   return ok ? 0 : 1;
 }

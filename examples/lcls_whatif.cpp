@@ -6,17 +6,14 @@
 // Also demonstrates the inverse experiment: making the compute 10x faster
 // changes nothing while the workflow rides the external ceiling.
 //
-// Each bandwidth point runs a full simulation, so the sweep fans out over
-// exec::SweepRunner (simulation-backed evaluator).  The 5 GB/s point is
-// exactly the good-day baseline the counter-experiment needs, so it is
-// served from the characterization cache instead of being re-simulated.
-// The printed tables are byte-identical to the serial version for any job
-// count (docs/PARALLELISM.md).
+// Each bandwidth point runs a full simulation, so the points fan out over
+// exec::parallel_map.  The printed tables are byte-identical to the
+// serial version for any job count (docs/PARALLELISM.md).
 
 #include <iostream>
 
 #include "core/advisor.hpp"
-#include "exec/sweep.hpp"
+#include "exec/thread_pool.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -26,17 +23,13 @@ using namespace wfr;
 
 namespace {
 
-/// Builds the sweep point for one external bandwidth on the good-day
-/// scenario; the exec::Scenario carries the system (the cache key), and
-/// the evaluator rebuilds the LCLS scenario from it.
-exec::Scenario external_bw_point(double external_bytes_per_second,
-                                 const std::string& label) {
-  exec::Scenario point;
-  point.label = label;
+/// The good-day scenario at one external bandwidth.
+workflows::LclsScenario external_bw_point(double external_bytes_per_second,
+                                          const std::string& label) {
   workflows::LclsScenario scenario = workflows::lcls_cori_good_day();
+  scenario.label = label;
   scenario.system.external_gbs = external_bytes_per_second;
-  point.system = scenario.system;
-  return point;
+  return scenario;
 }
 
 }  // namespace
@@ -53,35 +46,28 @@ int main() {
   table.set_align(3, util::Align::kRight);
 
   const std::vector<double> bandwidths{0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0};
-  std::vector<exec::Scenario> points;
+  std::vector<workflows::LclsScenario> points;
   for (double gbs : bandwidths)
     points.push_back(
         external_bw_point(gbs * util::kGBs, util::format_rate(gbs * util::kGBs)));
-  // The counter-experiment as two more points: the good-day baseline (a
-  // cache hit on the 5 GB/s sweep point) and the same day with 10x compute.
+  // The counter-experiment as two more points: the good-day baseline (the
+  // 5 GB/s sweep point again) and the same day with 10x compute.
   {
-    exec::Scenario baseline = external_bw_point(5.0 * util::kGBs, "good day");
+    workflows::LclsScenario baseline =
+        external_bw_point(5.0 * util::kGBs, "good day");
     points.push_back(baseline);
-    exec::Scenario boosted = baseline;
+    workflows::LclsScenario boosted = baseline;
     boosted.label = "good day, 10x compute";
     boosted.system.node.peak_flops *= 10.0;
     points.push_back(boosted);
   }
 
-  exec::SweepRunner runner;
-  std::vector<workflows::LclsStudyResult> results =
-      runner.run<workflows::LclsStudyResult>(
-          points, [&params](const exec::Scenario& point) {
-            // The label is presentation-only and excluded from the cache
-            // key, so the evaluator must not bake it into the result —
-            // use a fixed placeholder and restore per-point labels below.
-            workflows::LclsScenario scenario = workflows::lcls_cori_good_day();
-            scenario.label = "swept";
-            scenario.system = point.system;
-            return workflows::run_lcls(scenario, params);
+  exec::ThreadPool pool;
+  const std::vector<workflows::LclsStudyResult> results =
+      exec::parallel_map<workflows::LclsStudyResult>(
+          pool, points.size(), [&points, &params](std::size_t i) {
+            return workflows::run_lcls(points[i], params);
           });
-  for (std::size_t i = 0; i < points.size(); ++i)
-    results[i].model.set_dot_label(0, points[i].label);
 
   for (std::size_t i = 0; i < bandwidths.size(); ++i) {
     const workflows::LclsStudyResult& r = results[i];

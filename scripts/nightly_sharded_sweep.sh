@@ -31,7 +31,7 @@ fi
 mkdir -p "$OUT"
 
 # An all-distinct SIDE x SIDE grid of roughly POINTS points: every point
-# is a distinct scenario, so the memo cache cannot shortcut the campaign.
+# is a distinct scenario.
 SIDE=$(awk -v p="$POINTS" 'BEGIN { printf "%d", sqrt(p) + 0.999999 }')
 FS_AXIS=$(seq 100 $((100 + SIDE - 1)) | paste -sd, -)
 FLOPS_AXIS=$(seq 50 $((50 + SIDE - 1)) | sed 's/$/e12/' | paste -sd, -)

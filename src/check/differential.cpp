@@ -1,10 +1,11 @@
 #include "check/differential.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "core/characterization.hpp"
 #include "exec/thread_pool.hpp"
@@ -387,10 +388,20 @@ util::Json DifferentialRunner::repro_json(const CaseResult& result) const {
 
 namespace {
 
-std::uint64_t seed_from_json(const util::Json& value) {
-  if (value.is_string())
-    return std::strtoull(value.as_string().c_str(), nullptr, 10);
-  return static_cast<std::uint64_t>(value.as_int());
+/// A repro seed: a decimal string (the form to_json writes, exact for any
+/// uint64) or a non-negative JSON integer.
+std::uint64_t seed_from_json(const util::Json& value, const char* field) {
+  if (!value.is_string())
+    return static_cast<std::uint64_t>(value.as_int_in(
+        0, std::numeric_limits<std::int64_t>::max(), field));
+  const std::string& text = value.as_string();
+  std::uint64_t seed = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, seed);
+  if (text.empty() || error != std::errc() || stop != end)
+    throw util::ParseError(util::format(
+        "%s must be a decimal uint64, got '%s'", field, text.c_str()));
+  return seed;
 }
 
 }  // namespace
@@ -402,8 +413,10 @@ double repro_tolerance(const util::Json& repro) {
 CaseResult DifferentialRunner::replay(const util::Json& repro) const {
   util::require(repro.as_object().contains("wfr_check_repro"),
                 "not a wfr check repro document (missing wfr_check_repro)");
-  const std::uint64_t base_seed = seed_from_json(repro.at("base_seed"));
-  const auto index = static_cast<std::size_t>(repro.at("index").as_int());
+  const std::uint64_t base_seed =
+      seed_from_json(repro.at("base_seed"), "base_seed");
+  const auto index = static_cast<std::size_t>(repro.at("index").as_int_in(
+      0, std::numeric_limits<std::int64_t>::max(), "index"));
   const GenMode mode = parse_gen_mode(repro.string_or("gen", "rectangular"));
   const ScenarioGen gen(base_seed, mode);
   const GenScenario scenario = gen.generate(index);
@@ -413,8 +426,13 @@ CaseResult DifferentialRunner::replay(const util::Json& repro) const {
   // recorded one (and flag a version mismatch explicitly, so a stale file
   // names the reason instead of just a byte diff).
   if (const util::Json* recorded = repro.as_object().find("scenario")) {
-    const auto recorded_version =
-        static_cast<int>(recorded->number_or("gen_version", 0));
+    const util::Json* version = recorded->as_object().find("gen_version");
+    const int recorded_version =
+        version == nullptr
+            ? 0
+            : static_cast<int>(version->as_int_in(
+                  std::numeric_limits<int>::min(),
+                  std::numeric_limits<int>::max(), "scenario.gen_version"));
     if (recorded_version != ScenarioGen::kGenVersion) {
       result.failures.push_back(util::format(
           "generator version drift: repro was recorded by gen_version %d "

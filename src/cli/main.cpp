@@ -28,7 +28,7 @@
 //   wfr sweep    --system <spec.json|preset>
 //                (--characterization <c.json> | --workflow <wf.json>)
 //                [--param name=v1,v2,...]... [--jobs <n>] [--ndjson <out>]
-//                [--svg <out.svg>] [--metrics <out.json>] [--cache-cap <n>]
+//                [--svg <out.svg>] [--metrics <out.json>]
 //                [--stream] [--reorder-window <n>]
 //                [--checkpoint <ckpt.json>] [--checkpoint-every <rows>]
 //                [--resume <ckpt.json>]
@@ -44,13 +44,15 @@
 //       as they complete (deterministic order, flat RSS — the
 //       campaign-scale path); --checkpoint/--resume persist and pick up
 //       progress so a killed sweep re-assembles byte-identically.
-//       --cache-cap bounds the memo cache (LRU beyond it).  --shards N
-//       splits the grid deterministically across N worker processes:
-//       --spawn forks the workers, retries a failed shard once, and
-//       merges their part files byte-identically to a single-process
-//       stream; --shard-id I runs one worker by hand (e.g. one per
-//       host).  --shard-mode picks the row interleaving (stride keeps
-//       per-shard progress uniform; block favors the memo cache).
+//       --shards N splits the grid deterministically across N worker
+//       processes: --spawn forks the workers, retries a failed shard
+//       once, and merges their part files byte-identically to a
+//       single-process stream; --shard-id I runs one worker by hand
+//       (e.g. one per host).  --shard-mode picks the row interleaving
+//       (stride keeps per-shard progress uniform; block gives each shard
+//       one contiguous range of rows).  A row that fails to build or
+//       evaluate stops the sweep with an error naming the row and its
+//       parameters; rows before it stay emitted.
 //   wfr import   <instance.json>... [--jobs <n>] [--out-dir <dir>]
 //       Convert WfCommons/WfBench workflow instances (wfformat >= 1.4
 //       specification/execution layout or the legacy <= 1.3 inline
@@ -238,7 +240,7 @@ void print_usage() {
       "               (--characterization <c.json> | --workflow <wf.json>)\n"
       "               [--param name=v1,v2,...]... [--jobs <n>]\n"
       "               [--target <seconds>] [--ndjson <out>] [--svg <out.svg>]\n"
-      "               [--metrics <out.json>] [--cache-cap <n>]\n"
+      "               [--metrics <out.json>]\n"
       "               [--stream] [--reorder-window <n>]\n"
       "               [--checkpoint <ckpt.json>] [--checkpoint-every <rows>]\n"
       "               [--resume <ckpt.json>]\n"
@@ -247,7 +249,7 @@ void print_usage() {
       "  wfr serve    [--port <n>] [--host <addr>] [--jobs <n>]\n"
       "               [--io-threads <n>] [--idle-timeout <ms>]\n"
       "               [--max-queue <n>] [--max-body <bytes>]\n"
-      "               [--sweep-jobs <n>] [--sweep-cache-cap <n>]\n"
+      "               [--sweep-jobs <n>]\n"
       "               [--trace-out <trace.json>] [--trace-cap <spans>]\n"
       "               [--no-trace]\n"
       "  wfr import   <instance.json>... [--jobs <n>] [--out-dir <dir>]\n"
@@ -399,6 +401,16 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
+// wfr sweep --metrics: the count of evaluated scenarios as a metrics
+// snapshot (docs/OBSERVABILITY.md).
+void write_sweep_metrics(const std::string& path, std::uint64_t scenarios) {
+  obs::MetricsRegistry registry;
+  registry.counter("sweep.scenarios")
+      .increment(static_cast<double>(scenarios));
+  util::write_file(path, registry.snapshot().pretty() + "\n");
+  std::cout << "wrote " << path << "\n";
+}
+
 // One streaming sweep execution — the whole grid or one shard of it:
 // open (or resume into) the NDJSON output, stream rows through
 // SweepRunner::stream_lines, and persist flush-then-checkpoint prefix
@@ -422,15 +434,10 @@ struct StreamJob {
   std::optional<std::uint64_t> fail_after;
 };
 
-struct StreamJobStats {
-  std::uint64_t new_rows = 0;
-  exec::SweepStats sweep;
-};
-
-StreamJobStats run_stream_job(const exec::SweepGrid& grid,
-                              const exec::SweepOptions& options,
-                              const StreamJob& job,
-                              obs::MetricsRegistry* metrics) {
+/// Runs `job` and returns the number of rows it emitted.
+std::uint64_t run_stream_job(const exec::SweepGrid& grid,
+                             const exec::SweepOptions& options,
+                             const StreamJob& job) {
   exec::StreamOptions stream;
   stream.reorder_window = job.reorder_window;
   stream.shard = job.shard;
@@ -454,7 +461,7 @@ StreamJobStats run_stream_job(const exec::SweepGrid& grid,
 
   exec::SweepRunner runner(options);
   std::uint64_t rows_done = stream.start_row;
-  StreamJobStats result;
+  std::uint64_t new_rows = 0;
 
   // Flush-then-checkpoint: the output file is always at least as long as
   // the checkpoint claims, even if the process dies right after.
@@ -470,10 +477,10 @@ StreamJobStats run_stream_job(const exec::SweepGrid& grid,
 
   runner.stream_lines(
       grid, stream, [&](std::size_t row, std::string_view line) {
-        if (job.fail_after && result.new_rows >= *job.fail_after)
+        if (job.fail_after && new_rows >= *job.fail_after)
           throw util::Error(util::format(
               "injected failure after %llu rows (WFR_SWEEP_TEST_FAIL_SHARD)",
-              static_cast<unsigned long long>(result.new_rows)));
+              static_cast<unsigned long long>(new_rows)));
         if (job.echo_stdout) std::cout << line;
         if (!job.ndjson_path.empty()) {
           out.write(line.data(), static_cast<std::streamsize>(line.size()));
@@ -483,14 +490,14 @@ StreamJobStats run_stream_job(const exec::SweepGrid& grid,
           ndjson_bytes += line.size();
         }
         rows_done = row + 1;
-        ++result.new_rows;
+        ++new_rows;
         if (!job.checkpoint_path.empty() &&
             rows_done % job.checkpoint_every == 0)
           save();
-        if (job.abort_after && result.new_rows >= *job.abort_after)
+        if (job.abort_after && new_rows >= *job.abort_after)
           throw util::Error(util::format(
               "sweep aborted after %llu rows (--abort-after-rows)",
-              static_cast<unsigned long long>(result.new_rows)));
+              static_cast<unsigned long long>(new_rows)));
       });
 
   if (!job.ndjson_path.empty()) {
@@ -504,10 +511,7 @@ StreamJobStats run_stream_job(const exec::SweepGrid& grid,
     exec::save_checkpoint(
         job.checkpoint_path,
         {grid.grid_hash(), rows_done, ndjson_bytes, job.shard});
-
-  result.sweep = runner.stats();
-  if (metrics != nullptr) runner.export_metrics(*metrics);
-  return result;
+  return new_rows;
 }
 
 // WFR_SWEEP_TEST_FAIL_SHARD="i" (die before the first row) or "i:rows"
@@ -584,40 +588,27 @@ int run_sweep_stream(const Args& args, const exec::SweepGrid& grid,
   job.checkpoint_path = checkpoint_path.value_or("");
   job.resume_path = resume_path.value_or("");
 
-  obs::MetricsRegistry registry;
-  const auto metrics_path = args.get_optional("metrics");
-  const StreamJobStats run =
-      run_stream_job(grid, options, job, metrics_path ? &registry : nullptr);
+  const std::uint64_t new_rows = run_stream_job(grid, options, job);
 
   if (job.shard.sharded()) {
     std::cout << util::format(
         "sweep shard %d/%d (%s) of '%s' on '%s': %llu of %zu points, "
-        "%llu emitted, %llu evaluated, %llu cache hits, %llu evictions\n",
+        "%llu emitted\n",
         job.shard.index, job.shard.count,
         exec::shard_mode_name(job.shard.mode),
         grid.base_workflow().name.c_str(), grid.base_system().name.c_str(),
         static_cast<unsigned long long>(job.shard.rows(grid.size())),
-        grid.size(), static_cast<unsigned long long>(run.new_rows),
-        static_cast<unsigned long long>(run.sweep.cache_misses),
-        static_cast<unsigned long long>(run.sweep.cache_hits),
-        static_cast<unsigned long long>(run.sweep.cache_evictions));
+        grid.size(), static_cast<unsigned long long>(new_rows));
   } else {
     std::cout << util::format(
-        "sweep of '%s' on '%s': %zu points, %llu emitted, %llu evaluated, "
-        "%llu cache hits, %llu evictions\n",
+        "sweep of '%s' on '%s': %zu points, %llu emitted\n",
         grid.base_workflow().name.c_str(), grid.base_system().name.c_str(),
-        grid.size(), static_cast<unsigned long long>(run.new_rows),
-        static_cast<unsigned long long>(run.sweep.cache_misses),
-        static_cast<unsigned long long>(run.sweep.cache_hits),
-        static_cast<unsigned long long>(run.sweep.cache_evictions));
+        grid.size(), static_cast<unsigned long long>(new_rows));
   }
   if (ndjson_path) std::cout << "wrote " << *ndjson_path << "\n";
   if (checkpoint_path) std::cout << "wrote " << *checkpoint_path << "\n";
-
-  if (metrics_path) {
-    util::write_file(*metrics_path, registry.snapshot().pretty() + "\n");
-    std::cout << "wrote " << *metrics_path << "\n";
-  }
+  if (auto path = args.get_optional("metrics"))
+    write_sweep_metrics(*path, new_rows);
   return 0;
 }
 
@@ -701,7 +692,7 @@ int run_sweep_spawn(const Args& args, const exec::SweepGrid& grid,
         job.resume_path = job.checkpoint_path;
       if (const char* hook = std::getenv("WFR_SWEEP_TEST_FAIL_SHARD"))
         job.fail_after = parse_fail_shard_hook(hook, shard_id);
-      run_stream_job(grid, child_options, job, nullptr);
+      run_stream_job(grid, child_options, job);
       status = 0;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "wfr: shard %d/%d: %s\n", shard_id, shards,
@@ -799,8 +790,7 @@ int run_sweep_spawn(const Args& args, const exec::SweepGrid& grid,
 // wfr sweep — fan a parameter grid across the thread pool and tabulate
 // the resulting ceilings.  Scenario fan-out follows the determinism
 // contract (docs/PARALLELISM.md): output bytes are identical at --jobs 1
-// and --jobs N, and repeated grid points are served from the
-// characterization cache.
+// and --jobs N.
 int cmd_sweep(const Args& args) {
   const core::SystemSpec system = load_system(args.get("system"));
 
@@ -838,9 +828,6 @@ int cmd_sweep(const Args& args) {
   exec::SweepOptions options;
   if (auto jobs = args.get_optional("jobs"))
     options.jobs = static_cast<int>(parse_long_flag("jobs", *jobs));
-  if (auto cap = args.get_optional("cache-cap"))
-    options.cache_capacity =
-        static_cast<std::size_t>(parse_u64_flag("cache-cap", *cap));
 
   if (args.flag("stream")) {
     const exec::SweepGrid grid(system, base, axes);
@@ -865,7 +852,7 @@ int cmd_sweep(const Args& args) {
   for (int column = 1; column <= 2; ++column)
     table.set_align(column, util::Align::kRight);
   for (const exec::ScenarioResult& r : results) {
-    table.add_row({r.label, util::format("%d", r.parallelism_wall),
+    table.add_row({r.scenario.label, util::format("%d", r.parallelism_wall),
                    util::format("%.3g tasks/s", r.attainable_tps_at_wall),
                    r.binding_label,
                    r.slot_seconds > 0.0
@@ -873,12 +860,9 @@ int cmd_sweep(const Args& args) {
                        : "-",
                    util::format_seconds(r.campaign_makespan_seconds)});
   }
-  std::cout << util::format(
-      "sweep of '%s' on '%s': %d points, %d evaluated, %d cache hits\n\n",
-      base.name.c_str(), system.name.c_str(),
-      static_cast<int>(results.size()),
-      static_cast<int>(runner.stats().cache_misses),
-      static_cast<int>(runner.stats().cache_hits));
+  std::cout << util::format("sweep of '%s' on '%s': %zu points\n\n",
+                            base.name.c_str(), system.name.c_str(),
+                            results.size());
   std::cout << table.str() << "\n";
 
   std::string ndjson;
@@ -890,12 +874,8 @@ int cmd_sweep(const Args& args) {
     std::cout << "wrote " << *path << "\n";
   }
 
-  if (auto path = args.get_optional("metrics")) {
-    obs::MetricsRegistry registry;
-    runner.export_metrics(registry);
-    util::write_file(*path, registry.snapshot().pretty() + "\n");
-    std::cout << "wrote " << *path << "\n";
-  }
+  if (auto path = args.get_optional("metrics"))
+    write_sweep_metrics(*path, results.size());
 
   if (auto svg = args.get_optional("svg")) {
     // Multi-curve roofline: the first scenario's full model carries the
@@ -906,12 +886,12 @@ int cmd_sweep(const Args& args) {
     for (std::size_t i = 1; i < results.size(); ++i) {
       core::Ceiling ceiling = results[i].model->binding_ceiling(
           static_cast<double>(results[i].parallelism_wall));
-      ceiling.label = results[i].label + ": " + ceiling.label;
+      ceiling.label = results[i].scenario.label + ": " + ceiling.label;
       model.add_ceiling(std::move(ceiling));
     }
     for (const exec::ScenarioResult& r : results) {
       core::Dot dot;
-      dot.label = r.label;
+      dot.label = r.scenario.label;
       dot.parallel_tasks = static_cast<double>(r.parallelism_wall);
       dot.tps = r.attainable_tps_at_wall;
       dot.style = "projected";
@@ -951,9 +931,6 @@ int cmd_serve(const Args& args) {
   if (auto jobs = args.get_optional("sweep-jobs"))
     app_options.sweep_jobs =
         static_cast<int>(parse_long_flag_in("sweep-jobs", *jobs, 1, 1 << 16));
-  if (auto cap = args.get_optional("sweep-cache-cap"))
-    app_options.sweep_cache_capacity =
-        static_cast<std::size_t>(parse_u64_flag("sweep-cache-cap", *cap));
   std::string trace_out;
   if (auto out = args.get_optional("trace-out")) trace_out = *out;
   if (auto cap = args.get_optional("trace-cap"))

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -73,14 +74,20 @@ util::Json WorkflowCharacterization::to_json() const {
 
 WorkflowCharacterization WorkflowCharacterization::from_json(
     const util::Json& json) {
+  // Integer fields are range-checked before narrowing; validate() then
+  // applies the semantic bounds.
+  const auto int_field = [&json](const char* key) {
+    return static_cast<int>(json.at(key).as_int_in(
+        std::numeric_limits<int>::min(), std::numeric_limits<int>::max(),
+        key));
+  };
   WorkflowCharacterization c;
   c.name = json.string_or("name", "workflow");
-  c.total_tasks = static_cast<int>(json.at("total_tasks").as_int());
-  c.parallel_tasks = static_cast<int>(json.at("parallel_tasks").as_int());
-  c.nodes_per_task = static_cast<int>(
-      json.as_object().contains("nodes_per_task")
-          ? json.at("nodes_per_task").as_int()
-          : 1);
+  c.total_tasks = int_field("total_tasks");
+  c.parallel_tasks = int_field("parallel_tasks");
+  c.nodes_per_task = json.as_object().contains("nodes_per_task")
+                         ? int_field("nodes_per_task")
+                         : 1;
   c.flops_per_node = json.number_or("flops_per_node", 0.0);
   c.dram_bytes_per_node = json.number_or("dram_bytes_per_node", 0.0);
   c.hbm_bytes_per_node = json.number_or("hbm_bytes_per_node", 0.0);

@@ -286,15 +286,25 @@ void compute_ceilings(const SystemSpec& s,
                       const WorkflowCharacterization& w,
                       std::vector<CeilingSpec>& out) {
   out.clear();
-  // Error text is built only on the failing path: this lambda runs for
-  // every demanded channel of every grid point in a campaign sweep.
+  // Error text is built only on the failing path: these lambdas run for
+  // every demanded channel of every grid point in a campaign sweep.  A
+  // seconds-per-task or throughput limit that is not finite and positive
+  // (an extreme rate over- or underflowing) would reach the outputs as a
+  // bare inf, so it is rejected here, where both sweep paths and
+  // build_model pass.
   auto need = [&](double volume, double rate, const char* what) {
     if (!(rate > 0.0))
       throw util::InvalidArgument(
           util::format("workflow '%s' demands %s but system '%s' "
                        "lacks that channel",
                        w.name.c_str(), what, s.name.c_str()));
-    return volume / rate;
+    const double seconds = volume / rate;
+    if (!(std::isfinite(seconds) && seconds > 0.0))
+      throw util::InvalidArgument(util::format(
+          "workflow '%s' needs %g s per task of %s on system '%s'; "
+          "it must be finite and > 0",
+          w.name.c_str(), seconds, what, s.name.c_str()));
+    return seconds;
   };
   // Diagonal ceilings bound critical-path traversals (one per parallel
   // slot); each traversal completes total/parallel tasks.
@@ -309,6 +319,11 @@ void compute_ceilings(const SystemSpec& s,
     out.push_back(c);
   };
   auto horizontal = [&](Channel channel, double tps_limit) {
+    if (!(std::isfinite(tps_limit) && tps_limit > 0.0))
+      throw util::InvalidArgument(util::format(
+          "workflow '%s' on system '%s': its %s ceiling of %g tasks/s "
+          "must be finite and > 0",
+          w.name.c_str(), s.name.c_str(), channel_name(channel), tps_limit));
     CeilingSpec c;
     c.kind = CeilingKind::kHorizontal;
     c.channel = channel;

@@ -1,6 +1,7 @@
 #include "core/system_spec.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -90,7 +91,9 @@ double read_rate(const util::Json& obj, std::string_view key, double fallback) {
 SystemSpec SystemSpec::from_json(const util::Json& json) {
   SystemSpec s;
   s.name = json.string_or("name", "system");
-  s.total_nodes = static_cast<int>(json.at("total_nodes").as_int());
+  s.total_nodes = static_cast<int>(json.at("total_nodes").as_int_in(
+      std::numeric_limits<int>::min(), std::numeric_limits<int>::max(),
+      "total_nodes"));
   const util::Json& n = json.at("node");
   const util::Json* flops = n.as_object().find("peak_flops");
   util::require(flops != nullptr, "system spec node needs peak_flops");

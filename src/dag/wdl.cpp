@@ -1,5 +1,7 @@
 #include "dag/wdl.hpp"
 
+#include <limits>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
@@ -60,8 +62,11 @@ WorkflowGraph load_workflow_json(const util::Json& json) {
     TaskSpec spec;
     spec.name = t.at("name").as_string();
     spec.kind = t.string_or("kind", "");
-    spec.nodes = static_cast<int>(
-        t.as_object().contains("nodes") ? t.at("nodes").as_int() : 1);
+    spec.nodes = t.as_object().contains("nodes")
+                     ? static_cast<int>(t.at("nodes").as_int_in(
+                           std::numeric_limits<int>::min(),
+                           std::numeric_limits<int>::max(), "nodes"))
+                     : 1;
     if (const util::Json* d = t.as_object().find("demand"))
       spec.demand = read_demand(*d);
     if (const util::Json* fd = t.as_object().find("fixed_duration")) {

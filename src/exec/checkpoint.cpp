@@ -1,6 +1,7 @@
 #include "exec/checkpoint.hpp"
 
 #include <filesystem>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/file.hpp"
@@ -51,8 +52,11 @@ SweepCheckpoint checkpoint_from_json(const util::Json& json) {
   checkpoint.grid_hash = util::hash_from_hex(doc.at("grid_hash").as_string());
 
   if (const util::Json* shard = doc.find("shard")) {
-    checkpoint.shard.count = static_cast<int>(shard->at("count").as_int());
-    checkpoint.shard.index = static_cast<int>(shard->at("index").as_int());
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    checkpoint.shard.count = static_cast<int>(shard->at("count").as_int_in(
+        1, kIntMax, "sweep checkpoint: shard.count"));
+    checkpoint.shard.index = static_cast<int>(shard->at("index").as_int_in(
+        0, kIntMax, "sweep checkpoint: shard.index"));
     try {
       checkpoint.shard.mode =
           parse_shard_mode(shard->at("mode").as_string());

@@ -11,7 +11,7 @@
 //    "completed": [[0, <rows>]],
 //    "ndjson_bytes": <bytes>}
 //
-// Because stream_models emits rows in strictly increasing order, the
+// Because stream_lines emits rows in strictly increasing order, the
 // completed set is always a single prefix range [0, rows) in version 1;
 // the range-list encoding leaves room for future non-prefix producers.
 // Sharded sweeps checkpoint per shard: rows are *shard-local* (the

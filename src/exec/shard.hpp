@@ -11,7 +11,9 @@
 //     stay uniform even when cost varies along an axis.
 //   * block mode: rows are split into `count` contiguous blocks of
 //     ceil(total / count); shard i owns [i*block, min((i+1)*block, total)).
-//     Friendlier to the memo cache when neighboring rows share parameters.
+//     Each shard's part file is then one contiguous, in-order slice of
+//     the merged output, for tools that split a grid by row range.  It is
+//     not faster: every row is evaluated on its own in either mode.
 //
 // Each shard checkpoints independently (a shard-local prefix range — see
 // exec/checkpoint.hpp) because its emission order is strictly increasing

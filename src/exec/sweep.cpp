@@ -2,7 +2,10 @@
 
 #include <charconv>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <limits>
+#include <mutex>
 
 #include "core/advisor.hpp"
 #include "util/error.hpp"
@@ -11,51 +14,45 @@
 
 namespace wfr::exec {
 
-std::string scenario_key(const Scenario& scenario) {
-  // Canonical parameters: the JSON serializations are produced by fixed
-  // insertion-order emitters, so equal inputs yield equal bytes.  The
-  // label and grid coordinates are presentation-only and excluded.
-  return scenario.system.to_json().dump() + "\x1f" +
-         scenario.workflow.to_json().dump() + "\x1f" +
-         std::to_string(scenario.seed);
+namespace {
+
+using Params = std::vector<std::pair<std::string, double>>;
+
+/// Appends a row's coordinates as "name=value name=value ...", each value
+/// as printf's "%g" would print it (general at precision 6, without
+/// printf's format parsing).  Grid labels and row errors share it.
+void append_coordinates(std::string& out, const Params& params) {
+  char value_text[32];
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (i != 0) out += ' ';
+    out += params[i].first;
+    out += '=';
+    out.append(value_text,
+               std::to_chars(value_text, value_text + sizeof(value_text),
+                             params[i].second, std::chars_format::general, 6)
+                   .ptr);
+  }
 }
 
-util::Hash128 scenario_hash(const Scenario& scenario) {
-  // Same canonical parameter set as scenario_key, digested field-by-field
-  // (no JSON materialization on the per-point hot path).  Field order is
-  // fixed and strings are length-prefixed, so equal parameters always
-  // digest equally.  Extend this whenever SystemSpec or
-  // WorkflowCharacterization grows a field.
-  util::HashStream h;
-  h.str("wfr-scenario-v1");
-  const core::SystemSpec& s = scenario.system;
-  h.str(s.name);
-  h.f64(s.node.peak_flops);
-  h.f64(s.node.dram_gbs);
-  h.f64(s.node.hbm_gbs);
-  h.f64(s.node.pcie_gbs);
-  h.f64(s.node.nic_gbs);
-  h.i64(s.total_nodes);
-  h.f64(s.fs_gbs);
-  h.f64(s.external_gbs);
-  const core::WorkflowCharacterization& w = scenario.workflow;
-  h.str(w.name);
-  h.i64(w.total_tasks);
-  h.i64(w.parallel_tasks);
-  h.i64(w.nodes_per_task);
-  h.f64(w.flops_per_node);
-  h.f64(w.dram_bytes_per_node);
-  h.f64(w.hbm_bytes_per_node);
-  h.f64(w.pcie_bytes_per_node);
-  h.f64(w.network_bytes_per_task);
-  h.f64(w.fs_bytes_per_task);
-  h.f64(w.external_bytes_per_task);
-  h.f64(w.overhead_seconds_per_task);
-  h.f64(w.makespan_seconds);
-  h.f64(w.target_makespan_seconds);
-  h.u64(scenario.seed);
-  return h.digest();
+/// Rethrows `error`, raised while building or evaluating grid row `flat`
+/// with coordinates `params`, as "sweep row <flat> (<name>=<value> ...):
+/// <what>".  Both sweep paths — stream_lines and expand_grid +
+/// run_models — report a failing row through this, so they print the
+/// same line; the message is built only on the failing path.
+[[noreturn]] void rethrow_row_error(std::size_t flat, const Params& params,
+                                    const util::InvalidArgument& error) {
+  std::string message = "sweep row " + std::to_string(flat);
+  if (!params.empty()) {
+    message += " (";
+    append_coordinates(message, params);
+    message += ')';
+  }
+  message += ": ";
+  message += error.what();
+  throw util::InvalidArgument(message);
 }
+
+}  // namespace
 
 ModelSummary evaluate_model_summary(const Scenario& scenario,
                                     std::vector<core::CeilingSpec>& scratch) {
@@ -111,7 +108,6 @@ ModelSummary evaluate_model_summary(const Scenario& scenario,
 
 ScenarioResult evaluate_model_scenario(const Scenario& scenario) {
   ScenarioResult result;
-  result.label = scenario.label;
   result.scenario = scenario;
   auto model = std::make_shared<core::RooflineModel>(
       core::build_model(scenario.system, scenario.workflow));
@@ -129,67 +125,19 @@ ScenarioResult evaluate_model_scenario(const Scenario& scenario) {
   return result;
 }
 
+SweepRunner::SweepRunner(SweepOptions options) : pool_(options.jobs) {}
+
 std::vector<ScenarioResult> SweepRunner::run_models(
     const std::vector<Scenario>& scenarios) {
-  std::vector<ScenarioResult> results = run<ScenarioResult>(
-      scenarios, [](const Scenario& s) { return evaluate_model_scenario(s); });
-  // Cache hits carry the first-evaluated point's labeling; restore each
-  // requested point's own presentation metadata (the model stays shared).
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    results[i].label = scenarios[i].label;
-    results[i].scenario = scenarios[i];
-  }
-  return results;
+  return parallel_map<ScenarioResult>(
+      pool_, scenarios.size(), [&scenarios](std::size_t i) {
+        try {
+          return evaluate_model_scenario(scenarios[i]);
+        } catch (const util::InvalidArgument& e) {
+          rethrow_row_error(i, scenarios[i].params, e);
+        }
+      });
 }
-
-SweepStats SweepRunner::stats() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  SweepStats snapshot = stats_;
-  snapshot.cache_entries = static_cast<std::uint64_t>(lru_.size());
-  return snapshot;
-}
-
-void SweepRunner::export_metrics(obs::MetricsRegistry& registry) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Delta export: add only what accrued since the previous call, so a
-  // shared runner scraped once per request never double-counts.
-  registry.counter("sweep.scenarios")
-      .increment(static_cast<double>(stats_.scenarios - exported_.scenarios));
-  registry.counter("sweep.cache_hits")
-      .increment(static_cast<double>(stats_.cache_hits - exported_.cache_hits));
-  registry.counter("sweep.cache_misses")
-      .increment(
-          static_cast<double>(stats_.cache_misses - exported_.cache_misses));
-  registry.counter("sweep.cache_evictions")
-      .increment(static_cast<double>(stats_.cache_evictions -
-                                     exported_.cache_evictions));
-  registry.gauge("sweep.cache_entries")
-      .set(static_cast<double>(lru_.size()));
-  exported_ = stats_;
-}
-
-void SweepRunner::complete_entry(const CacheKey& key) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) return;  // unreachable: in-flight entries pinned
-  if (cache_capacity_ == 0) {
-    // No retention: the entry served concurrent waiters via the shared
-    // future; drop it now that evaluation finished.
-    cache_.erase(it);
-    return;
-  }
-  it->second.completed = true;
-  lru_.push_front(key);
-  it->second.lru = lru_.begin();
-  while (lru_.size() > cache_capacity_) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.cache_evictions;
-  }
-}
-
-SweepRunner::SweepRunner(SweepOptions options)
-    : pool_(options.jobs), cache_capacity_(options.cache_capacity) {}
 
 void append_result_line(
     std::string& out, std::string_view label,
@@ -231,7 +179,7 @@ void append_result_line(
 
 std::string scenario_result_line(const ScenarioResult& result) {
   std::string line;
-  append_result_line(line, result.label, result.scenario.params,
+  append_result_line(line, result.scenario.label, result.scenario.params,
                      result.parallelism_wall, result.attainable_tps_at_wall,
                      result.binding_label, result.binding_channel,
                      result.slot_seconds, result.campaign_makespan_seconds);
@@ -303,7 +251,6 @@ void SweepGrid::at_into(std::size_t flat, Scenario& out) const {
                      points_));
   out.system = base_system_;
   out.workflow = base_workflow_;
-  out.seed = 0;
 
   // Row-major cross product: the first axis varies slowest.  The params
   // vector is resized (not rebuilt) so its name strings keep their
@@ -352,17 +299,7 @@ void SweepGrid::at_into(std::size_t flat, Scenario& out) const {
   }
 
   out.label.clear();
-  char value_text[32];
-  for (const auto& [name, value] : out.params) {
-    if (!out.label.empty()) out.label += ' ';
-    out.label += name;
-    out.label += '=';
-    // general at precision 6 is printf's "%g", without its format parsing.
-    out.label.append(value_text,
-                     std::to_chars(value_text, value_text + sizeof(value_text),
-                                   value, std::chars_format::general, 6)
-                         .ptr);
-  }
+  append_coordinates(out.label, out.params);
   if (out.label.empty()) out.label = base_workflow_.name;
 }
 
@@ -387,10 +324,14 @@ std::vector<Scenario> expand_grid(const core::SystemSpec& base_system,
                                   const core::WorkflowCharacterization& base,
                                   const std::vector<ParamAxis>& axes) {
   const SweepGrid grid(base_system, base, axes);
-  std::vector<Scenario> scenarios;
-  scenarios.reserve(grid.size());
-  for (std::size_t flat = 0; flat < grid.size(); ++flat)
-    scenarios.push_back(grid.at(flat));
+  std::vector<Scenario> scenarios(grid.size());
+  for (std::size_t flat = 0; flat < grid.size(); ++flat) {
+    try {
+      grid.at_into(flat, scenarios[flat]);
+    } catch (const util::InvalidArgument& e) {
+      rethrow_row_error(flat, scenarios[flat].params, e);
+    }
+  }
   return scenarios;
 }
 
@@ -400,11 +341,10 @@ constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 
 /// Shared state of one streaming fan-out: a claim frontier throttled
 /// against the emit frontier (bounded reorder window), a ring of
-/// completed-but-unemitted rows, and first-by-index error capture.  Rows
-/// circulate by swap — worker scratch into the ring, ring slot into the
-/// emit scratch — so Row heap capacity (NDJSON buffers, scenario
-/// strings) is recycled instead of reallocated every row.
-template <typename Row>
+/// completed-but-unemitted lines, and first-by-index error capture.
+/// Lines circulate by swap — worker scratch into the ring, ring slot into
+/// the emit scratch — so their buffers are recycled instead of
+/// reallocated every row.
 struct StreamState {
   std::mutex mutex;
   std::condition_variable can_claim;
@@ -413,18 +353,17 @@ struct StreamState {
   std::size_t emit_next = 0;
   std::size_t end = 0;
   std::size_t window = 1;
-  std::vector<Row> ring;
+  std::vector<std::string> ring;
   std::vector<char> ready;
-  /// The row currently handed to emit (single emitter; reused).
-  Row emit_value;
+  /// The line currently handed to the sink (single emitter; reused).
+  std::string emit_line;
   bool emitting = false;
   std::size_t live_runners = 0;
   std::exception_ptr error;
   std::size_t error_index = kNoError;
 };
 
-template <typename Row>
-void record_stream_error(StreamState<Row>& state, std::size_t index,
+void record_stream_error(StreamState& state, std::size_t index,
                          std::exception_ptr error) {
   std::unique_lock<std::mutex> lock(state.mutex);
   if (index < state.error_index) {
@@ -434,33 +373,32 @@ void record_stream_error(StreamState<Row>& state, std::size_t index,
   state.can_claim.notify_all();
 }
 
-/// The streaming engine shared by stream_models and stream_lines: claim
-/// rows [start, end) against the emit frontier, evaluate out of order,
-/// emit strictly in order with a single emitter and no end-of-stream
-/// barrier.  `make_eval()` runs once per worker and returns that
-/// worker's eval(row, Row&) — per-worker scratch (arenas, reused
-/// scenarios) lives in the returned closure.  `emit(row, Row&)` observes
-/// the RowSink protocol.
-template <typename Row, typename MakeEval, typename Emit>
+/// The streaming engine behind stream_lines: claim rows [start, end)
+/// against the emit frontier, evaluate out of order, emit strictly in
+/// order with a single emitter and no end-of-stream barrier.
+/// `make_eval()` runs once per worker and returns that worker's
+/// eval(row, std::string& line) — per-worker scratch (reused scenario and
+/// ceilings) lives in the returned closure.
+template <typename MakeEval>
 void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
                        std::size_t window, const MakeEval& make_eval,
-                       const Emit& emit) {
+                       const SweepRunner::LineSink& sink) {
   if (start >= end) return;
 
   // Single-job pools stream inline: claim order == emit order, no window
-  // bookkeeping, exceptions propagate at the failing row, one Row of
+  // bookkeeping, exceptions propagate at the failing row, one line of
   // scratch for the whole run.
   if (pool.jobs() == 1) {
     auto eval = make_eval();
-    Row value{};
+    std::string line;
     for (std::size_t row = start; row < end; ++row) {
-      eval(row, value);
-      emit(row, value);
+      eval(row, line);
+      sink(row, line);
     }
     return;
   }
 
-  StreamState<Row> state;
+  StreamState state;
   state.next_claim = start;
   state.emit_next = start;
   state.end = end;
@@ -470,7 +408,7 @@ void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
 
   auto worker = [&] {
     auto eval = make_eval();
-    Row scratch{};
+    std::string scratch;
     for (;;) {
       std::size_t row;
       {
@@ -495,19 +433,19 @@ void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
       swap(state.ring[row % state.window], scratch);
       state.ready[row % state.window] = 1;
       // Drain the contiguous head.  Only one worker emits at a time and
-      // rows leave in strictly increasing order; emit runs unlocked so
-      // evaluation continues behind it.
+      // rows leave in strictly increasing order; the sink runs unlocked
+      // so evaluation continues behind it.
       while (!state.emitting && state.error_index == kNoError &&
              state.emit_next < state.end &&
              state.ready[state.emit_next % state.window]) {
         state.emitting = true;
         const std::size_t emit_row = state.emit_next;
-        swap(state.ring[emit_row % state.window], state.emit_value);
+        swap(state.ring[emit_row % state.window], state.emit_line);
         state.ready[emit_row % state.window] = 0;
         lock.unlock();
         std::exception_ptr sink_error;
         try {
-          emit(emit_row, state.emit_value);
+          sink(emit_row, state.emit_line);
         } catch (...) {
           sink_error = std::current_exception();
         }
@@ -540,12 +478,12 @@ void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
   if (state.error) std::rethrow_exception(state.error);
 }
 
-/// Shared option validation for the streaming entry points; returns the
-/// number of shard-local rows.
-std::size_t check_stream_options(const SweepGrid& grid,
-                                 const StreamOptions& options,
-                                 bool have_sink, const char* who) {
-  util::require(have_sink, std::string(who) + " needs a sink");
+}  // namespace
+
+void SweepRunner::stream_lines(const SweepGrid& grid,
+                               const StreamOptions& options,
+                               const LineSink& sink) {
+  util::require(static_cast<bool>(sink), "stream_lines needs a sink");
   util::require(options.reorder_window >= 1,
                 "stream reorder_window must be >= 1");
   options.shard.validate();
@@ -559,81 +497,40 @@ std::size_t check_stream_options(const SweepGrid& grid,
                   util::format("stream start_row %zu beyond grid (%zu points)",
                                options.start_row, rows));
   }
-  return rows;
-}
-
-}  // namespace
-
-void SweepRunner::stream_models(const SweepGrid& grid,
-                                const StreamOptions& options,
-                                const RowSink& sink) {
-  const std::size_t rows = check_stream_options(
-      grid, options, static_cast<bool>(sink), "stream_models");
   const std::size_t total = grid.size();
   const ShardSpec shard = options.shard;
+  obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
 
-  auto make_eval = [this, &grid, shard, total] {
-    std::function<ScenarioResult(const Scenario&)> eval_model =
-        [](const Scenario& s) { return evaluate_model_scenario(s); };
-    return [this, &grid, shard, total,
-            eval_model = std::move(eval_model)](std::size_t row,
-                                                ScenarioResult& out) {
-      Scenario scenario = grid.at(shard.global_row(row, total));
-      out = evaluate_cached<ScenarioResult>(scenario, eval_model);
-      // A cache hit returns the first-evaluated point's presentation
-      // metadata; restore the requested row's own label (the run_models
-      // pattern, docs/PARALLELISM.md).
-      out.label = scenario.label;
-      out.scenario = std::move(scenario);
-    };
-  };
-  run_stream_engine<ScenarioResult>(
-      pool_, options.start_row, rows, options.reorder_window, make_eval,
-      [&sink](std::size_t row, ScenarioResult& value) { sink(row, value); });
-}
-
-void SweepRunner::stream_lines(const SweepGrid& grid,
-                               const StreamOptions& options,
-                               const LineSink& sink) {
-  const std::size_t rows = check_stream_options(
-      grid, options, static_cast<bool>(sink), "stream_lines");
-  const std::size_t total = grid.size();
-  const ShardSpec shard = options.shard;
-
-  // Per-worker arena: the materialized scenario and the label-free
+  // Per-worker scratch: the materialized scenario and the label-free
   // ceiling set keep their heap capacity across every point the worker
   // evaluates; the only per-point string the hot path creates is the
-  // binding label inside the memoized summary.
-  struct Arena {
-    Scenario scenario;
-    std::vector<core::CeilingSpec> ceilings;
-  };
-  auto make_eval = [this, &grid, shard, total] {
-    auto arena = std::make_shared<Arena>();
-    std::function<ModelSummary(const Scenario&)> eval_summary =
-        [arena](const Scenario& s) {
-          return evaluate_model_summary(s, arena->ceilings);
-        };
-    return [this, &grid, shard, total, arena,
-            eval_summary = std::move(eval_summary)](std::size_t row,
-                                                    std::string& out) {
-      grid.at_into(shard.global_row(row, total), arena->scenario);
-      const ModelSummary summary =
-          evaluate_cached<ModelSummary>(arena->scenario, eval_summary);
-      out.clear();
-      append_result_line(out, arena->scenario.label, arena->scenario.params,
+  // binding label.
+  auto make_eval = [&grid, shard, total, tracer] {
+    return [&grid, shard, total, tracer, scenario = Scenario(),
+            ceilings = std::vector<core::CeilingSpec>()](
+               std::size_t row, std::string& line) mutable {
+      const std::size_t flat = shard.global_row(row, total);
+      ModelSummary summary;
+      try {
+        grid.at_into(flat, scenario);
+        obs::SpanScope span(tracer, "evaluate", "sweep");
+        if (span.active() && !scenario.label.empty())
+          span.arg("scenario", scenario.label);
+        summary = evaluate_model_summary(scenario, ceilings);
+      } catch (const util::InvalidArgument& e) {
+        rethrow_row_error(flat, scenario.params, e);
+      }
+      line.clear();
+      append_result_line(line, scenario.label, scenario.params,
                          summary.parallelism_wall,
                          summary.attainable_tps_at_wall, summary.binding_label,
                          summary.binding_channel, summary.slot_seconds,
                          summary.campaign_makespan_seconds);
-      out += '\n';
+      line += '\n';
     };
   };
-  run_stream_engine<std::string>(
-      pool_, options.start_row, rows, options.reorder_window, make_eval,
-      [&sink](std::size_t row, std::string& line) {
-        sink(row, std::string_view(line));
-      });
+  run_stream_engine(pool_, options.start_row, rows, options.reorder_window,
+                    make_eval, sink);
 }
 
 }  // namespace wfr::exec

@@ -1,58 +1,37 @@
 #pragma once
 // SweepRunner: fan a list (or parameter grid) of what-if scenarios across
-// the thread pool, memoizing repeated points so identical (system,
-// workflow, seed) configurations are evaluated exactly once per runner.
+// the thread pool.  Each scenario is one closed-form model evaluation, so
+// every point is evaluated directly; nothing is memoized.
 //
 // This is the engine behind `wfr sweep`, `POST /v1/sweep`, the
-// capacity-planning and LCLS what-if examples, and the sweep benchmarks.
-// The determinism contract of exec::parallel_for applies: results land in
-// slots by scenario index and every output is bit-for-bit identical at
-// --jobs 1 and --jobs N (docs/PARALLELISM.md).
+// capacity-planning example, and the sweep benchmarks.  The determinism
+// contract of exec::parallel_for applies: results land in slots by
+// scenario index and every output is bit-for-bit identical at --jobs 1
+// and --jobs N (docs/PARALLELISM.md).
 //
 // Campaign-scale sweeps (the ROADMAP's million-point grids) use the
-// streaming layer instead of the buffering run() API:
+// streaming layer instead of the buffering run_models() API:
 //   * SweepGrid describes a parameter grid without materializing it —
 //     scenarios are built on demand by flat index, so a 10^6-point grid
 //     costs O(1) resident memory, and grid_hash() fingerprints the grid
 //     for checkpoint/resume (exec/checkpoint.hpp).
-//   * stream_models() emits results in deterministic scenario order *as
+//   * stream_lines() emits NDJSON rows in deterministic scenario order *as
 //     slots complete*: a bounded reorder window holds out-of-order
 //     completions, claims are throttled against the emit frontier, and
 //     there is no end-of-grid barrier.  Peak resident state is
-//     O(reorder_window + cache capacity + jobs), independent of grid
-//     size.
-//
-// The memo cache is keyed on a fixed-width 128-bit hash of the canonical
-// scenario parameters — the system spec, workflow characterization, and
-// scenario seed, never the label or grid coordinates — and is size-capped
-// with LRU eviction so cache growth cannot swallow a campaign's RSS.
-// In-flight entries are pinned (never evicted mid-evaluation); capacity 0
-// disables retention entirely while still deduplicating concurrent
-// identical keys through the shared-future path.  Hit/miss/eviction
-// totals are exported through obs::MetricsRegistry with delta semantics,
-// so repeated exports (e.g. one per /metrics scrape) never double-count.
-
-#include <any>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <future>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <typeinfo>
-#include <unordered_map>
-#include <utility>
-#include <vector>
+//     O(reorder_window + jobs), independent of grid size.
 
 #include <atomic>
+#include <functional>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/model.hpp"
 #include "exec/shard.hpp"
 #include "exec/thread_pool.hpp"
-#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "util/hash.hpp"
 
@@ -60,39 +39,19 @@ namespace wfr::exec {
 
 /// One sweep point: a complete model input plus bookkeeping.
 struct Scenario {
-  /// Display label; NOT part of the cache key.
+  /// Display label.
   std::string label;
   core::SystemSpec system;
   core::WorkflowCharacterization workflow;
-  /// Seed for stochastic evaluators (simulation jitter, noise).  Part of
-  /// the cache key: two points with equal parameters and equal seeds are
-  /// one evaluation.  Derive per-point seeds with scenario_seed(base, i)
-  /// when points must draw independent streams (this forgoes dedup).
-  std::uint64_t seed = 0;
   /// The grid coordinates that produced this point (name, value), in axis
   /// order.  Filled by SweepGrid/expand_grid; carried into NDJSON output.
   std::vector<std::pair<std::string, double>> params;
 };
 
-/// Canonical cache key of a scenario as human-readable bytes (system +
-/// workflow + seed, no label).  Kept for diagnostics and tests; the memo
-/// cache itself keys on scenario_hash, the fixed-width digest of the same
-/// canonical parameter set.
-std::string scenario_key(const Scenario& scenario);
-
-/// Fixed-width digest of the canonical scenario parameters: every field
-/// of the system spec and workflow characterization plus the seed, field
-/// order fixed, strings length-prefixed.  Labels and grid coordinates are
-/// presentation-only and excluded.  Equal parameters always digest
-/// equally; this is the memo-cache key and must be extended whenever
-/// SystemSpec or WorkflowCharacterization grows a field.
-util::Hash128 scenario_hash(const Scenario& scenario);
-
 /// The model-based evaluation of one scenario (SweepRunner::run_models).
 struct ScenarioResult {
-  std::string label;
   Scenario scenario;
-  /// The assembled model (shared across cache hits).
+  /// The assembled model.
   std::shared_ptr<const core::RooflineModel> model;
   int parallelism_wall = 0;
   /// min over ceilings at the wall — the best attainable throughput.
@@ -125,10 +84,7 @@ void append_result_line(
     double slot_seconds, double campaign_makespan_s);
 
 /// The wall/attainable/binding summary of one scenario without the
-/// assembled RooflineModel — the campaign hot path's result type.  All
-/// fields are derived from the canonical scenario parameters (never the
-/// label or grid coordinates), so a memoized summary is reusable
-/// verbatim across cache hits.
+/// assembled RooflineModel — the campaign hot path's result type.
 struct ModelSummary {
   int parallelism_wall = 0;
   double attainable_tps_at_wall = 0.0;
@@ -148,6 +104,10 @@ struct ModelSummary {
 /// evaluate_model_scenario derives from the full model.
 ModelSummary evaluate_model_summary(const Scenario& scenario,
                                     std::vector<core::CeilingSpec>& scratch);
+
+/// Evaluates one scenario through core::build_model (the run_models
+/// evaluator; also the single-point path of /v1/roofline and /v1/import).
+ScenarioResult evaluate_model_scenario(const Scenario& scenario);
 
 /// One axis of a parameter grid (see SweepGrid for the known names).
 struct ParamAxis {
@@ -183,7 +143,9 @@ class SweepGrid {
 
   /// at(flat) into a caller-owned scenario, reusing its string/vector
   /// capacity — the streaming hot path's variant (zero steady-state
-  /// allocations for grids without intra-task-scaling axes).
+  /// allocations for grids without intra-task-scaling axes).  The row's
+  /// coordinates land in out.params before any value is validated, so a
+  /// row that fails still carries them for its error message.
   void at_into(std::size_t flat, Scenario& out) const;
 
   /// Fingerprint of the grid definition (base system + base workflow +
@@ -206,34 +168,18 @@ class SweepGrid {
 
 /// Materializes a whole grid into a vector (the small-grid path: tables,
 /// SVG overlays, run_models).  Campaign-scale grids should stay lazy via
-/// SweepGrid + stream_models.
+/// SweepGrid + stream_lines.  A row that fails to build throws an
+/// InvalidArgument that names it (see SweepRunner::run_models).
 std::vector<Scenario> expand_grid(const core::SystemSpec& base_system,
                                   const core::WorkflowCharacterization& base,
                                   const std::vector<ParamAxis>& axes);
 
-/// Default completed-entry capacity of the memo cache.
-inline constexpr std::size_t kDefaultSweepCacheCapacity = 1 << 16;
-
 struct SweepOptions {
   /// Worker threads; 0 = resolve_jobs() (WFR_JOBS, then hardware).
   int jobs = 0;
-  /// Maximum completed entries retained by the memo cache (LRU beyond
-  /// this).  0 disables retention: nothing is memoized across points, but
-  /// concurrently in-flight identical keys still share one evaluation.
-  std::size_t cache_capacity = kDefaultSweepCacheCapacity;
 };
 
-/// Cache statistics of one runner.  Counters are lifetime totals;
-/// cache_entries is the current completed-entry count (a gauge).
-struct SweepStats {
-  std::uint64_t scenarios = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_entries = 0;
-};
-
-/// Streaming evaluation options (SweepRunner::stream_models).
+/// Streaming evaluation options (SweepRunner::stream_lines).
 struct StreamOptions {
   /// Maximum completed-but-unemitted rows held while an earlier row is
   /// still evaluating.  Claims are throttled to
@@ -253,174 +199,55 @@ struct StreamOptions {
   ShardSpec shard;
 };
 
-/// Evaluates scenarios on a pool with memoization.  A runner's cache
-/// persists across run() calls; evaluators must be pure functions of the
-/// scenario (plus its seed), or the cache would lie.  Do not call run()
-/// from inside an evaluator.
+/// Evaluates model scenarios on a pool.  A runner may be shared: several
+/// threads can call run_models and stream_lines on it concurrently (one
+/// `wfr serve` runner serves every request).
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
 
   int jobs() const { return pool_.jobs(); }
-  std::size_t cache_capacity() const { return cache_capacity_; }
-
-  /// Fans `scenarios` across the pool through `eval`; returns results in
-  /// scenario order.  R must be default-constructible and copyable.  An
-  /// evaluator exception propagates (lowest failing index first) and is
-  /// also replayed to every cache hit of the same key.
-  template <typename R>
-  std::vector<R> run(const std::vector<Scenario>& scenarios,
-                     const std::function<R(const Scenario&)>& eval) {
-    std::vector<R> results(scenarios.size());
-    parallel_for(pool_, scenarios.size(), [&](std::size_t i) {
-      R value = evaluate_cached<R>(scenarios[i], eval);
-      results[i] = std::move(value);
-    });
-    return results;
-  }
 
   /// The standard sweep: build the roofline model of each scenario and
   /// derive the wall / attainable-throughput / binding-ceiling summary.
+  /// Results come back in scenario order.  A scenario that fails stops
+  /// the sweep at the lowest failing index with an InvalidArgument that
+  /// names the row: "sweep row <index> (<name>=<value> ...): <reason>",
+  /// the same line stream_lines and expand_grid raise for that row.
   std::vector<ScenarioResult> run_models(
       const std::vector<Scenario>& scenarios);
 
-  /// Sink of one streamed row.  Invoked by exactly one worker at a time
-  /// (the runner serializes emission), with `row` strictly increasing
-  /// from options.start_row; the result is owned by the runner and valid
-  /// only for the duration of the call.  A sink exception stops the
-  /// stream after the current row and propagates to the caller.
-  using RowSink = std::function<void(std::size_t row, const ScenarioResult&)>;
-
-  /// Streams rows [options.start_row, grid.size()) of the grid through
-  /// the model evaluator in deterministic row order, with no end-of-grid
-  /// barrier: each row is handed to `sink` as soon as it and every row
-  /// before it have completed.  Emitted bytes (via scenario_result_line)
-  /// are identical to the buffering run_models path and invariant under
-  /// jobs, reorder_window, and resume splits.  An evaluator exception
-  /// stops claims and rethrows lowest-index-first; rows already handed to
-  /// the sink stay emitted (a checkpoint written from the sink remains
-  /// valid).
-  void stream_models(const SweepGrid& grid, const StreamOptions& options,
-                     const RowSink& sink);
-
   /// Sink of one streamed NDJSON line, '\n'-terminated — the exact bytes
-  /// scenario_result_line(row) + "\n" would produce.  Same protocol as
-  /// RowSink: single emitter, strictly increasing shard-local rows, the
-  /// buffer is owned by the runner and valid only during the call.
+  /// scenario_result_line(result) + "\n" would produce.  Invoked by
+  /// exactly one worker at a time (the runner serializes emission), with
+  /// `row` strictly increasing from options.start_row; the buffer is owned
+  /// by the runner and valid only during the call.  A sink exception
+  /// stops the stream after the current row and propagates to the caller.
   using LineSink = std::function<void(std::size_t row, std::string_view line)>;
 
-  /// stream_models without the models: each row is evaluated straight to
-  /// its ModelSummary in per-worker scratch (core::compute_ceilings into
-  /// a reused arena, one label formatted per point) and serialized into a
-  /// reused row buffer.  Byte-identical to streaming
-  /// scenario_result_line over stream_models at any jobs/window/
-  /// shard/resume split — this is the campaign-scale `--stream` path.
+  /// Streams rows [options.start_row, rows) of the grid (or of its shard)
+  /// in deterministic row order, with no end-of-grid barrier: each row is
+  /// handed to `sink` as soon as it and every row before it have
+  /// completed.  Each row is evaluated straight to its ModelSummary in
+  /// per-worker scratch and serialized into a reused row buffer.  Emitted
+  /// bytes are identical to scenario_result_line over run_models and
+  /// invariant under jobs, reorder_window, shard and resume splits.  A row
+  /// that fails stops claims and rethrows lowest-index-first, naming the
+  /// global row as run_models does; rows already handed to the sink stay
+  /// emitted (a checkpoint written from the sink remains valid).
   void stream_lines(const SweepGrid& grid, const StreamOptions& options,
                     const LineSink& sink);
 
-  /// Snapshot of the cache statistics (thread-safe).
-  SweepStats stats() const;
-
-  /// Exports this runner's statistics into `registry` as the counters
-  /// sweep.scenarios, sweep.cache_hits, sweep.cache_misses,
-  /// sweep.cache_evictions and the gauge sweep.cache_entries.  Counter
-  /// export is delta-based: each call adds only what accrued since the
-  /// previous export, so exporting twice into the same registry (one
-  /// /metrics scrape per request, say) never double-counts.
-  void export_metrics(obs::MetricsRegistry& registry);
-
-  /// Attaches a tracer (not owned; null detaches): every evaluate becomes
-  /// an "evaluate" span annotated cache=hit|miss plus the scenario label.
-  /// Spans never feed results, so sweep determinism is unaffected.
+  /// Attaches a tracer (not owned; null detaches): every streamed row's
+  /// evaluation becomes an "evaluate" span annotated with the scenario
+  /// label.  Spans never feed results, so sweep determinism is unaffected.
   void set_tracer(obs::Tracer* tracer) {
     tracer_.store(tracer, std::memory_order_release);
   }
 
  private:
-  /// Memo-cache key: scenario digest plus the evaluator's result type
-  /// (one runner may cache heterogeneous result types).
-  struct CacheKey {
-    util::Hash128 scenario;
-    std::size_t type = 0;
-    friend bool operator==(const CacheKey& a, const CacheKey& b) {
-      return a.scenario == b.scenario && a.type == b.type;
-    }
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& key) const {
-      return static_cast<std::size_t>(key.scenario.lo ^
-                                      (key.scenario.hi * 0x9e3779b97f4a7c15ULL) ^
-                                      key.type);
-    }
-  };
-  struct CacheEntry {
-    std::any future;  // std::shared_future<R>
-    /// Completed entries are LRU-evictable; in-flight ones are pinned.
-    bool completed = false;
-    std::list<CacheKey>::iterator lru;
-  };
-
-  template <typename R>
-  R evaluate_cached(const Scenario& scenario,
-                    const std::function<R(const Scenario&)>& eval) {
-    obs::SpanScope span(tracer_.load(std::memory_order_acquire), "evaluate",
-                        "sweep");
-    const CacheKey key{scenario_hash(scenario), typeid(R).hash_code()};
-    std::shared_future<R> future;
-    std::promise<R> promise;
-    bool owner = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ++stats_.scenarios;
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        ++stats_.cache_hits;
-        if (it->second.completed)
-          lru_.splice(lru_.begin(), lru_, it->second.lru);
-        future = std::any_cast<std::shared_future<R>>(it->second.future);
-      } else {
-        ++stats_.cache_misses;
-        future = promise.get_future().share();
-        CacheEntry entry;
-        entry.future = future;
-        cache_.emplace(key, std::move(entry));
-        owner = true;
-      }
-    }
-    if (span.active()) {
-      span.arg("cache", owner ? "miss" : "hit");
-      if (!scenario.label.empty()) span.arg("scenario", scenario.label);
-    }
-    if (owner) {
-      try {
-        promise.set_value(eval(scenario));
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-      complete_entry(key);
-    }
-    return future.get();
-  }
-
-  /// Marks `key` completed: with capacity 0 the entry is dropped (its
-  /// shared_future keeps serving waiters that already joined); otherwise
-  /// it becomes the most-recent LRU entry and the tail is evicted down to
-  /// capacity.
-  void complete_entry(const CacheKey& key);
-
   ThreadPool pool_;
-  std::size_t cache_capacity_;
-  mutable std::mutex mutex_;
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
-  std::list<CacheKey> lru_;  // front = most recently used, completed only
-  SweepStats stats_;
-  /// Counter values as of the previous export_metrics call.
-  SweepStats exported_;
   std::atomic<obs::Tracer*> tracer_{nullptr};
 };
-
-/// Evaluates one scenario through core::build_model (the run_models
-/// evaluator, exposed for tests and serial baselines).
-ScenarioResult evaluate_model_scenario(const Scenario& scenario);
 
 }  // namespace wfr::exec

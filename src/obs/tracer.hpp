@@ -5,12 +5,12 @@
 // The offline Chrome-trace exporter (obs/chrome_trace.hpp) covers
 // simulation runs; this tracer covers the live service: every request
 // handled by serve::Server becomes one trace — a root "request" span with
-// nested parse / handler / evaluate / serialize / write children — and
-// every SweepRunner scenario evaluation becomes a span annotated with its
-// cache hit/miss outcome.  Traces are exported in the same Trace Event
-// format (obs/trace_event.hpp), so the tooling built for PR 2's exporter
-// (chrome://tracing, ui.perfetto.dev, the CI validators) opens
-// /debug/trace dumps unchanged.
+// nested parse / handler / serialize / write children — and every
+// streamed SweepRunner row evaluation becomes an "evaluate" span
+// annotated with its scenario label.  Traces are exported in the same
+// Trace Event format (obs/trace_event.hpp) as the offline exporter, so
+// its tooling (chrome://tracing, ui.perfetto.dev, the CI validators)
+// opens /debug/trace dumps unchanged.
 //
 // Hot-path design:
 //   * Spans are buffered in a thread-local pending vector while a trace
@@ -54,7 +54,7 @@ struct TraceSpan {
   /// Small per-thread slot (stable for a thread's lifetime) — the Trace
   /// Event "tid" track.
   std::uint32_t thread = 0;
-  /// Free-form annotations (method, path, status, cache hit/miss, ...).
+  /// Free-form annotations (method, path, status, scenario label, ...).
   std::vector<std::pair<std::string, std::string>> args;
 };
 

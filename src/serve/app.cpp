@@ -1,5 +1,6 @@
 #include "serve/app.hpp"
 
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -145,8 +146,7 @@ util::JsonObject roofline_body(const exec::Scenario& scenario,
 
 App::App(AppOptions options)
     : options_(options),
-      runner_(exec::SweepOptions{options.sweep_jobs,
-                                 options.sweep_cache_capacity}),
+      runner_(exec::SweepOptions{.jobs = options.sweep_jobs}),
       tracer_(obs::TracerOptions{options.trace_enabled,
                                  options.trace_capacity}) {
   runner_.set_tracer(&tracer_);
@@ -245,7 +245,7 @@ util::HttpResponse App::sweep_from_bytes(std::string_view body,
 util::HttpResponse App::handle_roofline(const util::HttpRequest& request) {
   const util::Json body = util::Json::parse(request.body);
   const exec::Scenario scenario = parse_scenario(body);
-  const exec::ScenarioResult result = runner_.run_models({scenario}).front();
+  const exec::ScenarioResult result = exec::evaluate_model_scenario(scenario);
   util::HttpResponse response;
   response.body = util::Json(roofline_body(scenario, result)).dump() + "\n";
   return response;
@@ -300,8 +300,7 @@ util::HttpResponse App::handle_import(const util::HttpRequest& request) {
                               : target->as_number();
     }
     scenario.label = scenario.workflow.name;
-    const exec::ScenarioResult result =
-        runner_.run_models({scenario}).front();
+    const exec::ScenarioResult result = exec::evaluate_model_scenario(scenario);
     out.set("roofline", util::Json(roofline_body(scenario, result)));
   }
 
@@ -330,8 +329,11 @@ util::HttpResponse App::handle_sweep(const util::HttpRequest& request) {
   if (const util::Json* shard_json = body.as_object().find("shard")) {
     util::require(shard_json->is_object(),
                   "shard must be an object {count, index, mode?}");
-    shard.count = static_cast<int>(shard_json->at("count").as_int());
-    shard.index = static_cast<int>(shard_json->at("index").as_int());
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    shard.count = static_cast<int>(
+        shard_json->at("count").as_int_in(1, kIntMax, "shard.count"));
+    shard.index = static_cast<int>(
+        shard_json->at("index").as_int_in(0, kIntMax, "shard.index"));
     if (const util::Json* mode = shard_json->as_object().find("mode"))
       shard.mode = exec::parse_shard_mode(mode->as_string());
     shard.validate();
@@ -378,10 +380,10 @@ util::HttpResponse App::handle_sweep(const util::HttpRequest& request) {
 
   // Both formats stream the grid row by row: scenarios materialize lazily
   // straight to NDJSON bytes (stream_lines), so resident state is the
-  // memo cache plus the reorder window — not the grid.  A sharded request
-  // emits only its shard's rows; re-interleaving the per-shard NDJSON
-  // responses (exec::merge_shard_outputs) re-assembles the unsharded
-  // stream byte-identically.
+  // reorder window — not the grid.  A sharded request emits only its
+  // shard's rows; re-interleaving the per-shard NDJSON responses
+  // (exec::merge_shard_outputs) re-assembles the unsharded stream
+  // byte-identically.
   const exec::SweepGrid grid(system, base, axes);
   exec::StreamOptions stream;
   stream.shard = shard;
@@ -456,7 +458,7 @@ util::HttpResponse App::handle_svg(const util::HttpRequest& request) {
     scenario = parse_scenario(util::Json(std::move(body)));
   }
 
-  const exec::ScenarioResult result = runner_.run_models({scenario}).front();
+  const exec::ScenarioResult result = exec::evaluate_model_scenario(scenario);
   core::RooflineModel model = *result.model;
   if (scenario.workflow.has_measurement()) model.add_measured_dot();
 
@@ -509,9 +511,8 @@ util::HttpResponse App::handle_metrics(const util::HttpRequest&) {
       }
     }
     // The lock-free endpoint atomics fold into the persistent registry
-    // with delta semantics (like the sweep counters below), keeping
-    // Prometheus-correct cumulative series without double-counting
-    // across scrapes.
+    // with delta semantics, keeping Prometheus-correct cumulative series
+    // without double-counting across scrapes.
     for (EndpointMetrics* endpoint : endpoints_) {
       const std::uint64_t current =
           endpoint->requests.load(std::memory_order_relaxed);
@@ -547,10 +548,6 @@ util::HttpResponse App::handle_metrics(const util::HttpRequest&) {
         .set(static_cast<double>(trace_stats.spans_recorded));
     registry_.gauge("serve.trace.spans_evicted")
         .set(static_cast<double>(trace_stats.spans_evicted));
-    // Sweep counters export with delta semantics, so folding them into
-    // the persistent registry keeps Prometheus-correct cumulative series
-    // without double-counting across scrapes.
-    runner_.export_metrics(registry_);
     text = registry_.prometheus_text();
     // Full latency distributions: one log-bucketed histogram exposition
     // block per endpoint that has served anything.

@@ -15,16 +15,15 @@
 //   POST /v1/sweep     parameter grid in; one evaluated point per grid
 //                      cell out, as JSON rows or NDJSON
 //                      (?format=ndjson or "format" in the body).  All
-//                      requests share one SweepRunner, so repeated points
-//                      are served from the memo cache across requests.
+//                      requests share one SweepRunner and its pool.
 //   GET|POST /v1/svg   roofline render (image/svg+xml); GET takes query
 //                      parameters, POST the /v1/roofline body.
 //   GET /healthz       liveness probe ("ok").
 //   GET /metrics       Prometheus text exposition: per-endpoint request
 //                      counters, exact-percentile latency telemetry
 //                      (p50/p95/p99/p99.9 gauges + log-bucketed
-//                      histograms), sweep cache totals, connection
-//                      counters, and tracer stats.
+//                      histograms), connection counters, and tracer
+//                      stats.
 //   GET /debug/trace   the newest retained request/sweep spans as Chrome
 //                      Trace Event JSON (?last=N; docs/OBSERVABILITY.md).
 //
@@ -63,10 +62,6 @@ struct AppOptions {
   /// Independent of the server's connection workers, so sweep results
   /// stay deterministic regardless of how many connections are served.
   int sweep_jobs = 0;
-  /// Memo-cache capacity of the shared SweepRunner (LRU beyond this), so
-  /// a long-lived service's cache footprint is bounded no matter how many
-  /// distinct grids clients sweep.
-  std::size_t sweep_cache_capacity = exec::kDefaultSweepCacheCapacity;
   /// Reject grids whose cross product exceeds this many points (400).
   std::size_t max_sweep_points = 10000;
   /// Master switch for the request/sweep tracer behind /debug/trace and

@@ -1,6 +1,7 @@
 #include "trace/timeline.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -136,16 +137,24 @@ util::Json WorkflowTrace::to_json() const {
 }
 
 WorkflowTrace WorkflowTrace::from_json(const util::Json& json) {
+  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   WorkflowTrace trace(json.string_or("name", ""));
   for (const util::Json& t : json.at("tasks").as_array()) {
     TaskRecord r;
-    r.task = static_cast<dag::TaskId>(t.at("task").as_int());
+    r.task = static_cast<dag::TaskId>(t.at("task").as_int_in(
+        0, std::numeric_limits<dag::TaskId>::max(), "task"));
     r.name = t.at("name").as_string();
     r.kind = t.string_or("kind", "");
-    r.nodes = static_cast<int>(t.at("nodes").as_int());
+    r.nodes =
+        static_cast<int>(t.at("nodes").as_int_in(kIntMin, kIntMax, "nodes"));
     r.start_seconds = t.at("start").as_number();
     r.end_seconds = t.at("end").as_number();
-    r.attempts = static_cast<int>(t.number_or("attempts", 1.0));
+    const util::Json* attempts = t.as_object().find("attempts");
+    r.attempts = attempts == nullptr
+                     ? 1
+                     : static_cast<int>(attempts->as_int_in(kIntMin, kIntMax,
+                                                            "attempts"));
     for (const util::Json& sp : t.at("spans").as_array()) {
       Span s;
       s.phase = parse_phase(sp.at("phase").as_string());

@@ -1,14 +1,13 @@
 #pragma once
-// 128-bit streaming hash for canonical-byte identities: sweep memo-cache
-// keys, grid fingerprints for checkpoint/resume, and any other place that
+// 128-bit streaming hash for canonical-byte identities: grid fingerprints
+// for checkpoint/resume, sweep output digests, and any other place that
 // needs a fixed-width digest of a canonical serialization instead of the
 // serialization itself (a multi-KB JSON dump makes a terrible map key).
 //
 // This is a content identity, NOT a cryptographic hash: two lanes of
 // FNV-1a-style xor-multiply mixing with independent bases, finalized
 // through a SplitMix64 avalanche.  128 bits keep the collision
-// probability for a 10^6..10^9-entry key space negligible (< 1e-18),
-// which is what the million-point sweep cache relies on.
+// probability for a 10^6..10^9-entry key space negligible (< 1e-18).
 //
 // Determinism contract: the digest is a pure function of the fed bytes,
 // identical across runs, platforms, and job counts, so it is safe to

@@ -80,6 +80,24 @@ std::int64_t Json::as_int() const {
   return static_cast<std::int64_t>(r);
 }
 
+std::int64_t Json::as_int_in(std::int64_t lo, std::int64_t hi,
+                             std::string_view field) const {
+  if (type_ == Type::kNumber) {
+    const double r = std::nearbyint(number_);
+    if (std::fabs(number_ - r) <= 1e-9 &&
+        std::fabs(r) < 9223372036854775808.0) {
+      const auto value = static_cast<std::int64_t>(r);
+      if (value >= lo && value <= hi) return value;
+    }
+  }
+  const std::string got =
+      type_ == Type::kNumber ? format_double(number_) : type_name(type_);
+  throw ParseError(format("%s must be an integer in [%lld, %lld], got %s",
+                          std::string(field).c_str(),
+                          static_cast<long long>(lo),
+                          static_cast<long long>(hi), got.c_str()));
+}
+
 const std::string& Json::as_string() const {
   if (type_ != Type::kString) type_error(type_, "string");
   return string_;

@@ -78,6 +78,12 @@ class Json {
   double as_number() const;
   /// as_number() narrowed and checked to be integral.
   std::int64_t as_int() const;
+  /// as_int() checked to lie in [lo, hi] before the caller narrows it:
+  /// loaders read every integer field through this, so 2^32 + 2 is
+  /// rejected instead of silently becoming 2.  Throws ParseError naming
+  /// `field`, the range and the value.
+  std::int64_t as_int_in(std::int64_t lo, std::int64_t hi,
+                         std::string_view field) const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -160,6 +162,57 @@ TEST(BuildModel, OversizedTaskThrows) {
   c.nodes_per_task = 4000;  // larger than Perlmutter GPU
   EXPECT_THROW(build_model(SystemSpec::perlmutter_gpu(), c),
                util::InvalidArgument);
+}
+
+/// The message compute_ceilings throws for `s` and `c`, or "" when none.
+std::string ceilings_error(const SystemSpec& s,
+                           const WorkflowCharacterization& c) {
+  std::vector<CeilingSpec> specs;
+  try {
+    compute_ceilings(s, c, specs);
+  } catch (const util::InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A rate so small that volume / rate overflows would put a bare inf into
+// slot_seconds and the campaign makespan; compute_ceilings, which
+// build_model and both sweep paths call, rejects it naming the workflow,
+// the channel and the system.
+TEST(ComputeCeilings, RejectsNonFiniteSecondsPerTask) {
+  SystemSpec s = SystemSpec::perlmutter_gpu();
+  s.node.peak_flops = 1e-300;
+  EXPECT_EQ(ceilings_error(s, bgw_64()),
+            "workflow 'bgw-64' needs inf s per task of flops on system "
+            "'perlmutter-gpu'; it must be finite and > 0");
+  s = SystemSpec::perlmutter_gpu();
+  s.fs_gbs = 1e-300;
+  EXPECT_NE(ceilings_error(s, bgw_64()).find("of filesystem on system"),
+            std::string::npos);
+  // An underflow to 0 s per task is rejected the same way.
+  s = SystemSpec::perlmutter_gpu();
+  WorkflowCharacterization c = bgw_64();
+  c.fs_bytes_per_task = 1e-300;
+  s.fs_gbs = 1e300;
+  EXPECT_NE(ceilings_error(s, c).find("needs 0 s per task of filesystem"),
+            std::string::npos);
+  EXPECT_THROW(build_model(s, c), util::InvalidArgument);
+}
+
+TEST(ComputeCeilings, RejectsNonFiniteHorizontalLimit) {
+  // 1e-10 B over 1e300 B/s is a subnormal 1e-310 s per task: finite and
+  // positive, but its reciprocal overflows to an infinite tasks/s limit.
+  SystemSpec s = SystemSpec::perlmutter_gpu();
+  s.external_gbs = 1e300;
+  WorkflowCharacterization c = bgw_64();
+  c.external_bytes_per_task = 1e-10;
+  EXPECT_EQ(ceilings_error(s, c),
+            "workflow 'bgw-64' on system 'perlmutter-gpu': its external "
+            "ceiling of inf tasks/s must be finite and > 0");
+  EXPECT_THROW(build_model(s, c), util::InvalidArgument);
+  // The unchanged inputs still build.
+  EXPECT_EQ(ceilings_error(SystemSpec::perlmutter_gpu(), bgw_64()), "");
 }
 
 TEST(Model, AttainableThroughputRespectsWall) {

@@ -1,11 +1,17 @@
-// Tests for SweepRunner::stream_models: deterministic in-order emission
-// with a bounded reorder window, byte-identity against the buffering
+// Tests for SweepRunner::stream_lines.  StreamModelsTest covers the
+// streaming protocol for model rows: deterministic in-order emission with
+// a bounded reorder window, byte-identity against the buffering
 // run_models path at any job count / window / resume split, and error
-// propagation from both the evaluator and the sink.
+// propagation from both the evaluator and the sink.  StreamLinesTest
+// covers the summary fast path against the full-model path, the shard
+// split, and a runner shared by concurrent callers.
 
+#include <atomic>
 #include <cstddef>
+#include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,22 +65,20 @@ std::string batch_ndjson(const SweepGrid& grid) {
   return ndjson;
 }
 
+/// One stream on a fresh runner, as one string.
 std::string stream_ndjson(const SweepGrid& grid, int jobs,
                           std::size_t window, std::size_t start_row = 0,
-                          std::size_t cache_capacity =
-                              kDefaultSweepCacheCapacity) {
-  SweepOptions options;
-  options.jobs = jobs;
-  options.cache_capacity = cache_capacity;
-  SweepRunner runner(options);
+                          const ShardSpec& shard = {}) {
+  SweepRunner runner({jobs});
   StreamOptions stream;
   stream.reorder_window = window;
   stream.start_row = start_row;
+  stream.shard = shard;
   std::string ndjson;
-  runner.stream_models(grid, stream,
-                       [&ndjson](std::size_t, const ScenarioResult& r) {
-                         ndjson += scenario_result_line(r) + "\n";
-                       });
+  runner.stream_lines(grid, stream,
+                      [&ndjson](std::size_t, std::string_view line) {
+                        ndjson += line;
+                      });
   return ndjson;
 }
 
@@ -89,22 +93,15 @@ TEST(StreamModelsTest, MatchesBatchBytesAtAnyJobsAndWindow) {
           << "jobs=" << jobs << " window=" << window;
 }
 
-TEST(StreamModelsTest, TinyCacheDoesNotChangeTheBytes) {
-  const SweepGrid grid = test_grid();
-  const std::string reference = batch_ndjson(grid);
-  EXPECT_EQ(reference, stream_ndjson(grid, 8, 4, 0, /*cache_capacity=*/1));
-  EXPECT_EQ(reference, stream_ndjson(grid, 8, 4, 0, /*cache_capacity=*/0));
-}
-
 TEST(StreamModelsTest, RowsArriveStrictlyInOrder) {
   const SweepGrid grid = test_grid();
   SweepRunner runner({8});
   std::vector<std::size_t> rows;
-  runner.stream_models(grid, {/*reorder_window=*/4},
-                       [&rows](std::size_t row, const ScenarioResult& r) {
-                         rows.push_back(row);
-                         EXPECT_FALSE(r.label.empty());
-                       });
+  runner.stream_lines(grid, {/*reorder_window=*/4},
+                      [&rows](std::size_t row, std::string_view line) {
+                        rows.push_back(row);
+                        EXPECT_EQ(line.back(), '\n');
+                      });
   ASSERT_EQ(rows.size(), grid.size());
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], i);
 }
@@ -118,12 +115,12 @@ TEST(StreamModelsTest, ResumeSplitReassemblesByteIdentically) {
     std::string first;
     SweepRunner one({2});
     try {
-      one.stream_models(grid, {/*reorder_window=*/4},
-                        [&](std::size_t row, const ScenarioResult& r) {
-                          first += scenario_result_line(r) + "\n";
-                          if (row + 1 == split)
-                            throw util::Error("simulated kill");
-                        });
+      one.stream_lines(grid, {/*reorder_window=*/4},
+                       [&](std::size_t row, std::string_view line) {
+                         first += line;
+                         if (row + 1 == split)
+                           throw util::Error("simulated kill");
+                       });
       FAIL() << "sink abort did not propagate";
     } catch (const util::Error&) {
     }
@@ -142,11 +139,11 @@ TEST(StreamModelsTest, SinkExceptionStopsAfterCurrentRow) {
   SweepRunner runner({4});
   std::vector<std::size_t> rows;
   EXPECT_THROW(
-      runner.stream_models(grid, {/*reorder_window=*/8},
-                           [&rows](std::size_t row, const ScenarioResult&) {
-                             rows.push_back(row);
-                             if (row == 3) throw util::Error("sink failed");
-                           }),
+      runner.stream_lines(grid, {/*reorder_window=*/8},
+                          [&rows](std::size_t row, std::string_view) {
+                            rows.push_back(row);
+                            if (row == 3) throw util::Error("sink failed");
+                          }),
       util::Error);
   // Rows before the failure stayed emitted, in order, exactly once.
   ASSERT_EQ(rows.size(), 4u);
@@ -157,71 +154,103 @@ TEST(StreamModelsTest, EvaluatorErrorPropagatesAndEarlierRowsEmit) {
   // total_tasks=2.5 is rejected by the integer-axis validation when the
   // worker materializes that row, exercising the evaluator-error path.
   const SweepGrid grid(test_system(), test_workflow(),
-                       {{"total_tasks", {10.0, 11.0, 2.5, 13.0}}});
+                       {{"total_tasks", {56.0, 60.0, 2.5, 64.0}}});
+  const std::string reference_rows =
+      batch_ndjson(SweepGrid(test_system(), test_workflow(),
+                             {{"total_tasks", {56.0, 60.0}}}));
   for (int jobs : {1, 4}) {
     SweepRunner runner({jobs});
     std::vector<std::size_t> rows;
-    EXPECT_THROW(
-        runner.stream_models(grid, {/*reorder_window=*/2},
-                             [&rows](std::size_t row, const ScenarioResult&) {
-                               rows.push_back(row);
-                             }),
-        util::InvalidArgument)
-        << "jobs=" << jobs;
+    try {
+      runner.stream_lines(grid, {/*reorder_window=*/2},
+                          [&rows](std::size_t row, std::string_view) {
+                            rows.push_back(row);
+                          });
+      FAIL() << "jobs=" << jobs << ": the bad row did not throw";
+    } catch (const util::InvalidArgument& e) {
+      // The error names the failing row and its coordinates.
+      EXPECT_EQ(std::string(e.what()),
+                "sweep row 2 (total_tasks=2.5): sweep axis 'total_tasks' "
+                "needs positive integers, got 2.5")
+          << "jobs=" << jobs;
+    }
     // Everything before the failing row may emit; the failing row and
     // anything after it must not.
     for (const std::size_t row : rows) EXPECT_LT(row, 2u);
   }
+  // At one job the rows before the failure are all emitted, byte-exact.
+  SweepRunner serial({1});
+  std::string emitted;
+  EXPECT_THROW(serial.stream_lines(grid, {},
+                                   [&emitted](std::size_t,
+                                              std::string_view line) {
+                                     emitted += line;
+                                   }),
+               util::InvalidArgument);
+  EXPECT_EQ(emitted, reference_rows);
 }
 
 TEST(StreamModelsTest, RunnerIsReusableAfterAnError) {
   const SweepGrid grid = test_grid();
   SweepRunner runner({4});
-  EXPECT_THROW(runner.stream_models(grid, {},
-                                    [](std::size_t, const ScenarioResult&) {
-                                      throw util::Error("sink failed");
-                                    }),
+  EXPECT_THROW(runner.stream_lines(grid, {},
+                                   [](std::size_t, std::string_view) {
+                                     throw util::Error("sink failed");
+                                   }),
                util::Error);
   std::string ndjson;
-  runner.stream_models(grid, {},
-                       [&ndjson](std::size_t, const ScenarioResult& r) {
-                         ndjson += scenario_result_line(r) + "\n";
-                       });
-  EXPECT_EQ(ndjson, batch_ndjson(grid));
-}
-
-/// The flattened line-producing hot path, as one string.
-std::string stream_lines_ndjson(const SweepGrid& grid, int jobs,
-                                std::size_t window,
-                                const ShardSpec& shard = {},
-                                std::size_t start_row = 0) {
-  SweepOptions options;
-  options.jobs = jobs;
-  SweepRunner runner(options);
-  StreamOptions stream;
-  stream.reorder_window = window;
-  stream.start_row = start_row;
-  stream.shard = shard;
-  std::string ndjson;
-  runner.stream_lines(grid, stream,
+  runner.stream_lines(grid, {},
                       [&ndjson](std::size_t, std::string_view line) {
                         ndjson += line;
                       });
-  return ndjson;
+  EXPECT_EQ(ndjson, batch_ndjson(grid));
 }
 
-// The fast path (stream_lines: arena-reused scenarios, direct struct
-// hashing, no per-point string churn) must emit exactly the bytes of the
-// full path (stream_models + scenario_result_line) at any job count and
-// window — it is an optimization, never a different serializer.
-TEST(StreamLinesTest, MatchesStreamModelsBytesAtAnyJobsAndWindow) {
+TEST(StreamModelsTest, RejectsBadOptions) {
   const SweepGrid grid = test_grid();
-  const std::string reference = batch_ndjson(grid);
-  ASSERT_FALSE(reference.empty());
+  SweepRunner runner({1});
+  StreamOptions zero_window;
+  zero_window.reorder_window = 0;
+  EXPECT_THROW(runner.stream_lines(grid, zero_window,
+                                   [](std::size_t, std::string_view) {}),
+               util::InvalidArgument);
+  StreamOptions past_end;
+  past_end.start_row = grid.size() + 1;
+  EXPECT_THROW(runner.stream_lines(grid, past_end,
+                                   [](std::size_t, std::string_view) {}),
+               util::InvalidArgument);
+  EXPECT_THROW(runner.stream_lines(grid, {}, nullptr),
+               util::InvalidArgument);
+}
+
+// The fast path (stream_lines: per-worker scenario and ceiling scratch,
+// ModelSummary, reused row buffer) must emit exactly the bytes of the
+// full path (build_model on a freshly materialized row +
+// scenario_result_line) at any job count and window: it is an
+// optimization, never a different evaluator.  On this grid compute, DRAM
+// and the filesystem each bind on some row, and at 5 GB/s the filesystem
+// binds even at one task, so both of the summary's binding scans are
+// compared on more than one branch.
+TEST(StreamLinesTest, MatchesStreamModelsBytesAtAnyJobsAndWindow) {
+  const SweepGrid grid(test_system(), test_workflow(),
+                       {{"fs_gbs", {5.0 * util::kGBs, 500.0 * util::kGBs,
+                                    50000.0 * util::kGBs}},
+                        {"peak_flops", {0.1 * util::kTFLOPS,
+                                        10.0 * util::kTFLOPS,
+                                        1000.0 * util::kTFLOPS}},
+                        {"nodes_per_task", {0.5, 1.0, 4.0}}});
+  std::string reference;
+  std::set<std::string> channels;
+  for (std::size_t flat = 0; flat < grid.size(); ++flat) {
+    const ScenarioResult full = evaluate_model_scenario(grid.at(flat));
+    channels.insert(full.binding_channel);
+    reference += scenario_result_line(full) + "\n";
+  }
+  ASSERT_GT(channels.size(), 1u) << "the grid never moves the binding";
   for (int jobs : {1, 2, 8})
     for (std::size_t window : {std::size_t{1}, std::size_t{4},
                                std::size_t{1024}})
-      EXPECT_EQ(reference, stream_lines_ndjson(grid, jobs, window))
+      EXPECT_EQ(reference, stream_ndjson(grid, jobs, window))
           << "jobs=" << jobs << " window=" << window;
 }
 
@@ -241,10 +270,10 @@ TEST(StreamLinesTest, RowIndicesAreShardLocalAndDense) {
 }
 
 // The multi-process contract at the library level: stream each shard on
-// its own runner (fresh cache, its own jobs), re-interleave the lines by
-// global row, and the result must be byte-identical to the unsharded
-// stream — for both modes, shard counts that divide the grid and ones
-// that leave a ragged tail, and any per-shard job count.
+// its own runner (its own jobs), re-interleave the lines by global row,
+// and the result must be byte-identical to the unsharded stream — for
+// both modes, shard counts that divide the grid and ones that leave a
+// ragged tail, and any per-shard job count.
 TEST(StreamLinesTest, ShardedStreamsReassembleByteIdentically) {
   const SweepGrid grid = test_grid();  // 15 rows: ragged under 2 and 4
   const std::string reference = batch_ndjson(grid);
@@ -282,7 +311,7 @@ TEST(StreamLinesTest, ShardedStreamsReassembleByteIdentically) {
 TEST(StreamLinesTest, ShardLocalResumeSplitsReassemble) {
   const SweepGrid grid = test_grid();
   const ShardSpec shard{3, 2, ShardMode::kStride};
-  const std::string whole = stream_lines_ndjson(grid, 1, 4, shard);
+  const std::string whole = stream_ndjson(grid, 1, 4, 0, shard);
   const std::size_t rows = shard.rows(grid.size());
   ASSERT_GT(rows, 2u);
   for (const std::size_t split : {std::size_t{1}, rows - 1}) {
@@ -302,7 +331,7 @@ TEST(StreamLinesTest, ShardLocalResumeSplitsReassemble) {
       } catch (const util::Error&) {
       }
     }
-    const std::string rest = stream_lines_ndjson(grid, 4, 4, shard, split);
+    const std::string rest = stream_ndjson(grid, 4, 4, split, shard);
     EXPECT_EQ(first + rest, whole) << "split=" << split;
   }
 }
@@ -326,23 +355,32 @@ TEST(StreamLinesTest, RejectsInvalidShard) {
                util::InvalidArgument);
 }
 
-TEST(StreamModelsTest, RejectsBadOptions) {
+// `wfr serve` shares one runner across every request: eight threads
+// stream concurrently through one pool, each with its own window, and
+// every stream must still carry exactly the reference bytes.  The TSan CI
+// job runs this against the shared pool and the per-stream state.
+TEST(StreamLinesTest, EightThreadsShareOneRunner) {
   const SweepGrid grid = test_grid();
-  SweepRunner runner({1});
-  StreamOptions zero_window;
-  zero_window.reorder_window = 0;
-  EXPECT_THROW(runner.stream_models(
-                   grid, zero_window,
-                   [](std::size_t, const ScenarioResult&) {}),
-               util::InvalidArgument);
-  StreamOptions past_end;
-  past_end.start_row = grid.size() + 1;
-  EXPECT_THROW(runner.stream_models(
-                   grid, past_end,
-                   [](std::size_t, const ScenarioResult&) {}),
-               util::InvalidArgument);
-  EXPECT_THROW(runner.stream_models(grid, {}, nullptr),
-               util::InvalidArgument);
+  const std::string reference = batch_ndjson(grid);
+  SweepRunner runner({4});
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 10; ++round) {
+        StreamOptions stream;
+        stream.reorder_window = 1 + static_cast<std::size_t>(t % 4);
+        std::string ndjson;
+        runner.stream_lines(grid, stream,
+                            [&ndjson](std::size_t, std::string_view line) {
+                              ndjson += line;
+                            });
+        if (ndjson != reference) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

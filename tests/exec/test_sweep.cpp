@@ -1,27 +1,22 @@
-// Tests for SweepRunner: grid expansion, memoization (hit/miss counts and
-// metrics export), and the bit-for-bit determinism of sweep results and
-// their NDJSON serialization across job counts.
+// Tests for SweepRunner: grid expansion, the bit-for-bit determinism of
+// sweep results and their NDJSON serialization across job counts, and
+// the row-naming errors both sweep paths share.
 
 #include "exec/sweep.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <random>
-#include <stdexcept>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/registry.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -51,23 +46,6 @@ core::WorkflowCharacterization test_workflow() {
   wf.network_bytes_per_task = 1.0e11;
   wf.fs_bytes_per_task = 2.5e11;
   return wf;
-}
-
-TEST(ScenarioKeyTest, LabelIsNotPartOfTheKey) {
-  Scenario a;
-  a.system = test_system();
-  a.workflow = test_workflow();
-  Scenario b = a;
-  b.label = "something else";
-  b.params = {{"x", 1.0}};  // presentation-only, like the label
-  EXPECT_EQ(scenario_key(a), scenario_key(b));
-
-  Scenario c = a;
-  c.seed = 7;
-  EXPECT_NE(scenario_key(a), scenario_key(c));
-  Scenario d = a;
-  d.workflow.total_tasks += 1;
-  EXPECT_NE(scenario_key(a), scenario_key(d));
 }
 
 TEST(ExpandGridTest, RowMajorCrossProduct) {
@@ -134,8 +112,7 @@ TEST(SweepRunnerTest, ResultsCarryLabelsAndDerivedQuantities) {
   const std::vector<ScenarioResult> results = runner.run_models(grid);
   ASSERT_EQ(results.size(), 1u);
   const ScenarioResult& r = results[0];
-  EXPECT_EQ(r.label, "efficiency=1");
-  EXPECT_EQ(r.scenario.label, r.label);
+  EXPECT_EQ(r.scenario.label, "efficiency=1");
   ASSERT_NE(r.model, nullptr);
   EXPECT_GE(r.parallelism_wall, 1);
   EXPECT_GT(r.attainable_tps_at_wall, 0.0);
@@ -145,104 +122,53 @@ TEST(SweepRunnerTest, ResultsCarryLabelsAndDerivedQuantities) {
               1e-9);
 }
 
-TEST(SweepRunnerTest, CacheDeduplicatesIdenticalScenarios) {
-  Scenario point;
-  point.label = "a";
-  point.system = test_system();
-  point.workflow = test_workflow();
-  Scenario again = point;
-  again.label = "b";  // label excluded from the key -> cache hit
-  Scenario distinct = point;
-  distinct.workflow.parallel_tasks = 14;
-
-  std::atomic<int> evaluations{0};
-  SweepRunner runner({4});
-  const std::vector<int> out = runner.run<int>(
-      {point, again, distinct, point},
-      [&evaluations](const Scenario& s) {
-        evaluations.fetch_add(1);
-        return s.workflow.parallel_tasks;
-      });
-  EXPECT_EQ(out, (std::vector<int>{28, 28, 14, 28}));
-  EXPECT_EQ(evaluations.load(), 2);
-  EXPECT_EQ(runner.stats().scenarios, 4u);
-  EXPECT_EQ(runner.stats().cache_misses, 2u);
-  EXPECT_EQ(runner.stats().cache_hits, 2u);
-}
-
-TEST(SweepRunnerTest, CachePersistsAcrossRuns) {
-  Scenario point;
-  point.system = test_system();
-  point.workflow = test_workflow();
-  SweepRunner runner({1});
-  std::atomic<int> evaluations{0};
-  auto eval = [&evaluations](const Scenario&) {
-    evaluations.fetch_add(1);
-    return 1;
+// Both sweep paths report a failing row the same way: the batch path
+// (expand_grid for rows that fail to build, run_models for rows that fail
+// to evaluate) and stream_lines print the same "sweep row N (...)" line.
+TEST(SweepRunnerTest, RowErrorsNameTheRowOnBothPaths) {
+  const auto stream_error = [](const SweepGrid& grid) {
+    SweepRunner runner({2});
+    try {
+      runner.stream_lines(grid, {}, [](std::size_t, std::string_view) {});
+    } catch (const util::InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
   };
-  runner.run<int>({point}, eval);
-  runner.run<int>({point}, eval);
-  EXPECT_EQ(evaluations.load(), 1);
-  EXPECT_EQ(runner.stats().cache_hits, 1u);
-}
 
-TEST(SweepRunnerTest, ExportMetricsFillsTheRegistry) {
-  const std::vector<Scenario> grid =
-      expand_grid(test_system(), test_workflow(),
-                  {{"efficiency", {1.0, 1.0}}});  // duplicate -> one hit
+  // Fails to build: a non-integral integer axis.
+  const std::vector<ParamAxis> bad_count = {{"efficiency", {1.0, 0.8}},
+                                            {"total_tasks", {56.0, 2.5}}};
+  std::string batch;
+  try {
+    expand_grid(test_system(), test_workflow(), bad_count);
+  } catch (const util::InvalidArgument& e) {
+    batch = e.what();
+  }
+  EXPECT_EQ(batch,
+            "sweep row 1 (efficiency=1 total_tasks=2.5): sweep axis "
+            "'total_tasks' needs positive integers, got 2.5");
+  EXPECT_EQ(batch,
+            stream_error(SweepGrid(test_system(), test_workflow(), bad_count)));
+
+  // Fails to evaluate: a file-system rate so small the seconds per task
+  // overflow.
+  const std::vector<ParamAxis> tiny_fs = {{"fs_gbs", {1e9, 1e-300, 2e9}}};
   SweepRunner runner({2});
-  runner.run_models(grid);
-  obs::MetricsRegistry registry;
-  runner.export_metrics(registry);
-  ASSERT_NE(registry.find_counter("sweep.scenarios"), nullptr);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.scenarios")->value(), 2.0);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.cache_hits")->value(), 1.0);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.cache_misses")->value(), 1.0);
-}
-
-TEST(SweepRunnerTest, EvaluatorExceptionReachesEveryWaiter) {
-  Scenario point;
-  point.system = test_system();
-  point.workflow = test_workflow();
-  SweepRunner runner({2});
-  auto boom = [](const Scenario&) -> int {
-    throw std::runtime_error("evaluator failed");
-  };
-  EXPECT_THROW(runner.run<int>({point, point}, boom), std::runtime_error);
-  // The failure is cached too: a later hit on the same key replays it.
-  EXPECT_THROW(runner.run<int>({point}, boom), std::runtime_error);
-}
-
-TEST(ScenarioHashTest, LabelAndParamsAreNotPartOfTheHash) {
-  Scenario a;
-  a.system = test_system();
-  a.workflow = test_workflow();
-  Scenario b = a;
-  b.label = "something else";
-  b.params = {{"x", 1.0}};
-  EXPECT_EQ(scenario_hash(a), scenario_hash(b));
-
-  Scenario c = a;
-  c.seed = 7;
-  EXPECT_NE(scenario_hash(a), scenario_hash(c));
-  Scenario d = a;
-  d.workflow.total_tasks += 1;
-  EXPECT_NE(scenario_hash(a), scenario_hash(d));
-  Scenario e = a;
-  e.system.node.nic_gbs *= 2.0;
-  EXPECT_NE(scenario_hash(a), scenario_hash(e));
-}
-
-TEST(ScenarioHashTest, AgreesWithScenarioKeyEquality) {
-  // The digest and the human-readable key define the same identity.
-  const std::vector<Scenario> grid =
-      expand_grid(test_system(), test_workflow(),
-                  {{"efficiency", {1.0, 0.8}},
-                   {"nodes_per_task", {1.0, 2.0}}});
-  for (const Scenario& x : grid)
-    for (const Scenario& y : grid)
-      EXPECT_EQ(scenario_key(x) == scenario_key(y),
-                scenario_hash(x) == scenario_hash(y));
+  batch.clear();
+  try {
+    runner.run_models(expand_grid(test_system(), test_workflow(), tiny_fs));
+  } catch (const util::InvalidArgument& e) {
+    batch = e.what();
+  }
+  EXPECT_EQ(batch.rfind("sweep row 1 (fs_gbs=1e-300): workflow "
+                        "'sweep-test-workflow' needs inf s per task of "
+                        "filesystem on system 'sweep-test-system'",
+                        0),
+            0u)
+      << batch;
+  EXPECT_EQ(batch,
+            stream_error(SweepGrid(test_system(), test_workflow(), tiny_fs)));
 }
 
 TEST(SweepGridTest, LazyAtMatchesExpandGrid) {
@@ -256,7 +182,8 @@ TEST(SweepGridTest, LazyAtMatchesExpandGrid) {
     const Scenario lazy = grid.at(i);
     EXPECT_EQ(lazy.label, expanded[i].label);
     EXPECT_EQ(lazy.params, expanded[i].params);
-    EXPECT_EQ(scenario_hash(lazy), scenario_hash(expanded[i]));
+    EXPECT_EQ(lazy.system.to_json(), expanded[i].system.to_json());
+    EXPECT_EQ(lazy.workflow.to_json(), expanded[i].workflow.to_json());
   }
   EXPECT_THROW(grid.at(grid.size()), util::InvalidArgument);
 }
@@ -367,227 +294,6 @@ TEST(SweepGridTest, GridHashDistinguishesDefinitions) {
   wf.total_tasks += 1;
   const SweepGrid other_base(test_system(), wf, {{"efficiency", {1.0, 0.8}}});
   EXPECT_NE(a.grid_hash(), other_base.grid_hash());
-}
-
-TEST(SweepRunnerTest, ExportMetricsTwiceDoesNotDoubleCount) {
-  const std::vector<Scenario> grid =
-      expand_grid(test_system(), test_workflow(),
-                  {{"efficiency", {1.0, 1.0}}});  // duplicate -> one hit
-  SweepRunner runner({2});
-  runner.run_models(grid);
-  obs::MetricsRegistry registry;
-  runner.export_metrics(registry);
-  // Second export with no new work must add nothing (delta semantics).
-  runner.export_metrics(registry);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.scenarios")->value(), 2.0);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.cache_hits")->value(), 1.0);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.cache_misses")->value(), 1.0);
-
-  // New work exports only its delta on top of the running totals.
-  runner.run_models(grid);  // both points now cached -> 2 more hits
-  runner.export_metrics(registry);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.scenarios")->value(), 4.0);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.cache_hits")->value(), 3.0);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.cache_misses")->value(), 1.0);
-}
-
-TEST(SweepRunnerTest, LruEvictionKeepsCapacityBounded) {
-  SweepOptions options;
-  options.jobs = 1;
-  options.cache_capacity = 2;
-  SweepRunner runner(options);
-  std::atomic<int> evaluations{0};
-  auto eval = [&evaluations](const Scenario& s) {
-    evaluations.fetch_add(1);
-    return s.workflow.total_tasks;
-  };
-  std::vector<Scenario> distinct;
-  for (int i = 0; i < 4; ++i) {
-    Scenario s;
-    s.system = test_system();
-    s.workflow = test_workflow();
-    s.workflow.total_tasks = 100 + i;
-    distinct.push_back(s);
-  }
-  runner.run<int>(distinct, eval);
-  EXPECT_EQ(evaluations.load(), 4);
-  const SweepStats stats = runner.stats();
-  EXPECT_EQ(stats.cache_entries, 2u);
-  EXPECT_EQ(stats.cache_evictions, 2u);
-
-  // The two most recent keys survive; the two oldest were evicted and
-  // re-evaluate on the next touch.
-  runner.run<int>({distinct[2], distinct[3]}, eval);
-  EXPECT_EQ(evaluations.load(), 4);
-  runner.run<int>({distinct[0]}, eval);
-  EXPECT_EQ(evaluations.load(), 5);
-}
-
-TEST(SweepRunnerTest, LruTouchRefreshesRecency) {
-  SweepOptions options;
-  options.jobs = 1;
-  options.cache_capacity = 2;
-  SweepRunner runner(options);
-  std::atomic<int> evaluations{0};
-  auto eval = [&evaluations](const Scenario& s) {
-    evaluations.fetch_add(1);
-    return s.workflow.total_tasks;
-  };
-  Scenario a, b, c;
-  a.system = b.system = c.system = test_system();
-  a.workflow = b.workflow = c.workflow = test_workflow();
-  a.workflow.total_tasks = 101;
-  b.workflow.total_tasks = 102;
-  c.workflow.total_tasks = 103;
-  runner.run<int>({a, b}, eval);  // cache: [b, a]
-  runner.run<int>({a}, eval);     // touch a -> cache: [a, b]
-  runner.run<int>({c}, eval);     // evicts b, not a
-  runner.run<int>({a}, eval);     // still cached
-  EXPECT_EQ(evaluations.load(), 3);
-  runner.run<int>({b}, eval);  // b was evicted -> re-evaluates
-  EXPECT_EQ(evaluations.load(), 4);
-}
-
-TEST(SweepRunnerTest, TinyCacheIsStillByteIdenticalAtAnyJobCount) {
-  const std::vector<Scenario> grid =
-      expand_grid(test_system(), test_workflow(),
-                  {{"efficiency", {1.0, 0.8}},
-                   {"nodes_per_task", {0.5, 1.0, 2.0, 4.0, 8.0}}});
-  auto sweep = [&grid](int jobs) {
-    SweepOptions options;
-    options.jobs = jobs;
-    options.cache_capacity = 1;  // constant thrash
-    SweepRunner runner(options);
-    std::string ndjson;
-    for (const ScenarioResult& r : runner.run_models(grid))
-      ndjson += scenario_result_line(r) + "\n";
-    return ndjson;
-  };
-  const std::string serial = sweep(1);
-  EXPECT_EQ(serial, sweep(2));
-  EXPECT_EQ(serial, sweep(8));
-}
-
-TEST(SweepRunnerTest, CapacityZeroRetainsNothingAcrossRuns) {
-  SweepOptions options;
-  options.jobs = 1;
-  options.cache_capacity = 0;
-  SweepRunner runner(options);
-  Scenario point;
-  point.system = test_system();
-  point.workflow = test_workflow();
-  std::atomic<int> evaluations{0};
-  auto eval = [&evaluations](const Scenario&) {
-    evaluations.fetch_add(1);
-    return 1;
-  };
-  runner.run<int>({point}, eval);
-  runner.run<int>({point}, eval);
-  EXPECT_EQ(evaluations.load(), 2);
-  EXPECT_EQ(runner.stats().cache_entries, 0u);
-  EXPECT_EQ(runner.stats().cache_evictions, 0u);
-}
-
-TEST(SweepRunnerTest, CapacityZeroStillDeduplicatesInFlightKeys) {
-  SweepOptions options;
-  options.jobs = 2;
-  options.cache_capacity = 0;
-  SweepRunner runner(options);
-  Scenario point;
-  point.system = test_system();
-  point.workflow = test_workflow();
-
-  // The evaluator (first claimant) blocks until the second identical
-  // request has been claimed, proving the second joined the in-flight
-  // shared future instead of evaluating again.
-  std::atomic<int> evaluations{0};
-  auto eval = [&](const Scenario&) {
-    evaluations.fetch_add(1);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (runner.stats().scenarios < 2 &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return 42;
-  };
-  const std::vector<int> out = runner.run<int>({point, point}, eval);
-  EXPECT_EQ(out, (std::vector<int>{42, 42}));
-  EXPECT_EQ(evaluations.load(), 1);
-  EXPECT_EQ(runner.stats().cache_hits, 1u);
-  EXPECT_EQ(runner.stats().cache_misses, 1u);
-  EXPECT_EQ(runner.stats().cache_entries, 0u);
-}
-
-TEST(SweepRunnerTest, EvictionStatsReachTheRegistry) {
-  SweepOptions options;
-  options.jobs = 1;
-  options.cache_capacity = 1;
-  SweepRunner runner(options);
-  const std::vector<Scenario> grid =
-      expand_grid(test_system(), test_workflow(),
-                  {{"total_tasks", {56.0, 60.0, 64.0}}});
-  runner.run_models(grid);
-  obs::MetricsRegistry registry;
-  runner.export_metrics(registry);
-  ASSERT_NE(registry.find_counter("sweep.cache_evictions"), nullptr);
-  EXPECT_DOUBLE_EQ(registry.find_counter("sweep.cache_evictions")->value(),
-                   2.0);
-  ASSERT_NE(registry.find_gauge("sweep.cache_entries"), nullptr);
-  EXPECT_DOUBLE_EQ(registry.find_gauge("sweep.cache_entries")->value(), 1.0);
-}
-
-// Concurrency regression for the memo-cache accounting: a jobs=1 runner
-// executes run() inline on each calling thread, so eight external
-// threads hammer evaluate_cached / the LRU list directly.  At
-// quiescence the counters must balance exactly — every request is a hit
-// or a miss, every miss inserted an entry, every eviction removed one —
-// and the resident set must respect the cap.
-TEST(SweepRunnerTest, EightThreadLruAccountingStaysConsistent) {
-  SweepOptions options;
-  options.jobs = 1;
-  options.cache_capacity = 16;
-  SweepRunner runner(options);
-  std::vector<Scenario> keys;
-  for (int i = 0; i < 64; ++i) {
-    Scenario s;
-    s.system = test_system();
-    s.workflow = test_workflow();
-    s.workflow.total_tasks = 100 + i;
-    keys.push_back(s);
-  }
-  const std::function<int(const Scenario&)> eval =
-      [](const Scenario& s) { return s.workflow.total_tasks; };
-
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 50;
-  constexpr std::size_t kBatch = 8;
-  std::atomic<int> wrong_values{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&runner, &keys, &eval, &wrong_values, t] {
-      std::mt19937 rng(1000 + t);  // per-thread stream, deterministic
-      for (int round = 0; round < kRounds; ++round) {
-        std::vector<Scenario> batch;
-        for (std::size_t k = 0; k < kBatch; ++k)
-          batch.push_back(keys[rng() % keys.size()]);
-        const std::vector<int> out = runner.run<int>(batch, eval);
-        for (std::size_t k = 0; k < kBatch; ++k)
-          if (out[k] != batch[k].workflow.total_tasks)
-            wrong_values.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  EXPECT_EQ(wrong_values.load(), 0);
-  const SweepStats stats = runner.stats();
-  EXPECT_EQ(stats.scenarios,
-            static_cast<std::uint64_t>(kThreads) * kRounds * kBatch);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.scenarios);
-  EXPECT_LE(stats.cache_entries, 16u);
-  EXPECT_EQ(stats.cache_misses - stats.cache_evictions, stats.cache_entries);
-  // 64 distinct keys against a 16-entry cap must have evicted.
-  EXPECT_GT(stats.cache_evictions, 0u);
 }
 
 TEST(ScenarioResultLineTest, StableFieldOrderWithParams) {

@@ -135,9 +135,9 @@ std::string run_spec(std::string_view input) {
 }
 
 std::string run_serve(std::string_view input) {
-  // One App per process: the sweep memo cache persists across inputs
-  // exactly as it does across requests in production.  sweep_jobs=1 keeps
-  // the harness single-threaded; the small grid cap bounds per-input work.
+  // One App per process, shared across inputs exactly as it is across
+  // requests in production.  sweep_jobs=1 keeps the harness
+  // single-threaded; the small grid cap bounds per-input work.
   static serve::App app{[] {
     serve::AppOptions options;
     options.sweep_jobs = 1;

@@ -230,6 +230,38 @@ TEST(ServeTest, SweepRejectsInvalidShard) {
   EXPECT_NE(response.body.find("shard index"), std::string::npos);
 }
 
+// The shard members are range-checked before they narrow to int:
+// 2^32 + 2 used to answer 200 as shard 0 of 2.
+TEST(ServeTest, SweepRejectsShardCountBeyondIntRange) {
+  App app(AppOptions{.sweep_jobs = 1});
+  std::string body(kSweepBody);
+  body.insert(body.rfind('}'),
+              ",\"shard\":{\"count\":4294967298,\"index\":0}");
+  const util::HttpResponse response = app.sweep_from_bytes(body);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("shard.count must be an integer in [1, "
+                               "2147483647], got 4294967298"),
+            std::string::npos)
+      << response.body;
+}
+
+// No inf in /v1 bodies: a rate so small that the seconds per task
+// overflow is a 400 naming the workflow, the channel and the system.
+TEST(ServeTest, RooflineRejectsNonFiniteSecondsPerTask) {
+  App app(AppOptions{.sweep_jobs = 1});
+  const util::HttpResponse response = app.roofline_from_bytes(R"({
+    "system": {"name": "tiny", "total_nodes": 4,
+               "node": {"peak_flops": 1e-300}},
+    "workflow": {"name": "unit", "total_tasks": 600, "parallel_tasks": 120,
+                 "flops_per_node": 1.0e15}})");
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find(
+                "workflow 'unit' needs inf s per task of flops on system "
+                "'tiny'"),
+            std::string::npos)
+      << response.body;
+}
+
 TEST(ServeTest, SweepJsonFormatEchoesTheShard) {
   AppServer server;
   LoopbackClient client(server.port());
@@ -441,7 +473,7 @@ TEST(ServeTest, MetricsExposeRequestCountersAndLatencies) {
   client.request("GET", "/healthz");
   client.request("POST", "/v1/roofline", kRooflineBody);
   client.request("POST", "/v1/sweep", kSweepBody);
-  client.request("POST", "/v1/sweep", kSweepBody);  // memo-cache replay
+  client.request("POST", "/v1/sweep", kSweepBody);
 
   const ClientResponse metrics = client.request("GET", "/metrics");
   ASSERT_EQ(metrics.status, 200);
@@ -455,20 +487,6 @@ TEST(ServeTest, MetricsExposeRequestCountersAndLatencies) {
   EXPECT_NE(text.find("serve_latency_seconds_roofline_count 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("serve_connections_accepted"), std::string::npos);
-  // Sweep runner lifetime totals ride along (exact counts asserted in
-  // SweepMemoCacheIsSharedAcrossRequests).
-  EXPECT_NE(text.find("sweep_cache_hits "), std::string::npos);
-}
-
-TEST(ServeTest, SweepMemoCacheIsSharedAcrossRequests) {
-  AppServer server;
-  LoopbackClient client(server.port());
-  ASSERT_EQ(client.request("POST", "/v1/sweep", kSweepBody).status, 200);
-  ASSERT_EQ(client.request("POST", "/v1/sweep", kSweepBody).status, 200);
-  const std::string text = client.request("GET", "/metrics").body;
-  // First request: 4 misses; second request: 4 hits from the shared cache.
-  EXPECT_NE(text.find("sweep_cache_hits 4\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("sweep_cache_misses 4\n"), std::string::npos) << text;
 }
 
 TEST(ServeTest, MetricsDoubleScrapeDoesNotDoubleCountSweepTotals) {
@@ -476,13 +494,25 @@ TEST(ServeTest, MetricsDoubleScrapeDoesNotDoubleCountSweepTotals) {
   LoopbackClient client(server.port());
   ASSERT_EQ(client.request("POST", "/v1/sweep", kSweepBody).status, 200);
   ASSERT_EQ(client.request("POST", "/v1/sweep", kSweepBody).status, 200);
-  // Regression: sweep counters used to be re-added on every scrape, so a
-  // second scrape doubled the totals.  Delta export keeps them stable.
+  // Regression: counters used to be re-added on every scrape, so a second
+  // scrape doubled the totals.  The endpoint counters fold into the
+  // registry as deltas, so they stay exact however often /metrics runs.
   client.request("GET", "/metrics");
   const std::string text = client.request("GET", "/metrics").body;
-  EXPECT_NE(text.find("sweep_cache_hits 4\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("sweep_cache_misses 4\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("sweep_scenarios 8\n"), std::string::npos) << text;
+  // A scrape counts itself only after it returns: two sweeps and the
+  // first scrape.
+  EXPECT_NE(text.find("serve_requests_sweep 2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("serve_requests_metrics 1\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("serve_responses_2xx 3\n"), std::string::npos) << text;
+
+  // New work adds only its own delta on top of the running totals.
+  ASSERT_EQ(client.request("POST", "/v1/sweep", kSweepBody).status, 200);
+  const std::string after = client.request("GET", "/metrics").body;
+  EXPECT_NE(after.find("serve_requests_sweep 3\n"), std::string::npos)
+      << after;
+  EXPECT_NE(after.find("serve_responses_2xx 5\n"), std::string::npos)
+      << after;
 }
 
 TEST(ServeTest, SweepNdjsonMatchesJsonRows) {
