@@ -405,8 +405,7 @@ int cmd_run(const Args& args) {
 // snapshot (docs/OBSERVABILITY.md).
 void write_sweep_metrics(const std::string& path, std::uint64_t scenarios) {
   obs::MetricsRegistry registry;
-  registry.counter("sweep.scenarios")
-      .increment(static_cast<double>(scenarios));
+  registry.counter("sweep.scenarios").increment(scenarios);
   util::write_file(path, registry.snapshot().pretty() + "\n");
   std::cout << "wrote " << path << "\n";
 }

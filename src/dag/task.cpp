@@ -1,5 +1,7 @@
 #include "dag/task.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -47,8 +49,9 @@ void TaskSpec::validate() const {
                 util::format("task '%s': nodes must be >= 1 (got %d)",
                              name.c_str(), nodes));
   auto non_negative = [&](double v, const char* field) {
-    util::require(v >= 0.0, util::format("task '%s': %s must be >= 0",
-                                         name.c_str(), field));
+    util::require(v >= 0.0 && std::isfinite(v),
+                  util::format("task '%s': %s must be finite and >= 0",
+                               name.c_str(), field));
   };
   non_negative(demand.external_in_bytes, "external_in_bytes");
   non_negative(demand.fs_read_bytes, "fs_read_bytes");

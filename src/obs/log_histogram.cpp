@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -12,6 +11,26 @@ namespace wfr::obs {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Index of the overflow bucket; 1..kOverflow-1 are the resolved buckets.
+constexpr std::size_t kOverflow = LogHistogram::kSlots - 1;
+
+const double kInvLogGrowth = 1.0 / std::log(LogHistogram::kGrowth);
+
+std::size_t bucket_index(double x) {
+  if (!(x > LogHistogram::kMinValue)) return 0;  // also negatives and NaN
+  if (x >= LogHistogram::kMaxValue) return kOverflow;
+  const std::size_t i =
+      1 + static_cast<std::size_t>(std::floor(
+              std::log(x / LogHistogram::kMinValue) * kInvLogGrowth));
+  return std::min(i, kOverflow - 1);
+}
+
+/// Upper bound of bucket `i`; +inf for the overflow bucket.
+double upper_bound(std::size_t i) {
+  if (i >= kOverflow) return kInf;
+  return LogHistogram::kMinValue *
+         std::pow(LogHistogram::kGrowth, static_cast<double>(i));
+}
 
 /// CAS-min/max over atomic doubles (relaxed: extrema are monotone, order
 /// does not matter).
@@ -37,43 +56,6 @@ void atomic_add(std::atomic<double>& target, double x) {
 }
 
 }  // namespace
-
-LogHistogram::LogHistogram(LogHistogramOptions options) : options_(options) {
-  util::require(options_.min_value > 0.0,
-                "log histogram min_value must be > 0");
-  util::require(options_.max_value > options_.min_value,
-                "log histogram max_value must exceed min_value");
-  util::require(options_.growth > 1.0, "log histogram growth must be > 1");
-  inv_log_growth_ = 1.0 / std::log(options_.growth);
-  resolved_ = static_cast<std::size_t>(std::ceil(
-      std::log(options_.max_value / options_.min_value) * inv_log_growth_));
-  // counts_[0] sub-resolution + resolved_ geometric + 1 overflow.
-  counts_ = std::vector<std::atomic<std::uint64_t>>(resolved_ + 2);
-  min_.store(kInf, std::memory_order_relaxed);
-  max_.store(-kInf, std::memory_order_relaxed);
-}
-
-std::size_t LogHistogram::bucket_index(double x) const {
-  if (!(x > options_.min_value)) return 0;  // also negatives and NaN
-  if (x >= options_.max_value) return resolved_ + 1;
-  const std::size_t i = 1 + static_cast<std::size_t>(std::floor(
-                                std::log(x / options_.min_value) *
-                                inv_log_growth_));
-  return std::min(i, resolved_);
-}
-
-double LogHistogram::upper_bound(std::size_t i) const {
-  if (i == 0) return options_.min_value;
-  if (i > resolved_) return kInf;
-  return options_.min_value * std::pow(options_.growth, static_cast<double>(i));
-}
-
-double LogHistogram::representative(std::size_t i) const {
-  if (i == 0) return options_.min_value;
-  if (i > resolved_) return max();  // overflow reports the exact maximum
-  const double hi = upper_bound(i);
-  return hi / std::sqrt(options_.growth);  // geometric midpoint
-}
 
 void LogHistogram::observe(double x) {
   counts_[bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
@@ -113,34 +95,22 @@ double LogHistogram::quantile(double q) const {
       1, static_cast<std::uint64_t>(
              std::ceil(q * static_cast<double>(total))));
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = 0; i < kSlots; ++i) {
     cumulative += counts_[i].load(std::memory_order_relaxed);
-    if (cumulative >= rank)
-      return std::clamp(representative(i), min(), max());
+    if (cumulative < rank) continue;
+    // Sub-resolution samples report kMinValue, overflow the exact
+    // maximum, resolved buckets their geometric midpoint.
+    const double value = i == 0           ? kMinValue
+                         : i == kOverflow ? max()
+                                          : upper_bound(i) / std::sqrt(kGrowth);
+    return std::clamp(value, min(), max());
   }
   return max();  // concurrent writers mid-query: fall back to the extreme
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  util::require(options_.min_value == other.options_.min_value &&
-                    options_.max_value == other.options_.max_value &&
-                    options_.growth == other.options_.growth,
-                "cannot merge log histograms with different layouts");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::uint64_t n = other.counts_[i].load(std::memory_order_relaxed);
-    if (n != 0) counts_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  const std::uint64_t n = other.count();
-  if (n == 0) return;
-  count_.fetch_add(n, std::memory_order_relaxed);
-  atomic_add(sum_, other.sum());
-  atomic_min(min_, other.min());
-  atomic_max(max_, other.max());
-}
-
 std::vector<LogHistogram::Bucket> LogHistogram::nonzero_buckets() const {
   std::vector<Bucket> buckets;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = 0; i < kSlots; ++i) {
     const std::uint64_t n = counts_[i].load(std::memory_order_relaxed);
     if (n != 0) buckets.push_back(Bucket{upper_bound(i), n});
   }
@@ -164,7 +134,7 @@ std::string LogHistogram::prometheus_text(std::string_view metric) const {
   if (!saw_inf)
     out += name + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) + "\n";
   out += name + "_sum " + util::format_double(sum()) + "\n";
-  out += name + "_count " + std::to_string(count()) + "\n";
+  out += name + "_count " + std::to_string(cumulative) + "\n";
   return out;
 }
 
@@ -191,15 +161,6 @@ util::Json LogHistogram::snapshot() const {
   }
   entry.set("buckets", util::Json(std::move(buckets)));
   return util::Json(std::move(entry));
-}
-
-void LogHistogram::reset() {
-  for (std::atomic<std::uint64_t>& c : counts_)
-    c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(kInf, std::memory_order_relaxed);
-  max_.store(-kInf, std::memory_order_relaxed);
 }
 
 }  // namespace wfr::obs

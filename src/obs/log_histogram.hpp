@@ -1,32 +1,32 @@
 #pragma once
 // Log-bucketed high-dynamic-range histogram with exact-count percentile
-// queries — the latency instrument behind serve's per-endpoint p50/p99
-// telemetry (docs/OBSERVABILITY.md).
+// queries — the one histogram kind of obs::MetricsRegistry, behind serve's
+// per-endpoint latency and the simulator's queue-wait and phase
+// distributions (docs/OBSERVABILITY.md).
 //
-// The fixed-bucket obs::Histogram is fine for coarse distributions but
-// cannot answer "what is p99?" with a useful error bound: a decade-wide
-// bucket gives a decade-wide answer.  This histogram spaces bucket
-// boundaries geometrically (default growth 1.05 over 1 us .. 100 s, ~378
-// buckets), so any recorded value is off by at most half a bucket —
-// ~2.5% relative error — while percentile *ranks* are exact: the query
-// walks true per-bucket counts to the ceil(q * count)-th sample, there is
-// no interpolation between population mass that was never observed.
+// Bucket boundaries are spaced geometrically at growth 1.05, so any
+// recorded value is off by at most half a bucket — ~2.5% relative error —
+// while percentile *ranks* are exact: the query walks true per-bucket
+// counts to the ceil(q * count)-th sample, there is no interpolation
+// between population mass that was never observed.
 //
 // Concurrency: observe() is lock-free (relaxed atomic adds on the bucket
 // counters plus CAS loops for sum/min/max), so request workers record
-// latency without serializing on any mutex — the fix for the serve::App
-// metrics_mutex_ hot-path contention.  Queries read the counters with
-// relaxed loads; under concurrent writers a query is a point-in-time
+// latency without serializing on any mutex.  Queries read the counters
+// with relaxed loads; under concurrent writers a query is a point-in-time
 // approximation, which is exactly what a /metrics scrape wants.
 //
-// Layout: bucket 0 holds sub-resolution samples (x <= min), buckets
-// 1..N hold [min * g^(i-1), min * g^i), and the last bucket holds
-// overflow samples (x >= max, reported at the exact observed maximum).
-// Two histograms with equal options have equal layouts and merge
-// deterministically by per-bucket addition.
+// Layout: every histogram shares one constant layout.  Bucket 0 holds
+// sub-resolution samples (x <= kMinValue), buckets 1..N hold
+// [kMinValue * g^(i-1), kMinValue * g^i), and the last bucket holds
+// overflow samples (x >= kMaxValue, reported at the exact observed
+// maximum).  The range spans 1 us (a loopback request stage) to 1e6 s (a
+// simulated multi-day workflow phase).
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,22 +35,22 @@
 
 namespace wfr::obs {
 
-struct LogHistogramOptions {
-  /// Smallest resolved value; anything at or below lands in the
-  /// sub-resolution bucket.  Must be > 0.
-  double min_value = 1e-6;
-  /// Largest resolved value; anything at or above lands in the overflow
-  /// bucket.  Must be > min_value.
-  double max_value = 100.0;
-  /// Geometric bucket growth factor; relative quantile error is about
-  /// (growth - 1) / 2.  Must be > 1.
-  double growth = 1.05;
-};
-
 class LogHistogram {
  public:
-  explicit LogHistogram(LogHistogramOptions options = {});
+  /// Smallest resolved value; anything at or below lands in the
+  /// sub-resolution bucket.
+  static constexpr double kMinValue = 1e-6;
+  /// Largest resolved value; anything at or above lands in the overflow
+  /// bucket.
+  static constexpr double kMaxValue = 1e6;
+  /// Geometric bucket growth; relative quantile error is about
+  /// (kGrowth - 1) / 2.
+  static constexpr double kGrowth = 1.05;
+  /// ceil(ln(kMaxValue / kMinValue) / ln(kGrowth)) = 567 resolved buckets
+  /// plus the sub-resolution and overflow buckets (tested).
+  static constexpr std::size_t kSlots = 569;
 
+  LogHistogram() = default;
   LogHistogram(const LogHistogram&) = delete;
   LogHistogram& operator=(const LogHistogram&) = delete;
 
@@ -71,12 +71,6 @@ class LogHistogram {
   /// 0 when empty.  Monotone in q by construction.
   double quantile(double q) const;
 
-  /// Adds every bucket (and count/sum/min/max) of `other` into this
-  /// histogram.  Both must share the same options; throws
-  /// InvalidArgument otherwise.  Deterministic: merging the same
-  /// snapshots in any order yields the same counts.
-  void merge(const LogHistogram& other);
-
   /// One retained bucket: upper bound (+inf for the overflow bucket,
   /// encoded as infinity()) and its non-cumulative count.
   struct Bucket {
@@ -86,14 +80,11 @@ class LogHistogram {
   /// The non-empty buckets in ascending bound order.
   std::vector<Bucket> nonzero_buckets() const;
 
-  /// Total number of bucket slots (sub-resolution + resolved + overflow).
-  std::size_t bucket_slots() const { return counts_.size(); }
-  const LogHistogramOptions& options() const { return options_; }
-
   /// Prometheus 0.0.4 histogram exposition under `metric` (already
   /// sanitized): cumulative `_bucket{le="..."}` series for each non-empty
-  /// bucket plus the implicit +Inf, then `_sum` and `_count`.  Parsing
-  /// the cumulative series back recovers nonzero_buckets() exactly
+  /// bucket plus the implicit +Inf, then `_sum` and `_count`.  `_count` is
+  /// the +Inf value, so the two agree even under concurrent writers.
+  /// Parsing the cumulative series back recovers nonzero_buckets() exactly
   /// (round-trip tested).
   std::string prometheus_text(std::string_view metric) const;
 
@@ -102,27 +93,13 @@ class LogHistogram {
   /// only).
   util::Json snapshot() const;
 
-  /// Drops all samples (tests).
-  void reset();
-
  private:
-  std::size_t bucket_index(double x) const;
-  /// Upper bound of bucket `i`; +inf for the overflow bucket.
-  double upper_bound(std::size_t i) const;
-  /// Representative value of bucket `i` for quantile reporting.
-  double representative(std::size_t i) const;
-
-  LogHistogramOptions options_;
-  double inv_log_growth_ = 0.0;
-  /// counts_[0] sub-resolution, counts_[1..resolved_] geometric,
-  /// counts_[resolved_ + 1] overflow.
-  std::size_t resolved_ = 0;
-  std::vector<std::atomic<std::uint64_t>> counts_;
+  std::array<std::atomic<std::uint64_t>, kSlots> counts_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   /// Observed extrema as atomically CAS-updated doubles.
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 }  // namespace wfr::obs

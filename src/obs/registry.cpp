@@ -1,157 +1,16 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace wfr::obs {
 
-void Counter::increment(double delta) {
-  util::require(delta >= 0.0, "counter increments must be >= 0");
-  value_ += delta;
-}
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)),
-      counts_(bounds_.size() + 1, 0) {
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    util::require(bounds_[i - 1] < bounds_[i],
-                  "histogram bucket bounds must be strictly increasing");
-  }
-}
-
-void Histogram::observe(double x) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += x;
-  if (count_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-}
-
-double Histogram::min() const { return count_ == 0 ? 0.0 : min_; }
-double Histogram::max() const { return count_ == 0 ? 0.0 : max_; }
-
-double Histogram::mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double Histogram::quantile(double q) const {
-  util::require(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-  if (count_ == 0) return 0.0;
-  const double target = q * static_cast<double>(count_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      if (i == counts_.size() - 1) return max_;  // overflow bucket
-      // Linear interpolation inside the bucket, clamped to observed range.
-      const double lo = i == 0 ? min_ : bounds_[i - 1];
-      const double hi = bounds_[i];
-      const double frac =
-          (target - cumulative) / static_cast<double>(counts_[i]);
-      return std::clamp(lo + frac * (hi - lo), min_, max_);
-    }
-    cumulative = next;
-  }
-  return max_;
-}
-
-std::vector<double> exponential_buckets(double start, double factor,
-                                        int count) {
-  util::require(start > 0.0, "bucket start must be > 0");
-  util::require(factor > 1.0, "bucket factor must be > 1");
-  util::require(count >= 1, "bucket count must be >= 1");
-  std::vector<double> bounds;
-  bounds.reserve(static_cast<std::size_t>(count));
-  double bound = start;
-  for (int i = 0; i < count; ++i) {
-    bounds.push_back(bound);
-    bound *= factor;
-  }
-  return bounds;
-}
-
-std::vector<double> default_seconds_buckets() {
-  return exponential_buckets(1e-3, 10.0, 9);  // 1 ms .. 1e5 s
-}
-
-void MetricsRegistry::check_unique(std::string_view name,
-                                   const char* kind) const {
-  int holders = 0;
-  const char* held_as = nullptr;
-  if (counters_.find(name) != counters_.end()) {
-    ++holders;
-    held_as = "counter";
-  }
-  if (gauges_.find(name) != gauges_.end()) {
-    ++holders;
-    held_as = "gauge";
-  }
-  if (histograms_.find(name) != histograms_.end()) {
-    ++holders;
-    held_as = "histogram";
-  }
-  util::require(
-      holders == 0 || std::string_view(held_as) == kind,
-      util::format("metric '%s' already registered as a %s, requested as "
-                   "a %s",
-                   std::string(name).c_str(), held_as, kind));
-}
-
-Counter& MetricsRegistry::counter(std::string_view name) {
-  check_unique(name, "counter");
-  return counters_.try_emplace(std::string(name)).first->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  check_unique(name, "gauge");
-  return gauges_.try_emplace(std::string(name)).first->second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> upper_bounds) {
-  check_unique(name, "histogram");
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_
-      .emplace(std::string(name), Histogram(std::move(upper_bounds)))
-      .first->second;
-}
-
-const Counter* MetricsRegistry::find_counter(std::string_view name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    std::string_view name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 namespace {
 
-/// Prometheus sample value: the shared shortest-round-trip formatter keeps
-/// bucket labels readable (le="1e-05", not le="1.0000000000000001e-05") and
-/// byte-identical to the same value serialized as JSON elsewhere.
-std::string format_sample(double value) { return util::format_double(value); }
-
-}  // namespace
-
+/// Prometheus metric name from a dotted wfr name: invalid bytes become
+/// '_', and a leading digit (or empty name) gains a '_' prefix.
 std::string sanitize_metric_name(std::string_view name) {
   std::string out;
   out.reserve(name.size());
@@ -165,69 +24,106 @@ std::string sanitize_metric_name(std::string_view name) {
   return out;
 }
 
+/// One `# TYPE` block holding a single sample.
+std::string sample_block(const std::string& metric, const char* type,
+                         const std::string& value) {
+  return "# TYPE " + metric + " " + type + "\n" + metric + " " + value + "\n";
+}
+
+/// The quantile gauges emitted next to each histogram.
+constexpr std::pair<const char*, double> kQuantileGauges[] = {
+    {"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}, {"_p999", 0.999}};
+
+template <typename Map>
+auto* find_in(const Map& map, std::string_view name) {
+  const auto it = map.find(name);
+  return it == map.end() ? nullptr : &it->second;
+}
+
+}  // namespace
+
+void MetricsRegistry::check_unique(std::string_view name,
+                                   const char* kind) const {
+  const char* held_as = counters_.contains(name)     ? "counter"
+                        : gauges_.contains(name)     ? "gauge"
+                        : histograms_.contains(name) ? "histogram"
+                                                     : kind;
+  if (std::string_view(held_as) != kind)
+    throw util::InvalidArgument(
+        util::format("metric '%s' already registered as a %s, requested as "
+                     "a %s",
+                     std::string(name).c_str(), held_as, kind));
+}
+
+Counter& MetricsRegistry::counter(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  check_unique(name, "counter");
+  return counters_.try_emplace(std::string(name)).first->second;
+}
+
+Gauge& MetricsRegistry::gauge(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  check_unique(name, "gauge");
+  return gauges_.try_emplace(std::string(name)).first->second;
+}
+
+LogHistogram& MetricsRegistry::histogram(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  check_unique(name, "histogram");
+  return histograms_.try_emplace(std::string(name)).first->second;
+}
+
+const Counter* MetricsRegistry::find_counter(std::string_view name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return find_in(counters_, name);
+}
+
+const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return find_in(gauges_, name);
+}
+
+const LogHistogram* MetricsRegistry::find_histogram(
+    std::string_view name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return find_in(histograms_, name);
+}
+
+std::size_t MetricsRegistry::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return counters_.size() + gauges_.size() + histograms_.size();
+}
+
 std::string MetricsRegistry::prometheus_text() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   std::string out;
-  for (const auto& [name, counter] : counters_) {
-    const std::string metric = sanitize_metric_name(name);
-    out += "# TYPE " + metric + " counter\n";
-    out += metric + " " + format_sample(counter.value()) + "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    const std::string metric = sanitize_metric_name(name);
-    out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + format_sample(gauge.value()) + "\n";
-  }
+  for (const auto& [name, counter] : counters_)
+    out += sample_block(sanitize_metric_name(name), "counter",
+                        std::to_string(counter.value()));
+  // Doubles use the shared shortest-round-trip formatter, so a value reads
+  // the same here as in the JSON snapshot.
+  for (const auto& [name, gauge] : gauges_)
+    out += sample_block(sanitize_metric_name(name), "gauge",
+                        util::format_double(gauge.value()));
   for (const auto& [name, h] : histograms_) {
     const std::string metric = sanitize_metric_name(name);
-    out += "# TYPE " + metric + " histogram\n";
-    const auto& bounds = h.upper_bounds();
-    const auto& counts = h.bucket_counts();
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      cumulative += counts[i];
-      const std::string le =
-          i < bounds.size() ? format_sample(bounds[i]) : "+Inf";
-      out += metric + "_bucket{le=\"" + le + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-    out += metric + "_sum " + format_sample(h.sum()) + "\n";
-    out += metric + "_count " + std::to_string(h.count()) + "\n";
+    out += h.prometheus_text(metric);
+    for (const auto& [suffix, q] : kQuantileGauges)
+      out += sample_block(metric + suffix, "gauge",
+                          util::format_double(h.quantile(q)));
   }
   return out;
 }
 
 util::Json MetricsRegistry::snapshot() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   util::JsonObject counters;
   for (const auto& [name, counter] : counters_)
-    counters.set(name, counter.value());
+    counters.set(name, static_cast<double>(counter.value()));
   util::JsonObject gauges;
   for (const auto& [name, gauge] : gauges_) gauges.set(name, gauge.value());
   util::JsonObject histograms;
-  for (const auto& [name, h] : histograms_) {
-    util::JsonObject entry;
-    entry.set("count", static_cast<double>(h.count()));
-    entry.set("sum", h.sum());
-    entry.set("mean", h.mean());
-    entry.set("min", h.min());
-    entry.set("max", h.max());
-    entry.set("p50", h.quantile(0.50));
-    entry.set("p95", h.quantile(0.95));
-    util::JsonArray buckets;
-    const auto& bounds = h.upper_bounds();
-    const auto& counts = h.bucket_counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      util::JsonObject bucket;
-      if (i < bounds.size()) {
-        bucket.set("le", bounds[i]);
-      } else {
-        bucket.set("le", "inf");
-      }
-      bucket.set("count", static_cast<double>(counts[i]));
-      buckets.push_back(util::Json(std::move(bucket)));
-    }
-    entry.set("buckets", util::Json(std::move(buckets)));
-    histograms.set(name, util::Json(std::move(entry)));
-  }
+  for (const auto& [name, h] : histograms_) histograms.set(name, h.snapshot());
   util::JsonObject root;
   root.set("counters", util::Json(std::move(counters)));
   root.set("gauges", util::Json(std::move(gauges)));

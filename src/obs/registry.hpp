@@ -1,106 +1,67 @@
 #pragma once
-// Metrics registry: named counters, gauges, and fixed-bucket histograms
-// with deterministic JSON snapshot export.
+// Metrics registry: the one place wfr's metrics live — named counters,
+// gauges and log-bucketed histograms, with deterministic JSON snapshot and
+// Prometheus text export.
 //
 // The paper's Section III argues workflow observation must stay
 // lightweight; this registry is the sink for such metrics.  The engine
 // reports self-metrics into it (events processed, heap compactions, flows
 // registered/cancelled), the runner reports workflow metrics (tasks
-// started/completed/retried, queue-wait and per-phase histograms), and a
-// snapshot() serializes everything for external tooling.
+// started/completed/retried, queue-wait and per-phase histograms), and
+// `wfr serve` records its per-endpoint request counters and latency
+// histograms straight into one, so `GET /metrics` is prometheus_text().
 //
 // Design notes:
 //   * Instruments are owned by the registry and handed out by reference;
 //     std::map storage keeps those references stable for the registry's
 //     lifetime and makes snapshots deterministic (sorted by name).
-//   * Instruments are plain accumulators — no locks, no clocks — so the
-//     hot path pays one double add per update.
-//   * Histograms use fixed, caller-chosen bucket upper bounds (plus an
-//     implicit +inf overflow bucket), the Prometheus convention, so two
-//     runs of the same configuration snapshot identically.
+//   * Updating an instrument is lock-free: counters and gauges are relaxed
+//     atomics, histograms are obs::LogHistogram.  The registry's mutex is
+//     taken only to create, look up and render instruments, so callers
+//     resolve their instruments once and keep the references.
+//   * Every histogram shares LogHistogram's constant layout, so two runs
+//     of the same configuration snapshot identically.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "obs/log_histogram.hpp"
 #include "util/json.hpp"
 
 namespace wfr::obs {
 
-/// Monotonically increasing sum.  increment() with a negative delta throws
-/// InvalidArgument (use a Gauge for values that can move both ways).
+/// Monotonically increasing count of whole events.
 class Counter {
  public:
-  void increment(double delta = 1.0);
-  double value() const { return value_; }
+  void increment(std::uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
 
  private:
-  double value_ = 0.0;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-written value (e.g. live flow count, heap slots).
 class Gauge {
  public:
-  void set(double value) { value_ = value; }
-  double value() const { return value_; }
+  void set(double value) { value_.store(value, std::memory_order_relaxed); }
+  double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  double value_ = 0.0;
+  std::atomic<double> value_{0.0};
 };
-
-/// Fixed-bucket histogram: counts of observations <= each upper bound,
-/// plus an implicit +inf bucket, plus sum/count/min/max for mean and range.
-class Histogram {
- public:
-  /// `upper_bounds` must be strictly increasing (may be empty: then only
-  /// the +inf bucket exists and the histogram degenerates to sum/count).
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double x);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const;
-  double max() const;
-  double mean() const;
-
-  const std::vector<double>& upper_bounds() const { return bounds_; }
-  /// Per-bucket counts; size() == upper_bounds().size() + 1 (last is the
-  /// overflow bucket).
-  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
-
-  /// Approximate quantile (q in [0, 1]) by linear interpolation inside the
-  /// bucket containing the target rank; 0 when empty.  The overflow bucket
-  /// reports the largest observed value.
-  double quantile(double q) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Prometheus metric name from a dotted wfr name: invalid bytes become
-/// '_', and a leading digit (or empty name) gains a '_' prefix.  The same
-/// mapping MetricsRegistry::prometheus_text applies, exposed for callers
-/// that emit their own exposition blocks (e.g. per-endpoint latency
-/// histograms in serve::App).
-std::string sanitize_metric_name(std::string_view name);
-
-/// Standard bucket layouts.
-std::vector<double> exponential_buckets(double start, double factor,
-                                        int count);
-/// Default layout for durations in seconds: 1 ms .. ~1e5 s, decade steps.
-std::vector<double> default_seconds_buckets();
 
 /// Named instruments, created on first access.  A name is bound to one
 /// instrument kind; re-requesting it as a different kind throws
-/// InvalidArgument.
+/// InvalidArgument.  Every member function is safe to call from any
+/// thread.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -111,42 +72,40 @@ class MetricsRegistry {
   Counter& counter(std::string_view name);
   /// Returns (creating if absent) the gauge named `name`.
   Gauge& gauge(std::string_view name);
-  /// Returns (creating if absent) the histogram named `name`.  The bounds
-  /// apply on creation; later calls reuse the existing instrument.
-  Histogram& histogram(std::string_view name,
-                       std::vector<double> upper_bounds);
+  /// Returns (creating if absent) the histogram named `name`.
+  LogHistogram& histogram(std::string_view name);
 
   /// Lookup without creation; nullptr when absent.
   const Counter* find_counter(std::string_view name) const;
   const Gauge* find_gauge(std::string_view name) const;
-  const Histogram* find_histogram(std::string_view name) const;
+  const LogHistogram* find_histogram(std::string_view name) const;
 
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
+  std::size_t size() const;
   bool empty() const { return size() == 0; }
 
   /// Deterministic snapshot: instruments sorted by name within kind.
   /// {"counters": {...}, "gauges": {...},
-  ///  "histograms": {name: {count, sum, mean, min, max, p50, p95,
-  ///                        buckets: [{"le": bound, "count": n}, ...]}}}
+  ///  "histograms": {name: <LogHistogram::snapshot()>}}
   util::Json snapshot() const;
 
   /// Prometheus text exposition format (version 0.0.4), deterministic for
   /// a given registry state: one `# TYPE` block per instrument, sorted by
   /// name within kind (counters, then gauges, then histograms).  Metric
   /// names are sanitized to [a-zA-Z0-9_:] ('.' and other invalid bytes
-  /// become '_').  Histograms emit cumulative `_bucket{le="..."}` series
-  /// (Prometheus convention; the registry's own buckets are per-bucket)
-  /// plus `_sum` and `_count`.
+  /// become '_'; a leading digit gains a '_' prefix).  Each histogram is
+  /// LogHistogram::prometheus_text() followed by its `<metric>_p50`,
+  /// `_p95`, `_p99` and `_p999` gauges.
   std::string prometheus_text() const;
 
  private:
+  /// Throws unless `name` is free or already a `kind`.  Caller holds
+  /// mutex_.
   void check_unique(std::string_view name, const char* kind) const;
 
+  mutable std::mutex mutex_;
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
+  std::map<std::string, LogHistogram, std::less<>> histograms_;
 };
 
 }  // namespace wfr::obs

@@ -152,6 +152,13 @@ App::App(AppOptions options)
   runner_.set_tracer(&tracer_);
 }
 
+App::EndpointMetrics App::endpoint_metrics(std::string name) {
+  obs::Counter& requests = registry_.counter("serve.requests." + name);
+  obs::LogHistogram& latency =
+      registry_.histogram("serve.latency_seconds." + name);
+  return EndpointMetrics{std::move(name), requests, latency};
+}
+
 void App::bind(Server& server) {
   server_ = &server;
   server.set_tracer(&tracer_);
@@ -199,13 +206,12 @@ util::HttpResponse App::observed(
   }
   const double seconds =
       static_cast<double>(obs::Tracer::now_ns() - begin_ns) * 1e-9;
-  endpoint.requests.fetch_add(1, std::memory_order_relaxed);
+  endpoint.requests.increment();
   endpoint.latency_seconds.observe(seconds);
-  std::atomic<std::uint64_t>& klass = response.status >= 500 ? responses_5xx_
-                                      : response.status >= 400
-                                          ? responses_4xx_
-                                          : responses_2xx_;
-  klass.fetch_add(1, std::memory_order_relaxed);
+  obs::Counter& klass = response.status >= 500   ? responses_5xx_
+                        : response.status >= 400 ? responses_4xx_
+                                                 : responses_2xx_;
+  klass.increment();
   if (span.active()) span.arg("status", std::to_string(response.status));
   return response;
 }
@@ -476,92 +482,42 @@ util::HttpResponse App::handle_healthz(const util::HttpRequest&) {
 }
 
 util::HttpResponse App::handle_metrics(const util::HttpRequest&) {
-  std::string text;
-  {
-    std::unique_lock<std::mutex> lock(metrics_mutex_);
-    if (server_ != nullptr) {
-      const Server::Stats& stats = server_->stats();
-      registry_.gauge("serve.connections.accepted")
-          .set(static_cast<double>(stats.accepted.load()));
-      registry_.gauge("serve.connections.shed")
-          .set(static_cast<double>(stats.shed.load()));
-      registry_.gauge("serve.requests.served")
-          .set(static_cast<double>(stats.requests.load()));
-      registry_.gauge("serve.accept_errors")
-          .set(static_cast<double>(stats.accept_errors.load()));
-      registry_.gauge("serve.timeouts")
-          .set(static_cast<double>(stats.timeouts.load()));
-      // Connection-lifecycle gauges: what the reactor holds right now.
-      registry_.gauge("serve.connections.active")
-          .set(static_cast<double>(stats.connections_active.load()));
-      registry_.gauge("serve.connections.idle_keepalive")
-          .set(static_cast<double>(stats.connections_idle.load()));
-      // Per-event-loop snapshots (loop index = thread owning the epoll
-      // set): owned connections, dispatched-but-unanswered requests, and
-      // completions waiting to be drained.
-      const std::vector<LoopStats> loops = server_->loop_stats();
-      for (std::size_t i = 0; i < loops.size(); ++i) {
-        const std::string prefix = "serve.loop" + std::to_string(i);
-        registry_.gauge(prefix + ".connections")
-            .set(static_cast<double>(loops[i].connections));
-        registry_.gauge(prefix + ".inflight")
-            .set(static_cast<double>(loops[i].inflight));
-        registry_.gauge(prefix + ".queue_depth")
-            .set(static_cast<double>(loops[i].queue_depth));
-      }
-    }
-    // The lock-free endpoint atomics fold into the persistent registry
-    // with delta semantics, keeping Prometheus-correct cumulative series
-    // without double-counting across scrapes.
-    for (EndpointMetrics* endpoint : endpoints_) {
-      const std::uint64_t current =
-          endpoint->requests.load(std::memory_order_relaxed);
-      registry_.counter("serve.requests." + endpoint->name)
-          .increment(static_cast<double>(current -
-                                         endpoint->exported_requests));
-      endpoint->exported_requests = current;
-    }
-    const auto fold_class = [this](const char* name,
-                                   std::atomic<std::uint64_t>& live,
-                                   std::uint64_t& exported) {
-      const std::uint64_t current = live.load(std::memory_order_relaxed);
-      registry_.counter(name).increment(
-          static_cast<double>(current - exported));
-      exported = current;
-    };
-    fold_class("serve.responses.2xx", responses_2xx_, exported_2xx_);
-    fold_class("serve.responses.4xx", responses_4xx_, exported_4xx_);
-    fold_class("serve.responses.5xx", responses_5xx_, exported_5xx_);
-    // Exact-count percentiles per endpoint (the LogHistogram walks true
-    // bucket counts; ~2.5% relative error from bucket width alone).
-    for (const EndpointMetrics* endpoint : endpoints_) {
-      const obs::LogHistogram& latency = endpoint->latency_seconds;
-      if (latency.count() == 0) continue;
-      const std::string prefix = "serve.latency_seconds." + endpoint->name;
-      registry_.gauge(prefix + ".p50").set(latency.quantile(0.50));
-      registry_.gauge(prefix + ".p95").set(latency.quantile(0.95));
-      registry_.gauge(prefix + ".p99").set(latency.quantile(0.99));
-      registry_.gauge(prefix + ".p999").set(latency.quantile(0.999));
-    }
-    const obs::Tracer::Stats trace_stats = tracer_.stats();
-    registry_.gauge("serve.trace.spans_recorded")
-        .set(static_cast<double>(trace_stats.spans_recorded));
-    registry_.gauge("serve.trace.spans_evicted")
-        .set(static_cast<double>(trace_stats.spans_evicted));
-    text = registry_.prometheus_text();
-    // Full latency distributions: one log-bucketed histogram exposition
-    // block per endpoint that has served anything.
-    for (const EndpointMetrics* endpoint : endpoints_) {
-      if (endpoint->latency_seconds.count() == 0) continue;
-      text += endpoint->latency_seconds.prometheus_text(
-          obs::sanitize_metric_name("serve.latency_seconds." +
-                                    endpoint->name));
+  const auto set = [this](std::string_view name, double value) {
+    registry_.gauge(name).set(value);
+  };
+  if (server_ != nullptr) {
+    const Server::Stats& stats = server_->stats();
+    set("serve.connections.accepted",
+        static_cast<double>(stats.accepted.load()));
+    set("serve.connections.shed", static_cast<double>(stats.shed.load()));
+    set("serve.requests.served", static_cast<double>(stats.requests.load()));
+    set("serve.accept_errors", static_cast<double>(stats.accept_errors.load()));
+    set("serve.timeouts", static_cast<double>(stats.timeouts.load()));
+    // Connection-lifecycle gauges: what the reactor holds right now.
+    set("serve.connections.active",
+        static_cast<double>(stats.connections_active.load()));
+    set("serve.connections.idle_keepalive",
+        static_cast<double>(stats.connections_idle.load()));
+    // Per-event-loop snapshots (loop index = thread owning the epoll
+    // set): owned connections, dispatched-but-unanswered requests, and
+    // completions waiting to be drained.
+    const std::vector<LoopStats> loops = server_->loop_stats();
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+      const std::string prefix = "serve.loop" + std::to_string(i);
+      set(prefix + ".connections", static_cast<double>(loops[i].connections));
+      set(prefix + ".inflight", static_cast<double>(loops[i].inflight));
+      set(prefix + ".queue_depth", static_cast<double>(loops[i].queue_depth));
     }
   }
+  const obs::Tracer::Stats trace_stats = tracer_.stats();
+  set("serve.trace.spans_recorded",
+      static_cast<double>(trace_stats.spans_recorded));
+  set("serve.trace.spans_evicted",
+      static_cast<double>(trace_stats.spans_evicted));
 
   util::HttpResponse response;
   response.content_type = "text/plain; version=0.0.4";
-  response.body = std::move(text);
+  response.body = registry_.prometheus_text();
   return response;
 }
 
@@ -569,12 +525,8 @@ util::HttpResponse App::handle_trace(const util::HttpRequest& request) {
   // Newest-N window; 0 means everything retained.  The body is a live
   // view (ids and timestamps), outside the byte-identity contract.
   std::size_t last = 512;
-  for (const auto& [key, value] : util::parse_query(request.query())) {
-    if (key != "last") continue;
-    const double parsed = util::parse_double_flag(key, value);
-    util::require(parsed >= 0, "last must be >= 0");
-    last = static_cast<std::size_t>(parsed);
-  }
+  for (const auto& [key, value] : util::parse_query(request.query()))
+    if (key == "last") last = util::parse_u64_flag(key, value);
   util::HttpResponse response;
   response.body = tracer_.trace_events_json(last).dump() + "\n";
   return response;

@@ -19,11 +19,11 @@
 //   GET|POST /v1/svg   roofline render (image/svg+xml); GET takes query
 //                      parameters, POST the /v1/roofline body.
 //   GET /healthz       liveness probe ("ok").
-//   GET /metrics       Prometheus text exposition: per-endpoint request
-//                      counters, exact-percentile latency telemetry
-//                      (p50/p95/p99/p99.9 gauges + log-bucketed
-//                      histograms), connection counters, and tracer
-//                      stats.
+//   GET /metrics       Prometheus text exposition of the app's metrics
+//                      registry: per-endpoint request counters,
+//                      exact-percentile latency telemetry (log-bucketed
+//                      histograms + p50/p95/p99/p99.9 gauges), connection
+//                      counters, and tracer stats.
 //   GET /debug/trace   the newest retained request/sweep spans as Chrome
 //                      Trace Event JSON (?last=N; docs/OBSERVABILITY.md).
 //
@@ -32,20 +32,17 @@
 // worker count.  /healthz is constant; /metrics and /debug/* are live
 // views and are exempt from the byte-identity contract.
 //
-// Hot-path observation is lock-free: endpoints are pre-registered at
-// construction as atomic counters plus an obs::LogHistogram each, so
-// concurrent workers record telemetry without a shared mutex (that lock
-// now exists only inside the /metrics scrape, where the atomics fold
-// into the registry with delta semantics).
+// Hot-path observation is lock-free: every endpoint's request counter and
+// latency histogram is registered in the app's obs::MetricsRegistry at
+// construction, and observed() records into those references with three
+// relaxed atomic updates.  /metrics renders the registry itself, so each
+// series is exported exactly once.
 //
 // Handlers map domain errors to statuses: malformed JSON / bad values to
 // 400, unknown presets to 400, oversized grids to 400; anything escaping
 // a handler becomes the Server's deterministic 500.
 
 #include <array>
-#include <atomic>
-#include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "exec/sweep.hpp"
@@ -111,19 +108,16 @@ class App {
   std::string drain_summary() const;
 
  private:
-  /// Pre-registered lock-free telemetry for one endpoint: the hot path
-  /// is two relaxed atomic increments plus one lock-free histogram
-  /// record — no shared mutex.
+  /// One endpoint's registry instruments.  Recording a request is two
+  /// relaxed atomic updates here plus one on its response-class counter.
   struct EndpointMetrics {
-    explicit EndpointMetrics(std::string endpoint_name)
-        : name(std::move(endpoint_name)) {}
     std::string name;
-    std::atomic<std::uint64_t> requests{0};
-    obs::LogHistogram latency_seconds;
-    /// Requests already folded into the registry counter (delta export;
-    /// guarded by metrics_mutex_).
-    std::uint64_t exported_requests = 0;
+    obs::Counter& requests;
+    obs::LogHistogram& latency_seconds;
   };
+  /// Registers `serve.requests.<name>` and
+  /// `serve.latency_seconds.<name>`.
+  EndpointMetrics endpoint_metrics(std::string name);
 
   /// Wraps a handler with per-endpoint observation: counts the request,
   /// times it into the endpoint's latency histogram, opens a handler
@@ -137,27 +131,21 @@ class App {
   AppOptions options_;
   exec::SweepRunner runner_;
   obs::Tracer tracer_;
-  EndpointMetrics roofline_metrics_{"roofline"};
-  EndpointMetrics import_metrics_{"import"};
-  EndpointMetrics sweep_metrics_{"sweep"};
-  EndpointMetrics svg_metrics_{"svg"};
-  EndpointMetrics healthz_metrics_{"healthz"};
-  EndpointMetrics metrics_metrics_{"metrics"};
-  EndpointMetrics trace_metrics_{"trace"};
+  obs::MetricsRegistry registry_;
+  EndpointMetrics roofline_metrics_ = endpoint_metrics("roofline");
+  EndpointMetrics import_metrics_ = endpoint_metrics("import");
+  EndpointMetrics sweep_metrics_ = endpoint_metrics("sweep");
+  EndpointMetrics svg_metrics_ = endpoint_metrics("svg");
+  EndpointMetrics healthz_metrics_ = endpoint_metrics("healthz");
+  EndpointMetrics metrics_metrics_ = endpoint_metrics("metrics");
+  EndpointMetrics trace_metrics_ = endpoint_metrics("trace");
   const std::array<EndpointMetrics*, 7> endpoints_{
       &roofline_metrics_, &import_metrics_,  &sweep_metrics_,
       &svg_metrics_,      &healthz_metrics_, &metrics_metrics_,
       &trace_metrics_};
-  std::atomic<std::uint64_t> responses_2xx_{0};
-  std::atomic<std::uint64_t> responses_4xx_{0};
-  std::atomic<std::uint64_t> responses_5xx_{0};
-  /// Guards only the /metrics scrape (registry fold + exported_* delta
-  /// state); never taken on the request hot path.
-  std::mutex metrics_mutex_;
-  std::uint64_t exported_2xx_ = 0;
-  std::uint64_t exported_4xx_ = 0;
-  std::uint64_t exported_5xx_ = 0;
-  obs::MetricsRegistry registry_;
+  obs::Counter& responses_2xx_ = registry_.counter("serve.responses.2xx");
+  obs::Counter& responses_4xx_ = registry_.counter("serve.responses.4xx");
+  obs::Counter& responses_5xx_ = registry_.counter("serve.responses.5xx");
   const Server* server_ = nullptr;
 };
 

@@ -59,19 +59,16 @@ void Simulator::attach_probe(obs::ResourceProbe* probe) {
 }
 
 void Simulator::export_metrics(obs::MetricsRegistry& registry) const {
-  auto set_counter = [&registry](const char* name, std::uint64_t value) {
-    obs::Counter& c = registry.counter(name);
-    const double delta = static_cast<double>(value) - c.value();
-    if (delta > 0.0) c.increment(delta);
+  const auto add = [&registry](const char* name, std::uint64_t value) {
+    registry.counter(name).increment(value);
   };
-  set_counter("engine.events_scheduled", stats_.events_scheduled);
-  set_counter("engine.events_processed", stats_.events_processed);
-  set_counter("engine.flows_started", stats_.flows_started);
-  set_counter("engine.background_flows_started",
-              stats_.background_flows_started);
-  set_counter("engine.flows_completed", stats_.flows_completed);
-  set_counter("engine.flows_cancelled", stats_.flows_cancelled);
-  set_counter("engine.heap_compactions", stats_.heap_compactions);
+  add("engine.events_scheduled", stats_.events_scheduled);
+  add("engine.events_processed", stats_.events_processed);
+  add("engine.flows_started", stats_.flows_started);
+  add("engine.background_flows_started", stats_.background_flows_started);
+  add("engine.flows_completed", stats_.flows_completed);
+  add("engine.flows_cancelled", stats_.flows_cancelled);
+  add("engine.heap_compactions", stats_.heap_compactions);
   registry.gauge("engine.event_payload_slots")
       .set(static_cast<double>(event_payload_slots()));
   registry.gauge("engine.live_flows")

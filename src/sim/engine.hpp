@@ -160,8 +160,9 @@ class Simulator {
   void attach_probe(obs::ResourceProbe* probe);
 
   /// Publishes the engine self-metrics into `registry` under "engine.*":
-  /// the EngineStats counters plus gauges for the event-slab high-water
-  /// mark and currently live flows.
+  /// adds the EngineStats counts to its counters and sets gauges for the
+  /// event-slab high-water mark and currently live flows.  Call once per
+  /// run; each call adds the counts again.
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:

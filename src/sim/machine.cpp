@@ -1,5 +1,7 @@
 #include "sim/machine.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
@@ -9,8 +11,9 @@ namespace wfr::sim {
 void MachineConfig::validate() const {
   util::require(total_nodes >= 1, "machine must have >= 1 node");
   auto non_negative = [this](double v, const char* field) {
-    util::require(v >= 0.0, util::format("machine '%s': %s must be >= 0",
-                                         name.c_str(), field));
+    util::require(v >= 0.0 && std::isfinite(v),
+                  util::format("machine '%s': %s must be finite and >= 0",
+                               name.c_str(), field));
   };
   non_negative(node_flops, "node_flops");
   non_negative(dram_gbs, "dram_gbs");

@@ -99,17 +99,16 @@ class Runner {
     if (options_.observe != nullptr) {
       obs::Observation& ob = *options_.observe;
       if (ob.sample_resources) sim_.attach_probe(&ob.probe);
-      queue_wait_ = &ob.registry.histogram("runner.queue_wait_seconds",
-                                           obs::default_seconds_buckets());
+      tasks_started_ = &ob.registry.counter("runner.tasks_started");
+      tasks_retried_ = &ob.registry.counter("runner.tasks_retried");
+      queue_wait_ = &ob.registry.histogram("runner.queue_wait_seconds");
       for (trace::Phase phase :
            {trace::Phase::kOverhead, trace::Phase::kExternalIn,
             trace::Phase::kFsRead, trace::Phase::kWork,
             trace::Phase::kFsWrite}) {
         phase_hist_[static_cast<std::size_t>(phase)] =
-            &ob.registry.histogram(
-                std::string("runner.phase_seconds.") +
-                    trace::phase_name(phase),
-                obs::default_seconds_buckets());
+            &ob.registry.histogram(std::string("runner.phase_seconds.") +
+                                   trace::phase_name(phase));
       }
     }
   }
@@ -170,8 +169,7 @@ class Runner {
         .set(trace_.makespan_seconds());
     ob.registry.gauge("runner.peak_nodes_used")
         .set(cluster_.peak_used_nodes());
-    ob.registry.counter("runner.tasks_completed")
-        .increment(static_cast<double>(completed_));
+    ob.registry.counter("runner.tasks_completed").increment(completed_);
   }
 
   void install_background_loads() {
@@ -222,7 +220,7 @@ class Runner {
     TaskState& st = states_[id];
     const dag::TaskSpec& t = graph_.task(id);
     if (options_.observe != nullptr) {
-      options_.observe->registry.counter("runner.tasks_started").increment();
+      tasks_started_->increment();
       queue_wait_->observe(sim_.now() - st.ready_seconds);
     }
     st.started = true;
@@ -347,8 +345,7 @@ class Runner {
     }
     ++st.record.attempts;
     st.phase_start = sim_.now();
-    if (options_.observe != nullptr)
-      options_.observe->registry.counter("runner.tasks_retried").increment();
+    if (options_.observe != nullptr) tasks_retried_->increment();
     run_overhead(id);  // restart from the top
     return true;
   }
@@ -385,8 +382,10 @@ class Runner {
   // Observation instruments, resolved once in the constructor so the hot
   // path pays a pointer indirection, not a registry lookup.  Null when
   // not observing.
-  obs::Histogram* queue_wait_ = nullptr;
-  std::array<obs::Histogram*, 5> phase_hist_{};
+  obs::Counter* tasks_started_ = nullptr;
+  obs::Counter* tasks_retried_ = nullptr;
+  obs::LogHistogram* queue_wait_ = nullptr;
+  std::array<obs::LogHistogram*, 5> phase_hist_{};
 };
 
 }  // namespace

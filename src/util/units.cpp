@@ -67,6 +67,8 @@ void split_number_and_unit(std::string_view text, double* number,
   char* end = nullptr;
   *number = std::strtod(begin, &end);
   if (end == begin) throw ParseError("no number in quantity: '" + s + "'");
+  if (!std::isfinite(*number))
+    throw ParseError("non-finite number in quantity: '" + s + "'");
   pos = static_cast<std::size_t>(end - begin);
   *unit = trim(s.substr(pos));
 }
@@ -102,6 +104,15 @@ std::string format_si(double value, std::string_view unit) {
 }
 
 namespace {
+
+// `number` in base units, rejecting a product that overflowed, e.g.
+// "1e300 EB".
+double scaled(double number, double factor, std::string_view text) {
+  const double value = number * factor;
+  if (!std::isfinite(value))
+    throw ParseError("quantity out of range: '" + std::string(text) + "'");
+  return value;
+}
 
 // Shared implementation: parses "<number> [prefix]<base>[/s]" where `base`
 // is a recognized unit word for the quantity kind.
@@ -146,7 +157,7 @@ double parse_quantity(std::string_view text, bool expect_rate,
     if (lu == lb) return number;  // no prefix
     if (lu.size() == lb.size() + 1 && lu.substr(1) == lb) {
       const double f = prefix_factor(u[0]);
-      if (f > 0.0) return number * f;
+      if (f > 0.0) return scaled(number, f, text);
     }
   }
   throw ParseError("unrecognized unit '" + unit + "' in '" +
@@ -181,9 +192,9 @@ double parse_seconds(std::string_view text) {
   if (u == "ms") return number * 1e-3;
   if (u == "us") return number * 1e-6;
   if (u == "min" || u == "mins" || u == "minute" || u == "minutes")
-    return number * kMinute;
+    return scaled(number, kMinute, text);
   if (u == "h" || u == "hr" || u == "hour" || u == "hours")
-    return number * kHour;
+    return scaled(number, kHour, text);
   throw ParseError("unrecognized time unit '" + unit + "' in '" +
                    std::string(text) + "'");
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -91,6 +93,22 @@ TEST(TaskSpec, ValidationRejectsNegativeVolumes) {
   t.demand.fs_read_bytes = 0.0;
   t.demand.overhead_seconds = -0.1;
   EXPECT_THROW(t.validate(), util::InvalidArgument);
+}
+
+TEST(TaskSpec, ValidationRejectsNonFiniteDemands) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    TaskSpec t;
+    t.name = "x";
+    t.demand.fs_read_bytes = bad;
+    EXPECT_THROW(t.validate(), util::InvalidArgument) << bad;
+    t.demand.fs_read_bytes = 0.0;
+    t.demand.flops_per_node = bad;
+    EXPECT_THROW(t.validate(), util::InvalidArgument) << bad;
+    t.demand.flops_per_node = 0.0;
+    t.demand.overhead_seconds = bad;
+    EXPECT_THROW(t.validate(), util::InvalidArgument) << bad;
+  }
 }
 
 TEST(TaskSpec, FixedDurationDefaultsToDerived) {

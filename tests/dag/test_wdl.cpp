@@ -79,6 +79,17 @@ TEST(Wdl, UnknownDemandKeyThrows) {
                util::ParseError);
 }
 
+TEST(Wdl, NonFiniteDemandQuantityThrows) {
+  // strtod accepts these; the loader must reject them, not deadlock the
+  // simulator on an infinite volume.
+  for (const char* value : {"inf GB", "nan GB", "1e300 EB"}) {
+    const std::string doc =
+        std::string(R"({"name": "inf-probe", "tasks": [{"name": "t", )") +
+        R"("demand": {"fs_read": ")" + value + R"("}}]})";
+    EXPECT_THROW(load_workflow(doc), util::ParseError) << value;
+  }
+}
+
 TEST(Wdl, CycleDetectedOnLoad) {
   EXPECT_THROW(load_workflow(R"({
     "tasks": [

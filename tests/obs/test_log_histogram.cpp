@@ -1,6 +1,6 @@
 // obs::LogHistogram: exact-rank percentile queries over log-spaced
 // buckets — edge cases (empty, single sample, sub-resolution, overflow),
-// monotonicity, merge determinism, and the Prometheus exposition
+// the constant layout, monotonicity, and the Prometheus exposition
 // round-trip (docs/OBSERVABILITY.md).
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/log_histogram.hpp"
-#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace wfr::obs {
@@ -59,21 +58,53 @@ TEST(LogHistogramTest, QuantileErrorIsBoundedByBucketWidth) {
 }
 
 TEST(LogHistogramTest, SubResolutionAndOverflowSamplesAreRetained) {
-  LogHistogram h(LogHistogramOptions{1e-3, 1.0, 1.05});
-  h.observe(1e-9);   // below min_value -> sub-resolution bucket
-  h.observe(-4.0);   // negative clamps to sub-resolution too
-  h.observe(123.0);  // above max_value -> overflow bucket
+  LogHistogram h;
+  h.observe(1e-9);  // below kMinValue -> sub-resolution bucket
+  h.observe(-4.0);  // negative clamps to sub-resolution too
+  h.observe(2e6);   // above kMaxValue -> overflow bucket
   EXPECT_EQ(h.count(), 3u);
   EXPECT_DOUBLE_EQ(h.min(), -4.0);
-  EXPECT_DOUBLE_EQ(h.max(), 123.0);
+  EXPECT_DOUBLE_EQ(h.max(), 2e6);
   const std::vector<LogHistogram::Bucket> buckets = h.nonzero_buckets();
   ASSERT_EQ(buckets.size(), 2u);
-  EXPECT_DOUBLE_EQ(buckets.front().upper_bound, 1e-3);
+  EXPECT_DOUBLE_EQ(buckets.front().upper_bound, LogHistogram::kMinValue);
   EXPECT_EQ(buckets.front().count, 2u);
   EXPECT_TRUE(std::isinf(buckets.back().upper_bound));
   EXPECT_EQ(buckets.back().count, 1u);
   // The overflow bucket reports the exact observed maximum.
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 123.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 2e6);
+}
+
+TEST(LogHistogramTest, ConstantLayoutResolvesOneMicrosecondToOneMillionSeconds) {
+  EXPECT_EQ(LogHistogram::kSlots,
+            static_cast<std::size_t>(std::ceil(
+                std::log(LogHistogram::kMaxValue / LogHistogram::kMinValue) /
+                std::log(LogHistogram::kGrowth))) +
+                2);
+  // Just inside the range: the last resolved bucket, whose bound covers
+  // kMaxValue.  At kMaxValue: the overflow bucket.
+  LogHistogram edge;
+  edge.observe(LogHistogram::kMaxValue * 0.999);
+  edge.observe(LogHistogram::kMaxValue);
+  const std::vector<LogHistogram::Bucket> buckets = edge.nonzero_buckets();
+  ASSERT_EQ(buckets.size(), 2u);
+  EXPECT_DOUBLE_EQ(buckets[0].upper_bound,
+                   LogHistogram::kMinValue *
+                       std::pow(LogHistogram::kGrowth,
+                                static_cast<double>(LogHistogram::kSlots - 2)));
+  EXPECT_GE(buckets[0].upper_bound, LogHistogram::kMaxValue);
+  EXPECT_TRUE(std::isinf(buckets[1].upper_bound));
+  // Simulated phases of minutes to days resolve to ~2.5%.
+  for (const double seconds : {200.0, 500.0, 86400.0, 5e5}) {
+    LogHistogram h;
+    h.observe(seconds);
+    h.observe(seconds * 1.001);
+    h.observe(seconds * 0.999);
+    ASSERT_LE(h.nonzero_buckets().size(), 2u) << seconds;
+    EXPECT_FALSE(std::isinf(h.nonzero_buckets().back().upper_bound))
+        << seconds;
+    EXPECT_NEAR(h.quantile(0.5), seconds, seconds * 0.025) << seconds;
+  }
 }
 
 TEST(LogHistogramTest, QuantilesAreMonotoneInQ) {
@@ -97,39 +128,18 @@ TEST(LogHistogramTest, QuantilesAreMonotoneInQ) {
   EXPECT_LE(h.quantile(0.99), h.max());
 }
 
-TEST(LogHistogramTest, MergeIsDeterministicAndOrderIndependent) {
-  LogHistogram a, b, ab, ba;
-  for (int i = 1; i <= 100; ++i) a.observe(i * 1e-5);
-  for (int i = 1; i <= 100; ++i) b.observe(i * 1e-3);
-  ab.merge(a);
-  ab.merge(b);
-  ba.merge(b);
-  ba.merge(a);
-  EXPECT_EQ(ab.count(), 200u);
-  EXPECT_EQ(ab.count(), ba.count());
-  EXPECT_DOUBLE_EQ(ab.sum(), ba.sum());
-  EXPECT_DOUBLE_EQ(ab.min(), ba.min());
-  EXPECT_DOUBLE_EQ(ab.max(), ba.max());
-  EXPECT_EQ(ab.snapshot().dump(), ba.snapshot().dump());
-  for (const double q : {0.5, 0.95, 0.999})
-    EXPECT_DOUBLE_EQ(ab.quantile(q), ba.quantile(q)) << q;
-}
-
-TEST(LogHistogramTest, MergeRejectsMismatchedLayouts) {
-  LogHistogram a;
-  LogHistogram b(LogHistogramOptions{1e-3, 1.0, 1.05});
-  EXPECT_THROW(a.merge(b), util::InvalidArgument);
-}
-
 TEST(LogHistogramTest, PrometheusExpositionRoundTripsBucketCounts) {
   LogHistogram h;
   for (int i = 1; i <= 500; ++i) h.observe(i * 2e-5);
   h.observe(1e-9);
   h.observe(500.0);
+  h.observe(5e6);  // overflow: the +Inf bucket is a real bucket
   const std::string text = h.prometheus_text("wfr_latency_seconds");
   EXPECT_NE(text.find("# TYPE wfr_latency_seconds histogram"),
             std::string::npos);
-  EXPECT_NE(text.find("wfr_latency_seconds_count 502\n"), std::string::npos);
+  EXPECT_NE(text.find("wfr_latency_seconds_bucket{le=\"+Inf\"} 503\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("wfr_latency_seconds_count 503\n"), std::string::npos);
 
   // Parse the cumulative le series back and de-accumulate: the result
   // must equal nonzero_buckets() exactly.
@@ -184,15 +194,6 @@ TEST(LogHistogramTest, ConcurrentObserversLoseNothing) {
   for (const LogHistogram::Bucket& bucket : h.nonzero_buckets())
     bucket_total += bucket.count;
   EXPECT_EQ(bucket_total, h.count());
-}
-
-TEST(LogHistogramTest, ResetDropsEverything) {
-  LogHistogram h;
-  h.observe(0.5);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.99), 0.0);
-  EXPECT_TRUE(h.nonzero_buckets().empty());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // graceful drain, /metrics, and the byte-identity contract across worker
 // counts (docs/SERVER.md).
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -487,6 +488,60 @@ TEST(ServeTest, MetricsExposeRequestCountersAndLatencies) {
   EXPECT_NE(text.find("serve_latency_seconds_roofline_count 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("serve_connections_accepted"), std::string::npos);
+  // Endpoints that were never hit export an empty histogram, like their
+  // request counters.
+  EXPECT_NE(text.find("serve_requests_import 0\n"), std::string::npos);
+  EXPECT_NE(text.find("serve_latency_seconds_import_bucket{le=\"+Inf\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("serve_latency_seconds_import_count 0\n"),
+            std::string::npos);
+}
+
+TEST(ServeTest, MetricsStayExactUnderConcurrentScrapes) {
+  // Requests record straight into the registry's instruments while
+  // another connection scrapes /metrics in a loop; nothing is lost or
+  // counted twice.
+  AppServer server;
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 25;
+  std::atomic<bool> sending{true};
+  std::thread scraper([&server, &sending] {
+    LoopbackClient client(server.port());
+    do {
+      EXPECT_EQ(client.request("GET", "/metrics").status, 200);
+    } while (sending.load());
+  });
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&server] {
+      LoopbackClient client(server.port());
+      for (int i = 0; i < kPerClient; ++i)
+        EXPECT_EQ(client.request("POST", "/v1/roofline", kRooflineBody).status,
+                  200);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  sending.store(false);
+  scraper.join();
+
+  LoopbackClient client(server.port());
+  const std::string text = client.request("GET", "/metrics").body;
+  const std::string total = std::to_string(kClients * kPerClient);
+  EXPECT_NE(text.find("\nserve_requests_roofline " + total + "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nserve_latency_seconds_roofline_count " + total +
+                      "\n"),
+            std::string::npos);
+  // Every earlier scrape has been counted, all as 2xx.
+  const std::size_t scrapes_at = text.find("\nserve_requests_metrics ");
+  ASSERT_NE(scrapes_at, std::string::npos);
+  const long scrapes = std::stol(text.substr(scrapes_at + 24));
+  EXPECT_GE(scrapes, 1);
+  EXPECT_NE(text.find("\nserve_responses_2xx " +
+                      std::to_string(kClients * kPerClient + scrapes) + "\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(ServeTest, MetricsDoubleScrapeDoesNotDoubleCountSweepTotals) {
@@ -656,6 +711,27 @@ TEST(ServeTest, DebugTraceHonorsLastWindow) {
   for (const util::Json& event : doc.at("traceEvents").as_array())
     complete += event.at("ph").as_string() == "X";
   EXPECT_EQ(complete, 1u);
+}
+
+TEST(ServeTest, DebugTraceRejectsNonIntegerLast) {
+  AppServer server;
+  LoopbackClient client(server.port());
+  for (int i = 0; i < 3; ++i) client.request("GET", "/healthz");
+  // Fractions, exponents, negatives and overflow are rejected, not
+  // truncated or cast out of range.
+  for (const char* last : {"2.5", "1e300", "-1", "abc", "",
+                           "99999999999999999999"}) {
+    const ClientResponse response =
+        client.request("GET", std::string("/debug/trace?last=") + last);
+    EXPECT_EQ(response.status, 400) << last;
+  }
+  // last=0 still means everything retained.
+  const util::Json doc =
+      util::Json::parse(client.request("GET", "/debug/trace?last=0").body);
+  std::size_t complete = 0;
+  for (const util::Json& event : doc.at("traceEvents").as_array())
+    complete += event.at("ph").as_string() == "X";
+  EXPECT_GE(complete, 3u);
 }
 
 TEST(ServeTest, DisabledTracerExportsNothingAndServes) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -43,6 +45,15 @@ TEST(Machine, ValidationRejectsBadConfigs) {
   EXPECT_THROW(m.validate(), util::InvalidArgument);
   m = perlmutter_gpu();
   m.fs_gbs = -1.0;
+  EXPECT_THROW(m.validate(), util::InvalidArgument);
+  m = perlmutter_gpu();
+  m.fs_gbs = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(m.validate(), util::InvalidArgument);
+  m = perlmutter_gpu();
+  m.node_flops = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(m.validate(), util::InvalidArgument);
+  m = perlmutter_gpu();
+  m.external_gbs = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(m.validate(), util::InvalidArgument);
 }
 

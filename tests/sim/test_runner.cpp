@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "trace/summary.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -534,8 +536,10 @@ TEST(Observation, RunnerReportsWorkflowMetrics) {
 
   const obs::MetricsRegistry& reg = observation.registry;
   ASSERT_NE(reg.find_counter("runner.tasks_started"), nullptr);
-  EXPECT_EQ(reg.find_counter("runner.tasks_started")->value(), 4.0);
-  EXPECT_EQ(reg.find_counter("runner.tasks_completed")->value(), 4.0);
+  EXPECT_EQ(reg.find_counter("runner.tasks_started")->value(), 4u);
+  EXPECT_EQ(reg.find_counter("runner.tasks_completed")->value(), 4u);
+  ASSERT_NE(reg.find_counter("runner.tasks_retried"), nullptr);
+  EXPECT_EQ(reg.find_counter("runner.tasks_retried")->value(), 0u);
   ASSERT_NE(reg.find_histogram("runner.queue_wait_seconds"), nullptr);
   EXPECT_EQ(reg.find_histogram("runner.queue_wait_seconds")->count(), 4u);
   // The three stages had a work phase; merge (0 flops) produced none.
@@ -546,9 +550,37 @@ TEST(Observation, RunnerReportsWorkflowMetrics) {
   EXPECT_EQ(reg.find_histogram("runner.phase_seconds.fs_read")->count(), 1u);
   // Engine self-metrics arrive through the same registry.
   ASSERT_NE(reg.find_counter("engine.events_processed"), nullptr);
-  EXPECT_GT(reg.find_counter("engine.events_processed")->value(), 0.0);
+  EXPECT_GT(reg.find_counter("engine.events_processed")->value(), 0u);
   ASSERT_NE(reg.find_gauge("runner.makespan_seconds"), nullptr);
   EXPECT_GT(reg.find_gauge("runner.makespan_seconds")->value(), 0.0);
+}
+
+TEST(Observation, PhasesBeyondOneHundredSecondsResolve) {
+  // A chain of ingest phases of 200, 210 and 220 s at 5 GB/s: each lands
+  // in a resolved bucket, not the overflow bucket, and the median reads
+  // back within the 2.5% bucket error.
+  WorkflowGraph g("long-phases");
+  dag::TaskId previous = 0;
+  for (int i = 0; i < 3; ++i) {
+    TaskSpec t = compute_task("ingest" + std::to_string(i), 0.0);
+    t.demand.external_in_bytes = (200.0 + 10.0 * i) * 5e9;
+    const dag::TaskId id = g.add_task(t);
+    if (i > 0) g.add_dependency(previous, id);
+    previous = id;
+  }
+  obs::Observation observation;
+  RunOptions opts;
+  opts.observe = &observation;
+  run_workflow_detailed(g, test_machine(), opts);
+
+  const obs::LogHistogram* ingest =
+      observation.registry.find_histogram("runner.phase_seconds.external_in");
+  ASSERT_NE(ingest, nullptr);
+  ASSERT_EQ(ingest->count(), 3u);
+  for (const obs::LogHistogram::Bucket& bucket : ingest->nonzero_buckets())
+    EXPECT_FALSE(std::isinf(bucket.upper_bound)) << bucket.upper_bound;
+  EXPECT_NEAR(ingest->quantile(0.5), 210.0, 210.0 * 0.025);
+  EXPECT_NEAR(ingest->max(), 220.0, 1e-6);
 }
 
 TEST(Observation, DoesNotPerturbTheSchedule) {
@@ -578,7 +610,7 @@ TEST(Observation, ResourceSamplingCanBeDisabled) {
   EXPECT_TRUE(r.resource_summaries.empty());
   // Metrics still flow.
   EXPECT_EQ(observation.registry.find_counter("runner.tasks_started")->value(),
-            4.0);
+            4u);
 }
 
 TEST(Observation, SummariesExposedOnRunResult) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace wfr::util {
@@ -55,6 +57,23 @@ TEST(Units, ParseBytesRejectsGarbage) {
   EXPECT_THROW(parse_bytes("fast"), ParseError);
   EXPECT_THROW(parse_bytes("5 parsecs"), ParseError);
   EXPECT_THROW(parse_bytes(""), Error);
+  // Non-finite numbers, strtod overflow, and a scaled overflow.
+  for (const char* text : {"inf GB", "nan GB", "-inf", "infinity", "NAN",
+                           "1e400 B", "1e300 EB"})
+    EXPECT_THROW(parse_bytes(text), ParseError) << text;
+}
+
+TEST(Units, ParseRateRejectsGarbage) {
+  EXPECT_THROW(parse_rate("fast/s"), ParseError);
+  for (const char* text : {"inf GB/s", "nan TB/s", "1e400 B/s", "1e300 EB/s"})
+    EXPECT_THROW(parse_rate(text), ParseError) << text;
+}
+
+TEST(Units, ParseFlopsRejectsGarbage) {
+  EXPECT_THROW(parse_flops("many FLOP"), ParseError);
+  for (const char* text : {"inf TFLOP", "nan FLOP", "1e400 FLOP",
+                           "1e300 EFLOP"})
+    EXPECT_THROW(parse_flops(text), ParseError) << text;
 }
 
 TEST(Units, ParseRate) {
@@ -85,6 +104,21 @@ TEST(Units, ParseSeconds) {
 
 TEST(Units, ParseSecondsRejectsUnknownUnit) {
   EXPECT_THROW(parse_seconds("3 fortnights"), ParseError);
+}
+
+TEST(Units, ParseSecondsRejectsGarbage) {
+  EXPECT_THROW(parse_seconds("soon"), ParseError);
+  for (const char* text : {"inf s", "nan", "-inf min", "1e400 s", "1e307 h",
+                           "1e307 min"})
+    EXPECT_THROW(parse_seconds(text), ParseError) << text;
+  // The error names the text.
+  try {
+    parse_seconds("1e307 h");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("'1e307 h'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Units, RoundTripThroughFormatAndParse) {
