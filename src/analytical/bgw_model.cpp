@@ -20,9 +20,9 @@ void BgwParams::validate() const {
 namespace {
 void check_nodes(int nodes) {
   util::require(nodes == kBgwSmallNodes || nodes == kBgwLargeNodes,
-                util::format("BGW scenarios are defined at %d or %d nodes "
-                             "per task (got %d)",
-                             kBgwSmallNodes, kBgwLargeNodes, nodes));
+                "BGW scenarios are defined at %d or %d nodes per task "
+                "(got %d)",
+                kBgwSmallNodes, kBgwLargeNodes, nodes);
 }
 }  // namespace
 

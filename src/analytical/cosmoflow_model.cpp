@@ -50,8 +50,8 @@ dag::WorkflowGraph cosmoflow_graph(const CosmoFlowParams& params,
   params.validate();
   util::require(instances >= 1, "need >= 1 instance");
   util::require(instances <= cosmoflow_max_instances(params),
-                util::format("%d instances exceed the %d-instance wall",
-                             instances, cosmoflow_max_instances(params)));
+                "%d instances exceed the %d-instance wall", instances,
+                cosmoflow_max_instances(params));
   const double epochs = static_cast<double>(params.epochs_per_instance);
   dag::WorkflowGraph g(util::format("cosmoflow-%d", instances));
   for (int i = 0; i < instances; ++i) {

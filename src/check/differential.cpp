@@ -24,6 +24,10 @@ DifferentialRunner::DifferentialRunner(CheckOptions options)
 
 namespace {
 
+ScenarioId scenario_id(const GenScenario& s) {
+  return {s.base_seed, s.case_seed, s.index, s.mode, s.topology, s.regime};
+}
+
 // Irregular-mode comparison: the roofline is an upper bound on arbitrary
 // DAGs (path argument for diagonal ceilings, capacity argument for
 // horizontal ones — see scenario_gen.hpp), so assert the bound plus the
@@ -31,7 +35,7 @@ namespace {
 CaseResult run_irregular_case(const GenScenario& scenario,
                               const CheckOptions& options) {
   CaseResult r;
-  r.scenario = scenario;
+  r.scenario = scenario_id(scenario);
   auto fail = [&r](std::string message) {
     r.failures.push_back(std::move(message));
   };
@@ -116,7 +120,7 @@ CaseResult DifferentialRunner::run_case(const GenScenario& scenario) const {
   if (scenario.mode == GenMode::kIrregular)
     return run_irregular_case(scenario, options_);
   CaseResult r;
-  r.scenario = scenario;
+  r.scenario = scenario_id(scenario);
   auto fail = [&r](std::string message) {
     r.failures.push_back(std::move(message));
   };
@@ -369,7 +373,10 @@ util::Json DifferentialRunner::repro_json(const CaseResult& result) const {
                                             result.scenario.base_seed))));
   o.set("index", util::Json(static_cast<std::int64_t>(result.scenario.index)));
   o.set("tolerance", util::Json(options_.tolerance));
-  o.set("scenario", result.scenario.to_json());
+  o.set("scenario", ScenarioGen(result.scenario.base_seed,
+                                result.scenario.mode)
+                        .generate(result.scenario.index)
+                        .to_json());
   o.set("predicted_tps", util::Json(result.predicted_tps));
   o.set("simulated_tps", util::Json(result.simulated_tps));
   o.set("relative_error", util::Json(result.relative_error));

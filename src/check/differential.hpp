@@ -47,9 +47,21 @@ struct CheckOptions {
   GenMode mode = GenMode::kRectangular;
 };
 
+/// Names a generated scenario: the fields the report table and the repro
+/// writer read.  ScenarioGen(base_seed, mode).generate(index) rebuilds the
+/// full scenario, so a result keeps no copy of its task list.
+struct ScenarioId {
+  std::uint64_t base_seed = 0;
+  std::uint64_t case_seed = 0;
+  std::size_t index = 0;
+  GenMode mode = GenMode::kRectangular;
+  Topology topology = Topology::kRectangular;
+  Regime regime = Regime::kCompute;
+};
+
 /// Outcome of one scenario's analytical-vs-simulated comparison.
 struct CaseResult {
-  GenScenario scenario;
+  ScenarioId scenario;
   double predicted_tps = 0.0;
   double simulated_tps = 0.0;
   double relative_error = 0.0;
@@ -95,10 +107,13 @@ class DifferentialRunner {
   CheckReport run() const;
 
   /// Compares one scenario's prediction against its simulation.
+  /// `scenario` is a ScenarioGen draw; the result records only its
+  /// ScenarioId.
   CaseResult run_case(const GenScenario& scenario) const;
 
-  /// Replayable divergence record (embeds the scenario, both throughputs,
-  /// and every failed assertion).
+  /// Replayable divergence record (embeds the scenario, regenerated from
+  /// the result's ScenarioId, both throughputs, and every failed
+  /// assertion).
   util::Json repro_json(const CaseResult& result) const;
 
   /// Re-runs the scenario recorded in a repro file: regenerates it from the

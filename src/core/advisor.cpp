@@ -122,9 +122,9 @@ WorkflowCharacterization scale_intra_task_parallelism(
   const double scaled_nodes = workflow.nodes_per_task * factor;
   const double rounded = std::nearbyint(scaled_nodes);
   util::require(rounded >= 1.0 && std::fabs(scaled_nodes - rounded) < 1e-9,
-                util::format("factor %g does not yield a whole node count "
-                             "from %d nodes/task",
-                             factor, workflow.nodes_per_task));
+                "factor %g does not yield a whole node count from %d "
+                "nodes/task",
+                factor, workflow.nodes_per_task);
   out.nodes_per_task = static_cast<int>(rounded);
 
   const double volume_scale = 1.0 / (factor * scaling_efficiency);

@@ -6,38 +6,32 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace wfr::core {
 
 double WorkflowCharacterization::throughput_tps() const {
-  util::require(has_measurement(),
-                "workflow '" + name + "' has no measured makespan");
+  util::require(has_measurement(), "workflow '%s' has no measured makespan",
+                name.c_str());
   util::require(makespan_seconds > 0.0, "measured makespan must be > 0");
   return static_cast<double>(total_tasks) / makespan_seconds;
 }
 
 double WorkflowCharacterization::target_throughput_tps() const {
-  util::require(has_target(), "workflow '" + name + "' has no target");
+  util::require(has_target(), "workflow '%s' has no target", name.c_str());
   util::require(target_makespan_seconds > 0.0, "target makespan must be > 0");
   return static_cast<double>(total_tasks) / target_makespan_seconds;
 }
 
 void WorkflowCharacterization::validate() const {
-  // Error text is built lazily: validate() runs once per grid point in a
-  // campaign sweep, so the happy path must not construct messages.
-  if (!(total_tasks >= 1))
-    throw util::InvalidArgument("total_tasks must be >= 1");
-  if (!(parallel_tasks >= 1))
-    throw util::InvalidArgument("parallel_tasks must be >= 1");
-  if (!(parallel_tasks <= total_tasks))
-    throw util::InvalidArgument("parallel_tasks cannot exceed total_tasks");
-  if (!(nodes_per_task >= 1))
-    throw util::InvalidArgument("nodes_per_task must be >= 1");
+  util::require(total_tasks >= 1, "total_tasks must be >= 1");
+  util::require(parallel_tasks >= 1, "parallel_tasks must be >= 1");
+  util::require(parallel_tasks <= total_tasks,
+                "parallel_tasks cannot exceed total_tasks");
+  util::require(nodes_per_task >= 1, "nodes_per_task must be >= 1");
   auto non_negative = [this](double v, const char* field) {
-    if (!(v >= 0.0 && std::isfinite(v)))
-      throw util::InvalidArgument(util::format(
-          "workflow '%s': %s must be finite and >= 0", name.c_str(), field));
+    util::require(v >= 0.0 && std::isfinite(v),
+                  "workflow '%s': %s must be finite and >= 0", name.c_str(),
+                  field);
   };
   non_negative(flops_per_node, "flops_per_node");
   non_negative(dram_bytes_per_node, "dram_bytes_per_node");

@@ -155,11 +155,10 @@ double RooflineModel::attainable_tps(double parallel_tasks) const {
 const Ceiling& RooflineModel::binding_ceiling(double parallel_tasks) const {
   util::require(parallel_tasks >= 1.0, "parallel_tasks must be >= 1");
   // Tolerate floating-point round-off when callers sample up to the wall.
-  util::require(parallel_tasks <=
-                    static_cast<double>(parallelism_wall()) * (1.0 + 1e-9),
-                util::format("%g parallel tasks exceeds the parallelism wall "
-                             "of %d",
-                             parallel_tasks, parallelism_wall()));
+  const int wall = parallelism_wall();
+  util::require(parallel_tasks <= static_cast<double>(wall) * (1.0 + 1e-9),
+                "%g parallel tasks exceeds the parallelism wall of %d",
+                parallel_tasks, wall);
   const Ceiling* best = nullptr;
   double best_tps = std::numeric_limits<double>::infinity();
   for (const Ceiling& c : ceilings_) {
@@ -286,24 +285,20 @@ void compute_ceilings(const SystemSpec& s,
                       const WorkflowCharacterization& w,
                       std::vector<CeilingSpec>& out) {
   out.clear();
-  // Error text is built only on the failing path: these lambdas run for
-  // every demanded channel of every grid point in a campaign sweep.  A
-  // seconds-per-task or throughput limit that is not finite and positive
+  // A seconds-per-task or throughput limit that is not finite and positive
   // (an extreme rate over- or underflowing) would reach the outputs as a
   // bare inf, so it is rejected here, where both sweep paths and
   // build_model pass.
   auto need = [&](double volume, double rate, const char* what) {
-    if (!(rate > 0.0))
-      throw util::InvalidArgument(
-          util::format("workflow '%s' demands %s but system '%s' "
-                       "lacks that channel",
-                       w.name.c_str(), what, s.name.c_str()));
+    util::require(rate > 0.0,
+                  "workflow '%s' demands %s but system '%s' lacks that "
+                  "channel",
+                  w.name.c_str(), what, s.name.c_str());
     const double seconds = volume / rate;
-    if (!(std::isfinite(seconds) && seconds > 0.0))
-      throw util::InvalidArgument(util::format(
-          "workflow '%s' needs %g s per task of %s on system '%s'; "
-          "it must be finite and > 0",
-          w.name.c_str(), seconds, what, s.name.c_str()));
+    util::require(std::isfinite(seconds) && seconds > 0.0,
+                  "workflow '%s' needs %g s per task of %s on system '%s'; "
+                  "it must be finite and > 0",
+                  w.name.c_str(), seconds, what, s.name.c_str());
     return seconds;
   };
   // Diagonal ceilings bound critical-path traversals (one per parallel
@@ -319,11 +314,11 @@ void compute_ceilings(const SystemSpec& s,
     out.push_back(c);
   };
   auto horizontal = [&](Channel channel, double tps_limit) {
-    if (!(std::isfinite(tps_limit) && tps_limit > 0.0))
-      throw util::InvalidArgument(util::format(
-          "workflow '%s' on system '%s': its %s ceiling of %g tasks/s "
-          "must be finite and > 0",
-          w.name.c_str(), s.name.c_str(), channel_name(channel), tps_limit));
+    util::require(std::isfinite(tps_limit) && tps_limit > 0.0,
+                  "workflow '%s' on system '%s': its %s ceiling of %g "
+                  "tasks/s must be finite and > 0",
+                  w.name.c_str(), s.name.c_str(), channel_name(channel),
+                  tps_limit);
     CeilingSpec c;
     c.kind = CeilingKind::kHorizontal;
     c.channel = channel;
@@ -359,10 +354,8 @@ void compute_ceilings(const SystemSpec& s,
                           "external"));
 
   const int wall = s.parallelism_wall(w.nodes_per_task);
-  if (!(wall >= 1))
-    throw util::InvalidArgument(
-        util::format("tasks of %d nodes do not fit on '%s' (%d nodes)",
-                     w.nodes_per_task, s.name.c_str(), s.total_nodes));
+  util::require(wall >= 1, "tasks of %d nodes do not fit on '%s' (%d nodes)",
+                w.nodes_per_task, s.name.c_str(), s.total_nodes);
   CeilingSpec c;
   c.kind = CeilingKind::kWall;
   c.channel = Channel::kParallelism;

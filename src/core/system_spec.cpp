@@ -10,14 +10,11 @@
 namespace wfr::core {
 
 void SystemSpec::validate() const {
-  // Error text is built lazily: validate() runs once per grid point in a
-  // campaign sweep, so the happy path must not construct messages.
-  if (!(total_nodes >= 1))
-    throw util::InvalidArgument("system must have >= 1 node");
+  util::require(total_nodes >= 1, "system must have >= 1 node");
   auto non_negative = [this](double v, const char* field) {
-    if (!(v >= 0.0 && std::isfinite(v)))
-      throw util::InvalidArgument(util::format(
-          "system '%s': %s must be finite and >= 0", name.c_str(), field));
+    util::require(v >= 0.0 && std::isfinite(v),
+                  "system '%s': %s must be finite and >= 0", name.c_str(),
+                  field);
   };
   non_negative(node.peak_flops, "node.peak_flops");
   non_negative(node.dram_gbs, "node.dram_gbs");
@@ -29,8 +26,7 @@ void SystemSpec::validate() const {
 }
 
 int SystemSpec::parallelism_wall(int nodes_per_task) const {
-  if (!(nodes_per_task >= 1))
-    throw util::InvalidArgument("nodes_per_task must be >= 1");
+  util::require(nodes_per_task >= 1, "nodes_per_task must be >= 1");
   return total_nodes / nodes_per_task;
 }
 

@@ -11,13 +11,13 @@ namespace wfr::core {
 
 double TaskViewEntry::tps() const {
   util::require(measured_seconds > 0.0,
-                "task view entry '" + label + "' has no measured time");
+                "task view entry '%s' has no measured time", label.c_str());
   return 1.0 / measured_seconds;
 }
 
 double TaskViewEntry::ceiling_tps() const {
   util::require(ceiling_seconds > 0.0,
-                "task view entry '" + label + "' has no node ceiling");
+                "task view entry '%s' has no node ceiling", label.c_str());
   return 1.0 / ceiling_seconds;
 }
 

@@ -11,7 +11,7 @@ namespace wfr::dag {
 TaskId WorkflowGraph::add_task(TaskSpec spec) {
   spec.validate();
   util::require(find_task_or_invalid(spec.name) == kInvalidTask,
-                "duplicate task name '" + spec.name + "'");
+                "duplicate task name '%s'", spec.name.c_str());
   const auto id = static_cast<TaskId>(tasks_.size());
   tasks_.push_back(std::move(spec));
   successors_.emplace_back();
@@ -22,8 +22,8 @@ TaskId WorkflowGraph::add_task(TaskSpec spec) {
 void WorkflowGraph::add_dependency(TaskId producer, TaskId consumer) {
   check_id(producer);
   check_id(consumer);
-  util::require(producer != consumer, "self-dependency on task '" +
-                                          tasks_[producer].name + "'");
+  util::require(producer != consumer, "self-dependency on task '%s'",
+                tasks_[producer].name.c_str());
   auto& succ = successors_[producer];
   if (std::find(succ.begin(), succ.end(), consumer) != succ.end()) return;
   succ.push_back(consumer);

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace wfr::dag {
 
@@ -93,11 +92,10 @@ Schedule schedule_workflow(const WorkflowGraph& graph,
   util::require(options.pool_nodes >= 1, "pool_nodes must be >= 1");
   for (std::size_t i = 0; i < durations.size(); ++i) {
     util::require(durations[i] >= 0.0, "task durations must be >= 0");
-    util::require(graph.task(static_cast<TaskId>(i)).nodes <= options.pool_nodes,
-                  util::format("task '%s' needs %d nodes but the pool has %d",
-                               graph.task(static_cast<TaskId>(i)).name.c_str(),
-                               graph.task(static_cast<TaskId>(i)).nodes,
-                               options.pool_nodes));
+    const TaskSpec& task = graph.task(static_cast<TaskId>(i));
+    util::require(task.nodes <= options.pool_nodes,
+                  "task '%s' needs %d nodes but the pool has %d",
+                  task.name.c_str(), task.nodes, options.pool_nodes);
   }
 
   Schedule schedule;

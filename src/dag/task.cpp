@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace wfr::dag {
 
@@ -46,12 +45,12 @@ ResourceDemand ResourceDemand::scaled(double factor) const {
 void TaskSpec::validate() const {
   util::require(!name.empty(), "task name must be non-empty");
   util::require(nodes >= 1,
-                util::format("task '%s': nodes must be >= 1 (got %d)",
-                             name.c_str(), nodes));
+                "task '%s': nodes must be >= 1 (got %d)", name.c_str(),
+                nodes);
   auto non_negative = [&](double v, const char* field) {
     util::require(v >= 0.0 && std::isfinite(v),
-                  util::format("task '%s': %s must be finite and >= 0",
-                               name.c_str(), field));
+                  "task '%s': %s must be finite and >= 0", name.c_str(),
+                  field);
   };
   non_negative(demand.external_in_bytes, "external_in_bytes");
   non_negative(demand.fs_read_bytes, "fs_read_bytes");

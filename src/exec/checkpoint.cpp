@@ -111,32 +111,36 @@ SweepCheckpoint validate_resume(const std::string& checkpoint_path,
                                 std::uint64_t shard_rows,
                                 const std::string& ndjson_path) {
   const SweepCheckpoint ckpt = load_checkpoint(checkpoint_path);
-  util::require(ckpt.grid_hash == grid_hash,
-                "checkpoint '" + checkpoint_path +
-                    "' does not match this sweep grid (checkpoint " +
-                    util::to_hex(ckpt.grid_hash) + ", grid " +
-                    util::to_hex(grid_hash) + ")");
+  if (ckpt.grid_hash != grid_hash)
+    throw util::InvalidArgument(
+        "checkpoint '" + checkpoint_path +
+        "' does not match this sweep grid (checkpoint " +
+        util::to_hex(ckpt.grid_hash) + ", grid " + util::to_hex(grid_hash) +
+        ")");
   util::require(
       ckpt.shard.count == shard.count && ckpt.shard.index == shard.index &&
           ckpt.shard.mode == shard.mode,
-      util::format("checkpoint '%s' was written by shard %d/%d (%s) but "
-                   "this run is shard %d/%d (%s)",
-                   checkpoint_path.c_str(), ckpt.shard.index,
-                   ckpt.shard.count, shard_mode_name(ckpt.shard.mode),
-                   shard.index, shard.count, shard_mode_name(shard.mode)));
+      "checkpoint '%s' was written by shard %d/%d (%s) but this run is "
+      "shard %d/%d (%s)",
+      checkpoint_path.c_str(), ckpt.shard.index, ckpt.shard.count,
+      shard_mode_name(ckpt.shard.mode), shard.index, shard.count,
+      shard_mode_name(shard.mode));
   util::require(ckpt.rows <= shard_rows,
-                "checkpoint '" + checkpoint_path + "' records " +
-                    std::to_string(ckpt.rows) + " rows but the grid has " +
-                    std::to_string(shard_rows) + " points");
+                "checkpoint '%s' records %llu rows but the grid has %llu "
+                "points",
+                checkpoint_path.c_str(),
+                static_cast<unsigned long long>(ckpt.rows),
+                static_cast<unsigned long long>(shard_rows));
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(ndjson_path, ec);
   if (ec)
     throw util::Error("cannot read '" + ndjson_path +
                       "' for resume: " + ec.message());
   util::require(size >= ckpt.ndjson_bytes,
-                "'" + ndjson_path + "' is shorter than checkpoint '" +
-                    checkpoint_path + "' records (" + std::to_string(size) +
-                    " < " + std::to_string(ckpt.ndjson_bytes) + " bytes)");
+                "'%s' is shorter than checkpoint '%s' records (%ju < %llu "
+                "bytes)",
+                ndjson_path.c_str(), checkpoint_path.c_str(), size,
+                static_cast<unsigned long long>(ckpt.ndjson_bytes));
   // Rows emitted after the last checkpoint are re-evaluated: truncate the
   // file to the checkpointed byte count and append from there.
   if (size > ckpt.ndjson_bytes) {

@@ -24,11 +24,9 @@ ShardMode parse_shard_mode(const std::string& name) {
 }
 
 void ShardSpec::validate() const {
-  util::require(count >= 1,
-                util::format("shard count must be >= 1, got %d", count));
+  util::require(count >= 1, "shard count must be >= 1, got %d", count);
   util::require(index >= 0 && index < count,
-                util::format("shard index %d out of range [0, %d)", index,
-                             count));
+                "shard index %d out of range [0, %d)", index, count);
 }
 
 namespace {
@@ -80,7 +78,7 @@ void merge_shard_outputs(const std::vector<std::string>& paths,
   for (const std::string& path : paths) {
     parts.emplace_back(path, std::ios::binary);
     util::require(static_cast<bool>(parts.back()),
-                  "shard part '" + path + "': cannot open");
+                  "shard part '%s': cannot open", path.c_str());
   }
 
   // Re-interleave: one line per global row, read from the owning shard's

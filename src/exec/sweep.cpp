@@ -201,14 +201,11 @@ bool known_axis(const std::string& name) {
   return false;
 }
 
-// Error text is built only on the failing path — this runs per integer
-// axis per grid point.
 int positive_int_param(const std::string& name, double value) {
   const int rounded = static_cast<int>(std::llround(value));
-  if (!(rounded >= 1 && std::abs(value - rounded) < 1e-9))
-    throw util::InvalidArgument(
-        "sweep axis '" + name + "' needs positive integers, got " +
-        util::format("%g", value));
+  util::require(rounded >= 1 && std::abs(value - rounded) < 1e-9,
+                "sweep axis '%s' needs positive integers, got %g",
+                name.c_str(), value);
   return rounded;
 }
 
@@ -222,15 +219,15 @@ SweepGrid::SweepGrid(core::SystemSpec base_system,
       axes_(std::move(axes)) {
   for (std::size_t i = 0; i < axes_.size(); ++i) {
     const ParamAxis& axis = axes_[i];
-    util::require(known_axis(axis.name),
-                  "unknown sweep axis '" + axis.name + "'");
-    util::require(!axis.values.empty(),
-                  "sweep axis '" + axis.name + "' has no values");
+    util::require(known_axis(axis.name), "unknown sweep axis '%s'",
+                  axis.name.c_str());
+    util::require(!axis.values.empty(), "sweep axis '%s' has no values",
+                  axis.name.c_str());
     // A repeated axis would emit duplicate JSON keys in params{} — reject
     // it here, where the message can still name the axis.
     for (std::size_t j = 0; j < i; ++j)
-      util::require(axes_[j].name != axis.name,
-                    "duplicate sweep axis '" + axis.name + "'");
+      util::require(axes_[j].name != axis.name, "duplicate sweep axis '%s'",
+                    axis.name.c_str());
     util::require(points_ <= std::numeric_limits<std::size_t>::max() /
                                  axis.values.size(),
                   "sweep grid size overflows");
@@ -490,12 +487,12 @@ void SweepRunner::stream_lines(const SweepGrid& grid,
   const std::size_t rows = options.shard.rows(grid.size());
   if (options.shard.sharded()) {
     util::require(options.start_row <= rows,
-                  util::format("stream start_row %zu beyond shard (%zu rows)",
-                               options.start_row, rows));
+                  "stream start_row %zu beyond shard (%zu rows)",
+                  options.start_row, rows);
   } else {
     util::require(options.start_row <= rows,
-                  util::format("stream start_row %zu beyond grid (%zu points)",
-                               options.start_row, rows));
+                  "stream start_row %zu beyond grid (%zu points)",
+                  options.start_row, rows);
   }
   const std::size_t total = grid.size();
   const ShardSpec shard = options.shard;

@@ -14,14 +14,14 @@
 namespace wfr::roofline {
 
 double KernelSample::arithmetic_intensity() const {
-  util::require(bytes > 0.0,
-                "kernel '" + name + "' moved no bytes; AI undefined");
+  util::require(bytes > 0.0, "kernel '%s' moved no bytes; AI undefined",
+                name.c_str());
   return flops / bytes;
 }
 
 double KernelSample::achieved_flops() const {
   util::require(seconds > 0.0,
-                "kernel '" + name + "' has no duration; FLOP/s undefined");
+                "kernel '%s' has no duration; FLOP/s undefined", name.c_str());
   return flops / seconds;
 }
 
@@ -47,15 +47,15 @@ NodeRoofline NodeRoofline::from_system(const core::SystemSpec& system) {
     r.add_bandwidth("PCIe", system.node.pcie_gbs);
   if (system.node.nic_gbs > 0.0) r.add_bandwidth("NIC", system.node.nic_gbs);
   util::require(!r.bandwidths_.empty(),
-                "system '" + system.name + "' has no node data channels");
+                "system '%s' has no node data channels", system.name.c_str());
   return r;
 }
 
 void NodeRoofline::add_bandwidth(std::string label, double bytes_per_second) {
   util::require(bytes_per_second > 0.0, "bandwidth must be > 0");
   for (const BandwidthCeiling& b : bandwidths_)
-    util::require(b.label != label,
-                  "duplicate bandwidth level '" + label + "'");
+    util::require(b.label != label, "duplicate bandwidth level '%s'",
+                  label.c_str());
   bandwidths_.push_back(BandwidthCeiling{std::move(label), bytes_per_second});
 }
 

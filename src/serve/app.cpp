@@ -363,16 +363,15 @@ util::HttpResponse App::handle_sweep(const util::HttpRequest& request) {
     for (const util::Json& value : values.as_array())
       axis.values.push_back(value.as_number());
     util::require(!axis.values.empty(),
-                  "axis '" + name + "' must list at least one value");
+                  "axis '%s' must list at least one value", name.c_str());
     points *= axis.values.size();
-    util::require(
-        points <= cap,
-        shard.sharded()
-            ? "grid exceeds " + std::to_string(options_.max_sweep_points) +
-                  " points per shard across " + std::to_string(shard.count) +
-                  " shards"
-            : "grid exceeds " + std::to_string(options_.max_sweep_points) +
-                  " points");
+    if (shard.sharded())
+      util::require(points <= cap,
+                    "grid exceeds %zu points per shard across %d shards",
+                    options_.max_sweep_points, shard.count);
+    else
+      util::require(points <= cap, "grid exceeds %zu points",
+                    options_.max_sweep_points);
     axes.push_back(std::move(axis));
   }
 

@@ -108,7 +108,8 @@ void Server::route(const std::string& method, const std::string& path,
   const bool inserted =
       routes_.emplace(std::make_pair(method, path), std::move(handler))
           .second;
-  util::require(inserted, "duplicate route " + method + " " + path);
+  util::require(inserted, "duplicate route %s %s", method.c_str(),
+                path.c_str());
 }
 
 int Server::start() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace wfr::sim {
 
@@ -18,8 +17,8 @@ bool Cluster::can_fit(int count) const {
 bool Cluster::try_allocate(int count) {
   util::require(count >= 1, "allocation must request >= 1 node");
   util::require(count <= total_nodes_,
-                util::format("allocation of %d nodes exceeds cluster size %d",
-                             count, total_nodes_));
+                "allocation of %d nodes exceeds cluster size %d", count,
+                total_nodes_);
   if (count > free_nodes()) return false;
   used_nodes_ += count;
   peak_used_nodes_ = std::max(peak_used_nodes_, used_nodes_);
@@ -28,8 +27,7 @@ bool Cluster::try_allocate(int count) {
 
 void Cluster::release(int count) {
   util::require(count >= 1 && count <= used_nodes_,
-                util::format("release of %d nodes with %d in use", count,
-                             used_nodes_));
+                "release of %d nodes with %d in use", count, used_nodes_);
   used_nodes_ -= count;
 }
 

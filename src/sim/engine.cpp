@@ -31,8 +31,8 @@ constexpr double kPastTolerance = 1e-12;
 }  // namespace
 
 ResourceId Simulator::add_resource(std::string name, double capacity) {
-  util::require(capacity > 0.0, "resource capacity must be > 0 for '" +
-                                    name + "'");
+  util::require(capacity > 0.0, "resource capacity must be > 0 for '%s'",
+                name.c_str());
   Resource r;
   r.name = std::move(name);
   r.capacity = capacity;
@@ -92,8 +92,7 @@ void Simulator::schedule_at(double time, Callback callback) {
   const double tolerance =
       kPastTolerance * std::max(1.0, std::abs(now_));
   util::require(time >= now_ - tolerance,
-                util::format("cannot schedule in the past (%g < %g)", time,
-                             now_));
+                "cannot schedule in the past (%g < %g)", time, now_);
   std::size_t slot;
   if (!free_event_slots_.empty()) {
     slot = free_event_slots_.back();
@@ -307,8 +306,7 @@ bool Simulator::step() {
 void Simulator::run(double time_limit) {
   while (step()) {
     util::ensure(now_ <= time_limit,
-                 util::format("simulation exceeded time limit (%g s)",
-                              time_limit));
+                 "simulation exceeded time limit (%g s)", time_limit);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace wfr::sim {
@@ -12,8 +11,8 @@ void MachineConfig::validate() const {
   util::require(total_nodes >= 1, "machine must have >= 1 node");
   auto non_negative = [this](double v, const char* field) {
     util::require(v >= 0.0 && std::isfinite(v),
-                  util::format("machine '%s': %s must be finite and >= 0",
-                               name.c_str(), field));
+                  "machine '%s': %s must be finite and >= 0", name.c_str(),
+                  field);
   };
   non_negative(node_flops, "node_flops");
   non_negative(dram_gbs, "dram_gbs");

@@ -19,9 +19,8 @@ double channel_seconds(double volume, double rate, const char* channel,
                        const dag::TaskSpec& task) {
   if (volume <= 0.0) return 0.0;
   util::require(rate > 0.0,
-                util::format("task '%s' demands %s but the machine has no "
-                             "such channel",
-                             task.name.c_str(), channel));
+                "task '%s' demands %s but the machine has no such channel",
+                task.name.c_str(), channel);
   return volume / rate;
 }
 
@@ -91,8 +90,8 @@ class Runner {
       const dag::TaskSpec& t = graph_.task(id);
       util::require(
           t.nodes <= cluster_.total_nodes(),
-          util::format("task '%s' needs %d nodes but the pool has %d",
-                       t.name.c_str(), t.nodes, cluster_.total_nodes()));
+          "task '%s' needs %d nodes but the pool has %d", t.name.c_str(),
+          t.nodes, cluster_.total_nodes());
       // Fail fast on demands for missing channels.
       (void)uncontended_task_seconds(t, machine_);
     }
@@ -142,10 +141,8 @@ class Runner {
     sim_.schedule_after(0.0, [this] { launch_ready_tasks(); });
     sim_.run(options_.time_limit_seconds);
     util::ensure(completed_ == graph_.task_count(),
-                 util::format("workflow '%s' deadlocked: %zu of %zu tasks "
-                              "completed",
-                              graph_.name().c_str(), completed_,
-                              graph_.task_count()));
+                 "workflow '%s' deadlocked: %zu of %zu tasks completed",
+                 graph_.name().c_str(), completed_, graph_.task_count());
     if (options_.observe != nullptr) export_run_metrics();
     return std::move(trace_);
   }

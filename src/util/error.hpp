@@ -3,9 +3,12 @@
 //
 // The library throws exceptions derived from wfr::util::Error for
 // unrecoverable misuse (invalid specifications, parse failures, broken
-// invariants detected at API boundaries).  Hot paths (the simulator event
-// loop, model evaluation) validate inputs up front and are exception-free
-// afterwards.
+// invariants detected at API boundaries).  Checks stay on in every build,
+// including the per-event and per-task ones in the simulator: a check that
+// passes costs a compare and a call, and its message is formatted only when
+// it fails.  Pass require/ensure a printf format and its arguments rather
+// than a message built up front (scripts/check_lazy_messages.py rejects the
+// latter in src/).
 
 #include <stdexcept>
 #include <string>
@@ -42,10 +45,21 @@ class InternalError : public Error {
   explicit InternalError(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with `message` when `condition` is false.
+/// Throws InvalidArgument when `condition` is false, with the message
+/// printf-formatted from `fmt` and the arguments that follow.  Nothing is
+/// formatted when the check passes.  Data goes in the arguments, never in
+/// `fmt`: `require(ok, "task '%s'", name.c_str())`.
+void require(bool condition, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// Throws InvalidArgument with `message` when `condition` is false.  For a
+/// message that already exists as a string; building one just to pass it
+/// here costs its allocation on every passing call.
 void require(bool condition, const std::string& message);
 
-/// Throws InternalError with `message` when `condition` is false.
-void ensure(bool condition, const std::string& message);
+/// Throws InternalError when `condition` is false; the message is formatted
+/// as for require.
+void ensure(bool condition, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 }  // namespace wfr::util

@@ -91,17 +91,22 @@ std::string pad_left(std::string_view s, std::size_t w) {
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  std::string out = vformat(fmt, args);
   va_end(args);
+  return out;
+}
+
+std::string vformat(const char* fmt, va_list args) {
+  va_list measure;
+  va_copy(measure, args);
+  const int needed = std::vsnprintf(nullptr, 0, fmt, measure);
+  va_end(measure);
   std::string out;
   if (needed > 0) {
     out.resize(static_cast<std::size_t>(needed) + 1);
-    std::vsnprintf(out.data(), out.size(), fmt, args_copy);
+    std::vsnprintf(out.data(), out.size(), fmt, args);
     out.resize(static_cast<std::size_t>(needed));
   }
-  va_end(args_copy);
   return out;
 }
 

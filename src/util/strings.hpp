@@ -1,6 +1,7 @@
 #pragma once
 // Small string utilities shared across the library.
 
+#include <cstdarg>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +40,10 @@ std::string pad_left(std::string_view s, std::size_t w);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// format() over an argument list, which it consumes.
+std::string vformat(const char* fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
 
 /// Formats a double with the fewest digits that round-trip back to the same
 /// value.  The output contract: integers below 1e15 in magnitude print as

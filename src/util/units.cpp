@@ -148,7 +148,8 @@ double parse_quantity(std::string_view text, bool expect_rate,
                      ": '" + std::string(text) + "'");
 
   u = trim(u);
-  require(!u.empty(), "missing unit word in '" + std::string(text) + "'");
+  require(!u.empty(), "missing unit word in '%.*s'",
+          static_cast<int>(text.size()), text.data());
 
   // Try to match the unit word with an optional SI prefix character.
   for (std::string_view base : base_words) {

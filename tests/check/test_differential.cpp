@@ -23,11 +23,13 @@ TEST(DifferentialTest, ThirtySeedsAgreeAtDefaultTolerance) {
   const CheckReport report = runner.run();
   EXPECT_TRUE(report.all_passed()) << report.table();
   ASSERT_EQ(report.results.size(), 30u);
+  const ScenarioGen gen;
   for (const CaseResult& result : report.results) {
     EXPECT_TRUE(result.passed()) << "index " << result.scenario.index;
     EXPECT_LE(result.relative_error, runner.options().tolerance);
-    EXPECT_EQ(result.model_wall, result.scenario.expected_wall);
-    EXPECT_EQ(result.sim_peak_parallel, result.scenario.width);
+    const GenScenario scenario = gen.generate(result.scenario.index);
+    EXPECT_EQ(result.model_wall, scenario.expected_wall);
+    EXPECT_EQ(result.sim_peak_parallel, scenario.width);
     EXPECT_EQ(result.predicted_bound, result.expected_bound);
   }
 }
@@ -67,6 +69,11 @@ TEST(DifferentialTest, ReproRoundTripReplaysTheSameScenario) {
 
   const util::Json repro = strict_runner.repro_json(*divergent);
   EXPECT_EQ(repro_tolerance(repro), 0.0);
+  // The result names its scenario; the writer regenerates all of it.
+  const ScenarioId& id = divergent->scenario;
+  EXPECT_EQ(
+      repro.at("scenario").dump(),
+      ScenarioGen(id.base_seed, id.mode).generate(id.index).to_json().dump());
 
   // At the default tolerance the same scenario passes: the divergence was
   // the injected tolerance, not the model.
@@ -144,6 +151,7 @@ TEST(IrregularDifferentialTest, RooflineIsAnUpperBoundAcrossSeeds) {
   const CheckReport report = runner.run();
   EXPECT_TRUE(report.all_passed()) << report.table();
   ASSERT_EQ(report.results.size(), 60u);
+  const ScenarioGen gen(kDefaultBaseSeed, GenMode::kIrregular);
   for (const CaseResult& result : report.results) {
     EXPECT_TRUE(result.passed()) << "index " << result.scenario.index;
     // The upper-bound assertion itself, restated independently.
@@ -151,9 +159,10 @@ TEST(IrregularDifferentialTest, RooflineIsAnUpperBoundAcrossSeeds) {
               result.predicted_tps * (1.0 + runner.options().tolerance));
     EXPECT_GE(result.gap, 0.0);
     EXPECT_LE(result.gap, topology_gap_ceiling(result.scenario.topology));
-    EXPECT_EQ(result.model_wall, result.scenario.expected_wall);
+    const int expected_wall = gen.generate(result.scenario.index).expected_wall;
+    EXPECT_EQ(result.model_wall, expected_wall);
     EXPECT_GE(result.sim_peak_parallel, 1);
-    EXPECT_LE(result.sim_peak_parallel, result.scenario.expected_wall);
+    EXPECT_LE(result.sim_peak_parallel, expected_wall);
   }
 }
 
@@ -186,6 +195,10 @@ TEST(IrregularDifferentialTest, ReproRoundTripCarriesTheModeAndGap) {
   const util::Json repro = runner.repro_json(result);
   EXPECT_EQ(repro.at("gen").as_string(), "irregular");
   EXPECT_DOUBLE_EQ(repro.at("gap").as_number(), result.gap);
+  const ScenarioId& id = result.scenario;
+  EXPECT_EQ(
+      repro.at("scenario").dump(),
+      ScenarioGen(id.base_seed, id.mode).generate(id.index).to_json().dump());
 
   const CaseResult replayed = runner.replay(repro);
   EXPECT_TRUE(replayed.passed()) << (replayed.failures.empty()

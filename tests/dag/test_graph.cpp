@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -30,10 +31,25 @@ TEST(WorkflowGraph, AddTaskAssignsSequentialIds) {
   EXPECT_EQ(g.task_count(), 2u);
 }
 
+// The message of an InvalidArgument thrown by `fn`, or "" when none is.
+template <typename Fn>
+std::string invalid_argument_message(Fn fn) {
+  try {
+    fn();
+  } catch (const util::InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(WorkflowGraph, RejectsDuplicateNames) {
   WorkflowGraph g("w");
   g.add_task(simple_task("a"));
   EXPECT_THROW(g.add_task(simple_task("a")), util::InvalidArgument);
+  // A name is message data, never part of the format.
+  g.add_task(simple_task("a%sb"));
+  EXPECT_EQ(invalid_argument_message([&] { g.add_task(simple_task("a%sb")); }),
+            "duplicate task name 'a%sb'");
 }
 
 TEST(WorkflowGraph, FindTaskByName) {
@@ -49,6 +65,9 @@ TEST(WorkflowGraph, RejectsSelfDependency) {
   WorkflowGraph g("w");
   const TaskId a = g.add_task(simple_task("a"));
   EXPECT_THROW(g.add_dependency(a, a), util::InvalidArgument);
+  const TaskId b = g.add_task(simple_task("a%sb"));
+  EXPECT_EQ(invalid_argument_message([&] { g.add_dependency(b, b); }),
+            "self-dependency on task 'a%sb'");
 }
 
 TEST(WorkflowGraph, RejectsUnknownIds) {

@@ -77,17 +77,31 @@ TEST(LogClock, UptimeIsMonotonic) {
 
 TEST(ErrorHelpers, RequireThrowsInvalidArgument) {
   EXPECT_NO_THROW(require(true, "fine"));
+  EXPECT_NO_THROW(require(true, "x %d %s", 3, "y"));
   EXPECT_THROW(require(false, "nope"), InvalidArgument);
   try {
     require(false, "specific message");
   } catch (const InvalidArgument& e) {
     EXPECT_STREQ(e.what(), "specific message");
   }
+  try {
+    require(false, "x %d %s", 3, "y");
+    ADD_FAILURE() << "require(false, ...) returned";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "x 3 y");
+  }
 }
 
 TEST(ErrorHelpers, EnsureThrowsInternalError) {
   EXPECT_NO_THROW(ensure(true, "fine"));
+  EXPECT_NO_THROW(ensure(true, "x %d %s", 3, "y"));
   EXPECT_THROW(ensure(false, "bug"), InternalError);
+  try {
+    ensure(false, "x %d %s", 3, "y");
+    ADD_FAILURE() << "ensure(false, ...) returned";
+  } catch (const InternalError& e) {
+    EXPECT_STREQ(e.what(), "x 3 y");
+  }
 }
 
 TEST(ErrorHierarchy, AllDeriveFromError) {
