@@ -253,15 +253,14 @@ void BM_SweepScaling(benchmark::State& state) {
     const trace::WorkflowTrace t =
         sim::run_workflow(g, sim::perlmutter_cpu());
     benchmark::DoNotOptimize(t.makespan_seconds());
-    return exec::evaluate_model_scenario(point);
+    return core::build_model(point.system, point.workflow).parallelism_wall();
   };
 
   exec::ThreadPool pool(jobs);
   for (auto _ : state) {
-    const std::vector<exec::ScenarioResult> results =
-        exec::parallel_map<exec::ScenarioResult>(
-            pool, grid.size(),
-            [&grid, &eval](std::size_t i) { return eval(grid[i]); });
+    const std::vector<int> results = exec::parallel_map<int>(
+        pool, grid.size(),
+        [&grid, &eval](std::size_t i) { return eval(grid[i]); });
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() *

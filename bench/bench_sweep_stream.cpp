@@ -9,7 +9,7 @@
 // Three in-binary correctness floors exit the process nonzero when
 // violated (bugs, not perf regressions):
 //   * stream_matches_batch — stream_lines bytes of a small subgrid equal
-//     the buffering run_models + scenario_result_line bytes;
+//     the buffering run_models summaries written by append_result_line;
 //   * resume_matches — streaming rows [0,k) and [k,n) in two separate
 //     runner lifetimes concatenates to the uninterrupted byte sequence
 //     (the library-level checkpoint/resume contract);
@@ -129,9 +129,18 @@ int main() {
   std::string batch;
   {
     exec::SweepRunner runner({1});
-    for (const exec::ScenarioResult& r : runner.run_models(exec::expand_grid(
-             small.base_system(), small.base_workflow(), small.axes())))
-      batch += exec::scenario_result_line(r) + "\n";
+    const std::vector<exec::Scenario> scenarios = exec::expand_grid(
+        small.base_system(), small.base_workflow(), small.axes());
+    const std::vector<exec::ModelSummary> results =
+        runner.run_models(scenarios);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const exec::ModelSummary& r = results[i];
+      exec::append_result_line(batch, scenarios[i].label, scenarios[i].params,
+                               r.parallelism_wall, r.attainable_tps_at_wall,
+                               r.binding_label, r.binding_channel,
+                               r.slot_seconds, r.campaign_makespan_seconds);
+      batch += '\n';
+    }
   }
   std::string streamed;
   stream_into(small, 0, streamed);

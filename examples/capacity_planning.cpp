@@ -41,7 +41,7 @@ int main() {
       {{"efficiency", efficiencies}, {"nodes_per_task", factors}});
 
   exec::SweepRunner runner;
-  const std::vector<exec::ScenarioResult> results =
+  const std::vector<exec::ModelSummary> results =
       runner.run_models(scenarios);
 
   std::size_t next = 0;
@@ -52,9 +52,9 @@ int main() {
                            "best throughput", "campaign makespan"});
     table.set_align(1, util::Align::kRight);
     for (std::size_t i = 0; i < factors.size(); ++i, ++next) {
-      const exec::ScenarioResult& r = results[next];
+      const exec::ModelSummary& r = results[next];
       table.add_row(
-          {util::format("%d", r.scenario.workflow.nodes_per_task),
+          {util::format("%d", scenarios[next].workflow.nodes_per_task),
            util::format("%d", r.parallelism_wall),
            util::format_seconds(r.slot_seconds),
            util::format("%.3g tasks/s", r.attainable_tps_at_wall),

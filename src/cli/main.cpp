@@ -271,6 +271,15 @@ void print_usage() {
       "jobs resolution: --jobs > WFR_JOBS > hardware concurrency\n";
 }
 
+// --target on analyze and sweep: seconds or a duration ("10 min").  A
+// non-positive target is an error, never "no target".
+double parse_target(const std::string& text) {
+  const double seconds = util::parse_seconds(text);
+  util::require(seconds > 0.0, "--target must be > 0, got '%s'",
+                text.c_str());
+  return seconds;
+}
+
 void emit_model_outputs(const core::RooflineModel& model, const Args& args) {
   std::cout << model.report();
   if (!model.dots().empty()) std::cout << "\n" << core::advise(model).to_string();
@@ -290,7 +299,7 @@ int cmd_analyze(const Args& args) {
       sim::run_workflow(graph, system.to_machine());
   core::WorkflowCharacterization c = core::characterize_trace(graph, trace);
   if (auto target = args.get_optional("target"))
-    c.target_makespan_seconds = util::parse_seconds(*target);
+    c.target_makespan_seconds = parse_target(*target);
 
   core::RooflineModel model = core::build_model(system, c);
   std::cout << trace::describe_trace(trace) << "\n";
@@ -393,7 +402,6 @@ int cmd_run(const Args& args) {
     core::WorkflowCharacterization c =
         core::characterize_trace(graph, result.trace);
     core::RooflineModel model = core::build_model(system, c);
-    model.add_measured_dot();
     roofline::add_operating_point(&model, point);
     plot::write_roofline_svg(model, *svg);
     std::cout << "wrote " << *svg << "\n";
@@ -809,7 +817,7 @@ int cmd_sweep(const Args& args) {
         "sweep needs --characterization or --workflow");
   }
   if (auto target = args.get_optional("target"))
-    base.target_makespan_seconds = util::parse_seconds(*target);
+    base.target_makespan_seconds = parse_target(*target);
 
   std::vector<exec::ParamAxis> axes;
   for (const std::string& spec : args.get_all("param")) {
@@ -843,30 +851,34 @@ int cmd_sweep(const Args& args) {
   const std::vector<exec::Scenario> scenarios =
       exec::expand_grid(system, base, axes);
   exec::SweepRunner runner(options);
-  const std::vector<exec::ScenarioResult> results =
+  const std::vector<exec::ModelSummary> results =
       runner.run_models(scenarios);
 
   util::TextTable table({"scenario", "wall", "attainable", "binding ceiling",
                          "slot latency", "campaign makespan"});
   for (int column = 1; column <= 2; ++column)
     table.set_align(column, util::Align::kRight);
-  for (const exec::ScenarioResult& r : results) {
-    table.add_row({r.scenario.label, util::format("%d", r.parallelism_wall),
+  std::string ndjson;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const exec::Scenario& scenario = scenarios[i];
+    const exec::ModelSummary& r = results[i];
+    table.add_row({scenario.label, util::format("%d", r.parallelism_wall),
                    util::format("%.3g tasks/s", r.attainable_tps_at_wall),
                    r.binding_label,
                    r.slot_seconds > 0.0
                        ? util::format_seconds(r.slot_seconds)
                        : "-",
                    util::format_seconds(r.campaign_makespan_seconds)});
+    exec::append_result_line(ndjson, scenario.label, scenario.params,
+                             r.parallelism_wall, r.attainable_tps_at_wall,
+                             r.binding_label, r.binding_channel,
+                             r.slot_seconds, r.campaign_makespan_seconds);
+    ndjson += '\n';
   }
   std::cout << util::format("sweep of '%s' on '%s': %zu points\n\n",
                             base.name.c_str(), system.name.c_str(),
                             results.size());
   std::cout << table.str() << "\n";
-
-  std::string ndjson;
-  for (const exec::ScenarioResult& r : results)
-    ndjson += exec::scenario_result_line(r) + "\n";
   std::cout << ndjson;
   if (auto path = args.get_optional("ndjson")) {
     util::write_file(*path, ndjson);
@@ -880,19 +892,22 @@ int cmd_sweep(const Args& args) {
     // Multi-curve roofline: the first scenario's full model carries the
     // axes; every other scenario contributes its binding ceiling as an
     // extra labeled curve, and each point lands as a projected dot at its
-    // parallelism wall.
-    core::RooflineModel model = *results.front().model;
-    for (std::size_t i = 1; i < results.size(); ++i) {
-      core::Ceiling ceiling = results[i].model->binding_ceiling(
+    // parallelism wall.  Full models are built only for this overlay.
+    const auto model_of = [&scenarios](std::size_t i) {
+      return core::build_model(scenarios[i].system, scenarios[i].workflow);
+    };
+    core::RooflineModel model = model_of(0);
+    for (std::size_t i = 1; i < scenarios.size(); ++i) {
+      core::Ceiling ceiling = model_of(i).binding_ceiling(
           static_cast<double>(results[i].parallelism_wall));
-      ceiling.label = results[i].scenario.label + ": " + ceiling.label;
+      ceiling.label = scenarios[i].label + ": " + ceiling.label;
       model.add_ceiling(std::move(ceiling));
     }
-    for (const exec::ScenarioResult& r : results) {
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
       core::Dot dot;
-      dot.label = r.scenario.label;
-      dot.parallel_tasks = static_cast<double>(r.parallelism_wall);
-      dot.tps = r.attainable_tps_at_wall;
+      dot.label = scenarios[i].label;
+      dot.parallel_tasks = static_cast<double>(results[i].parallelism_wall);
+      dot.tps = results[i].attainable_tps_at_wall;
       dot.style = "projected";
       model.add_dot(std::move(dot));
     }

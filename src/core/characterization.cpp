@@ -91,8 +91,19 @@ WorkflowCharacterization WorkflowCharacterization::from_json(
   c.external_bytes_per_task = json.number_or("external_bytes_per_task", 0.0);
   c.overhead_seconds_per_task =
       json.number_or("overhead_seconds_per_task", 0.0);
-  c.makespan_seconds = json.number_or("makespan_seconds", -1.0);
-  c.target_makespan_seconds = json.number_or("target_makespan_seconds", -1.0);
+  // A present measurement or target must be a real duration: negative
+  // means "absent" only in memory, never in a file or a request.
+  const auto duration_field = [&json, &c](const char* key) {
+    const util::Json* value = json.as_object().find(key);
+    if (value == nullptr) return -1.0;
+    const double seconds = value->as_number();
+    util::require(std::isfinite(seconds) && seconds > 0.0,
+                  "workflow '%s': %s must be finite and > 0, got %g",
+                  c.name.c_str(), key, seconds);
+    return seconds;
+  };
+  c.makespan_seconds = duration_field("makespan_seconds");
+  c.target_makespan_seconds = duration_field("target_makespan_seconds");
   c.validate();
   return c;
 }

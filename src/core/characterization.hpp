@@ -68,6 +68,8 @@ struct WorkflowCharacterization {
   void validate() const;
 
   /// JSON round-trip (the CLI's --workflow characterization files).
+  /// from_json rejects a present makespan_seconds or
+  /// target_makespan_seconds that is not finite and > 0.
   util::Json to_json() const;
   static WorkflowCharacterization from_json(const util::Json& json);
 };

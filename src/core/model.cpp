@@ -39,20 +39,6 @@ bool is_node_channel(Channel channel) {
   }
 }
 
-double Ceiling::tps_at(double parallel_tasks) const {
-  switch (kind) {
-    case CeilingKind::kDiagonal:
-      return seconds_per_task > 0.0
-                 ? parallel_tasks * tasks_per_instance / seconds_per_task
-                 : std::numeric_limits<double>::infinity();
-    case CeilingKind::kHorizontal:
-      return tps_limit;
-    case CeilingKind::kWall:
-      return std::numeric_limits<double>::infinity();
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
 double CeilingSpec::tps_at(double parallel_tasks) const {
   switch (kind) {
     case CeilingKind::kDiagonal:
@@ -73,34 +59,28 @@ Ceiling Ceiling::diagonal(Channel channel, std::string label,
                 "diagonal ceiling needs seconds_per_task >= 0");
   util::require(tasks_per_instance > 0.0,
                 "diagonal ceiling needs tasks_per_instance > 0");
-  Ceiling c;
-  c.kind = CeilingKind::kDiagonal;
-  c.channel = channel;
-  c.label = std::move(label);
-  c.seconds_per_task = seconds_per_task;
-  c.tasks_per_instance = tasks_per_instance;
-  return c;
+  return {{.kind = CeilingKind::kDiagonal,
+           .channel = channel,
+           .seconds_per_task = seconds_per_task,
+           .tasks_per_instance = tasks_per_instance},
+          std::move(label)};
 }
 
 Ceiling Ceiling::horizontal(Channel channel, std::string label,
                             double tps_limit) {
   util::require(tps_limit > 0.0, "horizontal ceiling needs tps_limit > 0");
-  Ceiling c;
-  c.kind = CeilingKind::kHorizontal;
-  c.channel = channel;
-  c.label = std::move(label);
-  c.tps_limit = tps_limit;
-  return c;
+  return {{.kind = CeilingKind::kHorizontal,
+           .channel = channel,
+           .tps_limit = tps_limit},
+          std::move(label)};
 }
 
 Ceiling Ceiling::wall(std::string label, int max_parallel_tasks) {
   util::require(max_parallel_tasks >= 1, "wall needs max_parallel_tasks >= 1");
-  Ceiling c;
-  c.kind = CeilingKind::kWall;
-  c.channel = Channel::kParallelism;
-  c.label = std::move(label);
-  c.max_parallel_tasks = max_parallel_tasks;
-  return c;
+  return {{.kind = CeilingKind::kWall,
+           .channel = Channel::kParallelism,
+           .max_parallel_tasks = max_parallel_tasks},
+          std::move(label)};
 }
 
 const char* bound_class_name(BoundClass bound) {
@@ -416,24 +396,8 @@ RooflineModel build_model(const SystemSpec& system,
 
   std::vector<CeilingSpec> specs;
   compute_ceilings(s, w, specs);
-  for (const CeilingSpec& spec : specs) {
-    switch (spec.kind) {
-      case CeilingKind::kDiagonal:
-        model.add_ceiling(Ceiling::diagonal(spec.channel,
-                                            ceiling_label(spec, s, w),
-                                            spec.seconds_per_task,
-                                            spec.tasks_per_instance));
-        break;
-      case CeilingKind::kHorizontal:
-        model.add_ceiling(Ceiling::horizontal(
-            spec.channel, ceiling_label(spec, s, w), spec.tps_limit));
-        break;
-      case CeilingKind::kWall:
-        model.add_ceiling(
-            Ceiling::wall(ceiling_label(spec, s, w), spec.max_parallel_tasks));
-        break;
-    }
-  }
+  for (const CeilingSpec& spec : specs)
+    model.add_ceiling({spec, ceiling_label(spec, s, w)});
 
   if (w.has_measurement()) model.add_measured_dot();
   return model;

@@ -48,11 +48,13 @@ const char* channel_name(Channel channel);
 /// True for channels whose ceilings are node-local (diagonal) bounds.
 bool is_node_channel(Channel channel);
 
-/// One performance bound.
-struct Ceiling {
+/// The label-free numeric core of one performance bound — what
+/// compute_ceilings emits.  The campaign-scale sweep hot path works on
+/// these directly (no string formatting or vector copies per grid point);
+/// build_model pairs each one with its label as a Ceiling.
+struct CeilingSpec {
   CeilingKind kind = CeilingKind::kDiagonal;
   Channel channel = Channel::kCustom;
-  std::string label;
 
   /// Diagonal: the channel's critical-path time for one parallel slot
   /// (one workflow instance), the number the paper prints in labels like
@@ -70,6 +72,12 @@ struct Ceiling {
   /// Throughput bound at `parallel_tasks`; +inf for walls (they bound x,
   /// not y).  Diagonals: P * tasks_per_instance / seconds_per_task.
   double tps_at(double parallel_tasks) const;
+};
+
+/// One labeled performance bound: a CeilingSpec plus its display label.
+/// The factories check their numbers, for hand-built ceilings.
+struct Ceiling : CeilingSpec {
+  std::string label;
 
   static Ceiling diagonal(Channel channel, std::string label,
                           double seconds_per_task,
@@ -77,23 +85,6 @@ struct Ceiling {
   static Ceiling horizontal(Channel channel, std::string label,
                             double tps_limit);
   static Ceiling wall(std::string label, int max_parallel_tasks);
-};
-
-/// The label-free numeric core of one ceiling — what compute_ceilings
-/// emits.  The campaign-scale sweep hot path works on these directly (no
-/// string formatting or vector copies per grid point); build_model wraps
-/// each one in a labeled Ceiling.
-struct CeilingSpec {
-  CeilingKind kind = CeilingKind::kDiagonal;
-  Channel channel = Channel::kCustom;
-  double seconds_per_task = 0.0;
-  double tasks_per_instance = 1.0;
-  double tps_limit = 0.0;
-  int max_parallel_tasks = 0;
-
-  /// Same geometry as Ceiling::tps_at: throughput bound at
-  /// `parallel_tasks`, +inf for walls.
-  double tps_at(double parallel_tasks) const;
 };
 
 /// Computes the standard model's ceilings into `out` (cleared first):
@@ -178,6 +169,7 @@ class RooflineModel {
 
   // --- Dots -------------------------------------------------------------------
   /// Adds the workflow's measured dot (requires a measured makespan).
+  /// build_model already adds it when the workflow has a makespan.
   void add_measured_dot(const std::string& label = "measured");
   void add_dot(Dot dot);
   const std::vector<Dot>& dots() const { return dots_; }
@@ -206,8 +198,10 @@ class RooflineModel {
 
 /// Builds the standard model for a workflow on a system: one diagonal per
 /// demanded node channel, horizontal filesystem/external ceilings, and the
-/// parallelism wall.  Throws InvalidArgument when the workflow demands a
-/// channel the system lacks.
+/// parallelism wall.  When the workflow has a measured makespan the model
+/// also carries its one measured dot (dots().front()); callers do not add
+/// another.  Throws InvalidArgument when the workflow demands a channel
+/// the system lacks.
 RooflineModel build_model(const SystemSpec& system,
                           const WorkflowCharacterization& workflow);
 

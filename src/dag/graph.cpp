@@ -1,7 +1,6 @@
 #include "dag/graph.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -63,39 +62,31 @@ std::span<const TaskId> WorkflowGraph::predecessors(TaskId id) const {
   return predecessors_[id];
 }
 
-void WorkflowGraph::validate() const {
-  // Kahn's algorithm; a cycle exists iff not all tasks are output.
-  if (topological_order().size() != tasks_.size())
-    throw util::InvalidArgument("workflow graph '" + name_ +
-                                "' contains a cycle");
-}
+void WorkflowGraph::validate() const { topological_order(); }
 
 std::vector<TaskId> WorkflowGraph::topological_order() const {
+  // Kahn's algorithm with the output vector as its FIFO: a task is
+  // appended when its last predecessor is visited, and tasks are visited
+  // in append order, so simultaneously-ready tasks keep insertion order
+  // (stable and test-friendly).  Tasks on a cycle never become ready.
   std::vector<int> in_degree(tasks_.size(), 0);
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
-    in_degree[i] = static_cast<int>(predecessors_[i].size());
-
-  // A plain queue keeps insertion order among simultaneously-ready tasks,
-  // making the order stable and test-friendly.
-  std::queue<TaskId> ready;
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
-    if (in_degree[i] == 0) ready.push(static_cast<TaskId>(i));
-
   std::vector<TaskId> order;
   order.reserve(tasks_.size());
-  while (!ready.empty()) {
-    const TaskId id = ready.front();
-    ready.pop();
-    order.push_back(id);
-    for (TaskId next : successors_[id]) {
-      if (--in_degree[next] == 0) ready.push(next);
-    }
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    in_degree[i] = static_cast<int>(predecessors_[i].size());
+    if (in_degree[i] == 0) order.push_back(static_cast<TaskId>(i));
   }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (TaskId next : successors_[order[head]])
+      if (--in_degree[next] == 0) order.push_back(next);
+  }
+  if (order.size() != tasks_.size())
+    throw util::InvalidArgument("workflow graph '" + name_ +
+                                "' contains a cycle");
   return order;
 }
 
 std::vector<int> WorkflowGraph::levels() const {
-  validate();
   std::vector<int> level(tasks_.size(), 0);
   for (TaskId id : topological_order()) {
     for (TaskId pred : predecessors_[id])
@@ -105,14 +96,17 @@ std::vector<int> WorkflowGraph::levels() const {
 }
 
 int WorkflowGraph::level_count() const {
-  if (tasks_.empty()) return 0;
-  const std::vector<int> level = levels();
-  return 1 + *std::max_element(level.begin(), level.end());
+  return static_cast<int>(level_widths().size());
 }
 
 std::vector<int> WorkflowGraph::level_widths() const {
-  std::vector<int> widths(static_cast<std::size_t>(level_count()), 0);
-  for (int l : levels()) ++widths[static_cast<std::size_t>(l)];
+  // Levels are dense: a task at level L > 0 has a predecessor at L - 1.
+  std::vector<int> widths;
+  for (int l : levels()) {
+    const auto index = static_cast<std::size_t>(l);
+    if (index >= widths.size()) widths.resize(index + 1, 0);
+    ++widths[index];
+  }
   return widths;
 }
 
@@ -123,9 +117,9 @@ int WorkflowGraph::max_parallel_tasks() const {
 
 CriticalPath WorkflowGraph::critical_path(
     std::span<const double> durations) const {
-  validate();
   CriticalPath result;
   if (tasks_.empty()) return result;
+  const std::vector<TaskId> order = topological_order();
   util::require(durations.empty() || durations.size() == tasks_.size(),
                 "critical_path durations must match task count");
   auto duration = [&](TaskId id) {
@@ -134,7 +128,7 @@ CriticalPath WorkflowGraph::critical_path(
 
   std::vector<double> finish(tasks_.size(), 0.0);
   std::vector<TaskId> best_pred(tasks_.size(), kInvalidTask);
-  for (TaskId id : topological_order()) {
+  for (TaskId id : order) {
     double start = 0.0;
     for (TaskId pred : predecessors_[id]) {
       if (finish[pred] > start) {
@@ -160,15 +154,6 @@ ResourceDemand WorkflowGraph::total_demand() const {
   ResourceDemand total;
   for (const TaskSpec& t : tasks_) total = total + t.demand;
   return total;
-}
-
-int WorkflowGraph::peak_nodes_by_level() const {
-  const std::vector<int> level = levels();
-  std::vector<int> nodes_at(static_cast<std::size_t>(level_count()), 0);
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
-    nodes_at[static_cast<std::size_t>(level[i])] += tasks_[i].nodes;
-  return nodes_at.empty() ? 0
-                          : *std::max_element(nodes_at.begin(), nodes_at.end());
 }
 
 void WorkflowGraph::check_id(TaskId id) const {

@@ -60,6 +60,8 @@ class WorkflowGraph {
   void validate() const;
 
   /// Task ids in a topological order (stable w.r.t. insertion order).
+  /// Throws InvalidArgument when the graph contains a cycle.  Each
+  /// structural query below sorts once.
   std::vector<TaskId> topological_order() const;
 
   /// Level of each task: sources are level 0, and each task's level is
@@ -85,10 +87,6 @@ class WorkflowGraph {
   /// Sum of demands over all tasks (system-level totals; node-level fields
   /// sum the per-node volumes which is only meaningful for uniform tasks).
   ResourceDemand total_demand() const;
-
-  /// Maximum nodes() over tasks that may run concurrently at one level.
-  /// Used to size cluster allocations.
-  int peak_nodes_by_level() const;
 
  private:
   std::string name_;

@@ -106,33 +106,15 @@ ModelSummary evaluate_model_summary(const Scenario& scenario,
   return summary;
 }
 
-ScenarioResult evaluate_model_scenario(const Scenario& scenario) {
-  ScenarioResult result;
-  result.scenario = scenario;
-  auto model = std::make_shared<core::RooflineModel>(
-      core::build_model(scenario.system, scenario.workflow));
-  result.parallelism_wall = model->parallelism_wall();
-  const double wall = static_cast<double>(result.parallelism_wall);
-  result.attainable_tps_at_wall = model->attainable_tps(wall);
-  const core::Ceiling& binding = model->binding_ceiling(wall);
-  result.binding_label = binding.label;
-  result.binding_channel = core::channel_name(binding.channel);
-  result.slot_seconds = model->binding_ceiling(1.0).seconds_per_task;
-  result.campaign_makespan_seconds =
-      static_cast<double>(scenario.workflow.total_tasks) /
-      result.attainable_tps_at_wall;
-  result.model = std::move(model);
-  return result;
-}
-
 SweepRunner::SweepRunner(SweepOptions options) : pool_(options.jobs) {}
 
-std::vector<ScenarioResult> SweepRunner::run_models(
+std::vector<ModelSummary> SweepRunner::run_models(
     const std::vector<Scenario>& scenarios) {
-  return parallel_map<ScenarioResult>(
+  return parallel_map<ModelSummary>(
       pool_, scenarios.size(), [&scenarios](std::size_t i) {
+        std::vector<core::CeilingSpec> scratch;
         try {
-          return evaluate_model_scenario(scenarios[i]);
+          return evaluate_model_summary(scenarios[i], scratch);
         } catch (const util::InvalidArgument& e) {
           rethrow_row_error(i, scenarios[i].params, e);
         }
@@ -175,15 +157,6 @@ void append_result_line(
   out += ",\"campaign_makespan_s\":";
   util::append_double(out, campaign_makespan_s);
   out += '}';
-}
-
-std::string scenario_result_line(const ScenarioResult& result) {
-  std::string line;
-  append_result_line(line, result.scenario.label, result.scenario.params,
-                     result.parallelism_wall, result.attainable_tps_at_wall,
-                     result.binding_label, result.binding_channel,
-                     result.slot_seconds, result.campaign_makespan_seconds);
-  return line;
 }
 
 namespace {

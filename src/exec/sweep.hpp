@@ -1,7 +1,10 @@
 #pragma once
 // SweepRunner: fan a list (or parameter grid) of what-if scenarios across
 // the thread pool.  Each scenario is one closed-form model evaluation, so
-// every point is evaluated directly; nothing is memoized.
+// every point is evaluated directly; nothing is memoized.  Both sweep
+// paths share one evaluator, evaluate_model_summary, and one row writer,
+// append_result_line; a labeled core::RooflineModel is built only by a
+// caller that draws or reports one.
 //
 // This is the engine behind `wfr sweep`, `POST /v1/sweep`, the
 // capacity-planning example, and the sweep benchmarks.  The determinism
@@ -23,7 +26,6 @@
 
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -48,50 +50,19 @@ struct Scenario {
   std::vector<std::pair<std::string, double>> params;
 };
 
-/// The model-based evaluation of one scenario (SweepRunner::run_models).
-struct ScenarioResult {
-  Scenario scenario;
-  /// The assembled model.
-  std::shared_ptr<const core::RooflineModel> model;
+/// The wall/attainable/binding summary of one scenario: the sweep row's
+/// numbers and the summary fields of a /v1/roofline body.
+struct ModelSummary {
   int parallelism_wall = 0;
   /// min over ceilings at the wall — the best attainable throughput.
   double attainable_tps_at_wall = 0.0;
-  /// Label and channel of the ceiling binding at the wall.
-  std::string binding_label;
-  std::string binding_channel;
-  /// Per-slot latency: binding_ceiling(1).seconds_per_task (0 when a
-  /// horizontal ceiling binds even at one task).
+  /// Per-slot latency: the seconds_per_task of the ceiling binding at one
+  /// task (0 when a horizontal ceiling binds even there).
   double slot_seconds = 0.0;
   /// total_tasks / attainable_tps_at_wall.
   double campaign_makespan_seconds = 0.0;
-};
-
-/// One NDJSON line for a result:
-///   {"sweep":<label>,"params":{...},"wall":N,"attainable_tps":...,
-///    "binding":...,"slot_seconds":...,"campaign_makespan_s":...}
-/// Deterministic bytes: field order fixed, params in axis order.
-std::string scenario_result_line(const ScenarioResult& result);
-
-/// Appends the NDJSON object of one sweep result to `out` (no trailing
-/// newline, `out` not cleared).  scenario_result_line is built on this
-/// writer, so the two produce identical bytes; the streaming hot path
-/// calls it directly with a reused row buffer instead of materializing
-/// Json values per point.
-void append_result_line(
-    std::string& out, std::string_view label,
-    const std::vector<std::pair<std::string, double>>& params, int wall,
-    double attainable_tps, std::string_view binding, std::string_view channel,
-    double slot_seconds, double campaign_makespan_s);
-
-/// The wall/attainable/binding summary of one scenario without the
-/// assembled RooflineModel — the campaign hot path's result type.
-struct ModelSummary {
-  int parallelism_wall = 0;
-  double attainable_tps_at_wall = 0.0;
-  double slot_seconds = 0.0;
-  double campaign_makespan_seconds = 0.0;
   /// Display label of the ceiling binding at the wall — the only label
-  /// the hot path formats (core::ceiling_label of the binding spec).
+  /// the summary formats (core::ceiling_label of the binding spec).
   std::string binding_label;
   /// core::channel_name() of the binding ceiling (static storage).
   const char* binding_channel = "";
@@ -99,15 +70,27 @@ struct ModelSummary {
 
 /// Evaluates one scenario to its summary, using `scratch` for the
 /// ceiling set so a worker looping over a grid reuses one allocation.
-/// Performs the same validation — and throws the same errors — as
-/// core::build_model; the summary fields are byte-for-byte the ones
-/// evaluate_model_scenario derives from the full model.
+/// This is the one evaluator of a scenario: both sweep paths and the /v1
+/// summaries use it.  Performs the same validation — and throws the same
+/// errors — as core::build_model, and its fields equal the labeled
+/// model's parallelism_wall(), attainable_tps(wall), binding_ceiling(wall)
+/// and binding_ceiling(1).
 ModelSummary evaluate_model_summary(const Scenario& scenario,
                                     std::vector<core::CeilingSpec>& scratch);
 
-/// Evaluates one scenario through core::build_model (the run_models
-/// evaluator; also the single-point path of /v1/roofline and /v1/import).
-ScenarioResult evaluate_model_scenario(const Scenario& scenario);
+/// Appends the NDJSON object of one sweep row to `out` (no trailing
+/// newline, `out` not cleared):
+///   {"sweep":<label>,"params":{...},"wall":N,"attainable_tps":...,
+///    "binding":...,"channel":...,"slot_seconds":...,
+///    "campaign_makespan_s":...}
+/// Deterministic bytes: field order fixed, params in axis order.  The one
+/// row writer of both sweep paths, fed from a ModelSummary plus the
+/// scenario's label and params.
+void append_result_line(
+    std::string& out, std::string_view label,
+    const std::vector<std::pair<std::string, double>>& params, int wall,
+    double attainable_tps, std::string_view binding, std::string_view channel,
+    double slot_seconds, double campaign_makespan_s);
 
 /// One axis of a parameter grid (see SweepGrid for the known names).
 struct ParamAxis {
@@ -208,21 +191,19 @@ class SweepRunner {
 
   int jobs() const { return pool_.jobs(); }
 
-  /// The standard sweep: build the roofline model of each scenario and
-  /// derive the wall / attainable-throughput / binding-ceiling summary.
-  /// Results come back in scenario order.  A scenario that fails stops
-  /// the sweep at the lowest failing index with an InvalidArgument that
-  /// names the row: "sweep row <index> (<name>=<value> ...): <reason>",
-  /// the same line stream_lines and expand_grid raise for that row.
-  std::vector<ScenarioResult> run_models(
-      const std::vector<Scenario>& scenarios);
+  /// The buffering sweep: evaluate_model_summary of each scenario, in
+  /// scenario order.  A scenario that fails stops the sweep at the lowest
+  /// failing index with an InvalidArgument that names the row:
+  /// "sweep row <index> (<name>=<value> ...): <reason>", the same line
+  /// stream_lines and expand_grid raise for that row.
+  std::vector<ModelSummary> run_models(const std::vector<Scenario>& scenarios);
 
-  /// Sink of one streamed NDJSON line, '\n'-terminated — the exact bytes
-  /// scenario_result_line(result) + "\n" would produce.  Invoked by
-  /// exactly one worker at a time (the runner serializes emission), with
-  /// `row` strictly increasing from options.start_row; the buffer is owned
-  /// by the runner and valid only during the call.  A sink exception
-  /// stops the stream after the current row and propagates to the caller.
+  /// Sink of one streamed NDJSON line, '\n'-terminated: append_result_line
+  /// of the row's summary, then "\n".  Invoked by exactly one worker at a
+  /// time (the runner serializes emission), with `row` strictly increasing
+  /// from options.start_row; the buffer is owned by the runner and valid
+  /// only during the call.  A sink exception stops the stream after the
+  /// current row and propagates to the caller.
   using LineSink = std::function<void(std::size_t row, std::string_view line)>;
 
   /// Streams rows [options.start_row, rows) of the grid (or of its shard)
@@ -230,7 +211,7 @@ class SweepRunner {
   /// handed to `sink` as soon as it and every row before it have
   /// completed.  Each row is evaluated straight to its ModelSummary in
   /// per-worker scratch and serialized into a reused row buffer.  Emitted
-  /// bytes are identical to scenario_result_line over run_models and
+  /// bytes are identical to append_result_line over run_models and
   /// invariant under jobs, reorder_window, shard and resume splits.  A row
   /// that fails stops claims and rethrows lowest-index-first, naming the
   /// global row as run_models does; rows already handed to the sink stay

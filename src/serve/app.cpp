@@ -1,5 +1,6 @@
 #include "serve/app.hpp"
 
+#include <cmath>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -54,18 +55,28 @@ core::WorkflowCharacterization parse_workflow(const util::Json& json) {
   return core::WorkflowCharacterization::from_json(json);
 }
 
+/// Applies a body's optional "target_makespan" (seconds, or a duration
+/// like "10 min") to `workflow`.  A present target must be finite and
+/// > 0: a non-positive one is an error, never "no target".
+void apply_target_makespan(const util::Json& body,
+                           core::WorkflowCharacterization& workflow) {
+  const util::Json* target = body.as_object().find("target_makespan");
+  if (target == nullptr) return;
+  const double seconds = target->is_string()
+                             ? util::parse_seconds(target->as_string())
+                             : target->as_number();
+  util::require(std::isfinite(seconds) && seconds > 0.0,
+                "target_makespan must be finite and > 0, got %g", seconds);
+  workflow.target_makespan_seconds = seconds;
+}
+
 /// Builds the one scenario a /v1/roofline or /v1/svg body describes.
 exec::Scenario parse_scenario(const util::Json& body) {
   util::require(body.is_object(), "request body must be a JSON object");
   exec::Scenario scenario;
   scenario.system = parse_system(body.at("system"));
   scenario.workflow = parse_workflow(body.at("workflow"));
-  if (const util::Json* target = body.as_object().find("target_makespan")) {
-    scenario.workflow.target_makespan_seconds =
-        target->is_string() ? util::parse_seconds(target->as_string())
-                            : target->as_number();
-  }
-  scenario.label = scenario.workflow.name;
+  apply_target_makespan(body, scenario.workflow);
   return scenario;
 }
 
@@ -107,28 +118,33 @@ util::Json ceilings_json(const core::RooflineModel& model, int wall) {
   return util::Json(std::move(ceilings));
 }
 
-/// The /v1/roofline response object for an evaluated scenario (shared
-/// with /v1/import, which nests it under "roofline").
-util::JsonObject roofline_body(const exec::Scenario& scenario,
-                               const exec::ScenarioResult& result) {
+/// The /v1/roofline response object for a scenario (shared with
+/// /v1/import, which nests it under "roofline").  The summary fields are
+/// a sweep row's (evaluate_model_summary); the ceilings and the measured
+/// dot come from the scenario's one labeled model.
+util::JsonObject roofline_body(const exec::Scenario& scenario) {
+  std::vector<core::CeilingSpec> scratch;
+  const exec::ModelSummary summary =
+      exec::evaluate_model_summary(scenario, scratch);
+  const core::RooflineModel model =
+      core::build_model(scenario.system, scenario.workflow);
+
   util::JsonObject out;
   out.set("workflow", util::Json(scenario.workflow.name));
   out.set("system", util::Json(scenario.system.name));
-  out.set("parallelism_wall", util::Json(result.parallelism_wall));
-  out.set("attainable_tps_at_wall", util::Json(result.attainable_tps_at_wall));
+  out.set("parallelism_wall", util::Json(summary.parallelism_wall));
+  out.set("attainable_tps_at_wall", util::Json(summary.attainable_tps_at_wall));
   util::JsonObject binding;
-  binding.set("label", util::Json(result.binding_label));
-  binding.set("channel", util::Json(result.binding_channel));
+  binding.set("label", util::Json(summary.binding_label));
+  binding.set("channel", util::Json(summary.binding_channel));
   out.set("binding", util::Json(std::move(binding)));
-  out.set("slot_seconds", util::Json(result.slot_seconds));
+  out.set("slot_seconds", util::Json(summary.slot_seconds));
   out.set("campaign_makespan_seconds",
-          util::Json(result.campaign_makespan_seconds));
-  out.set("ceilings", ceilings_json(*result.model, result.parallelism_wall));
+          util::Json(summary.campaign_makespan_seconds));
+  out.set("ceilings", ceilings_json(model, summary.parallelism_wall));
 
-  if (scenario.workflow.has_measurement()) {
-    core::RooflineModel model = *result.model;
-    model.add_measured_dot();
-    const core::Dot& dot = model.dots().back();
+  if (!model.dots().empty()) {
+    const core::Dot& dot = model.dots().front();
     util::JsonObject measured;
     measured.set("parallel_tasks", util::Json(dot.parallel_tasks));
     measured.set("tps", util::Json(dot.tps));
@@ -250,10 +266,8 @@ util::HttpResponse App::sweep_from_bytes(std::string_view body,
 
 util::HttpResponse App::handle_roofline(const util::HttpRequest& request) {
   const util::Json body = util::Json::parse(request.body);
-  const exec::Scenario scenario = parse_scenario(body);
-  const exec::ScenarioResult result = exec::evaluate_model_scenario(scenario);
   util::HttpResponse response;
-  response.body = util::Json(roofline_body(scenario, result)).dump() + "\n";
+  response.body = util::Json(roofline_body(parse_scenario(body))).dump() + "\n";
   return response;
 }
 
@@ -300,14 +314,8 @@ util::HttpResponse App::handle_import(const util::HttpRequest& request) {
     exec::Scenario scenario;
     scenario.system = parse_system(*system_json);
     scenario.workflow = characterization;
-    if (const util::Json* target = body.as_object().find("target_makespan")) {
-      scenario.workflow.target_makespan_seconds =
-          target->is_string() ? util::parse_seconds(target->as_string())
-                              : target->as_number();
-    }
-    scenario.label = scenario.workflow.name;
-    const exec::ScenarioResult result = exec::evaluate_model_scenario(scenario);
-    out.set("roofline", util::Json(roofline_body(scenario, result)));
+    apply_target_makespan(body, scenario.workflow);
+    out.set("roofline", util::Json(roofline_body(scenario)));
   }
 
   util::HttpResponse response;
@@ -321,11 +329,7 @@ util::HttpResponse App::handle_sweep(const util::HttpRequest& request) {
   const core::SystemSpec system = parse_system(body.at("system"));
   core::WorkflowCharacterization base =
       core::WorkflowCharacterization::from_json(body.at("workflow"));
-  if (const util::Json* target = body.as_object().find("target_makespan")) {
-    base.target_makespan_seconds =
-        target->is_string() ? util::parse_seconds(target->as_string())
-                            : target->as_number();
-  }
+  apply_target_makespan(body, base);
 
   // Sharded requests ({"shard": {"count": N, "index": I, "mode": ...}})
   // answer only shard I's rows, so N servers can split one campaign grid;
@@ -463,13 +467,10 @@ util::HttpResponse App::handle_svg(const util::HttpRequest& request) {
     scenario = parse_scenario(util::Json(std::move(body)));
   }
 
-  const exec::ScenarioResult result = exec::evaluate_model_scenario(scenario);
-  core::RooflineModel model = *result.model;
-  if (scenario.workflow.has_measurement()) model.add_measured_dot();
-
   util::HttpResponse response;
   response.content_type = "image/svg+xml";
-  response.body = plot::render_roofline(model, plot_options);
+  response.body = plot::render_roofline(
+      core::build_model(scenario.system, scenario.workflow), plot_options);
   return response;
 }
 

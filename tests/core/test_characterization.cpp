@@ -1,11 +1,13 @@
 #include "core/characterization.hpp"
 
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "sim/runner.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/units.hpp"
 
 namespace wfr::core {
@@ -81,6 +83,29 @@ TEST(Characterization, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(back.flops_per_node, c.flops_per_node);
   EXPECT_DOUBLE_EQ(back.makespan_seconds, c.makespan_seconds);
   EXPECT_FALSE(back.has_target());
+}
+
+// A present makespan or target must be a real duration: a non-positive
+// value is an error naming the field, never a silently absent one.
+TEST(Characterization, FromJsonRejectsNonPositiveDurations) {
+  for (const char* field : {"makespan_seconds", "target_makespan_seconds"}) {
+    for (const double bad : {-3.0, 0.0, -1.0}) {
+      util::JsonObject o;
+      o.set("name", util::Json("w"));
+      o.set("total_tasks", util::Json(2));
+      o.set("parallel_tasks", util::Json(1));
+      o.set(field, util::Json(bad));
+      try {
+        WorkflowCharacterization::from_json(util::Json(std::move(o)));
+        ADD_FAILURE() << field << " = " << bad << " was accepted";
+      } catch (const util::InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string(field) +
+                                             " must be finite and > 0"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // --- characterize_graph ---------------------------------------------------

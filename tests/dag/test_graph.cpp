@@ -97,6 +97,8 @@ TEST(WorkflowGraph, DetectsCycle) {
   g.add_dependency(c, a);
   EXPECT_THROW(g.validate(), util::InvalidArgument);
   EXPECT_THROW(g.levels(), util::InvalidArgument);
+  EXPECT_THROW(g.topological_order(), util::InvalidArgument);
+  EXPECT_THROW(g.critical_path(), util::InvalidArgument);
 }
 
 TEST(WorkflowGraph, TopologicalOrderRespectsEdges) {
@@ -177,11 +179,6 @@ TEST(WorkflowGraph, TotalDemandSums) {
   g.add_task(a);
   g.add_task(b);
   EXPECT_DOUBLE_EQ(g.total_demand().external_in_bytes, 3e12);
-}
-
-TEST(WorkflowGraph, PeakNodesByLevel) {
-  WorkflowGraph g = lcls_skeleton();  // 5 x 16-node tasks at level 0
-  EXPECT_EQ(g.peak_nodes_by_level(), 80);
 }
 
 TEST(WorkflowGraph, EmptyGraphQueries) {

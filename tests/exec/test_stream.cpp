@@ -58,10 +58,18 @@ SweepGrid test_grid() {
 /// The reference bytes: the buffering path at --jobs 1.
 std::string batch_ndjson(const SweepGrid& grid) {
   SweepRunner runner({1});
+  const std::vector<Scenario> scenarios =
+      expand_grid(grid.base_system(), grid.base_workflow(), grid.axes());
+  const std::vector<ModelSummary> results = runner.run_models(scenarios);
   std::string ndjson;
-  for (const ScenarioResult& r : runner.run_models(
-           expand_grid(grid.base_system(), grid.base_workflow(), grid.axes())))
-    ndjson += scenario_result_line(r) + "\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const ModelSummary& r = results[i];
+    append_result_line(ndjson, scenarios[i].label, scenarios[i].params,
+                       r.parallelism_wall, r.attainable_tps_at_wall,
+                       r.binding_label, r.binding_channel, r.slot_seconds,
+                       r.campaign_makespan_seconds);
+    ndjson += '\n';
+  }
   return ndjson;
 }
 
@@ -225,8 +233,9 @@ TEST(StreamModelsTest, RejectsBadOptions) {
 
 // The fast path (stream_lines: per-worker scenario and ceiling scratch,
 // ModelSummary, reused row buffer) must emit exactly the bytes of the
-// full path (build_model on a freshly materialized row +
-// scenario_result_line) at any job count and window: it is an
+// labeled model (build_model on a freshly materialized row, its wall,
+// binding ceilings and attainable throughput written by
+// append_result_line) at any job count and window: the summary is an
 // optimization, never a different evaluator.  On this grid compute, DRAM
 // and the filesystem each bind on some row, and at 5 GB/s the filesystem
 // binds even at one task, so both of the summary's binding scans are
@@ -242,9 +251,19 @@ TEST(StreamLinesTest, MatchesStreamModelsBytesAtAnyJobsAndWindow) {
   std::string reference;
   std::set<std::string> channels;
   for (std::size_t flat = 0; flat < grid.size(); ++flat) {
-    const ScenarioResult full = evaluate_model_scenario(grid.at(flat));
-    channels.insert(full.binding_channel);
-    reference += scenario_result_line(full) + "\n";
+    const Scenario scenario = grid.at(flat);
+    const core::RooflineModel model =
+        core::build_model(scenario.system, scenario.workflow);
+    const int wall = model.parallelism_wall();
+    const core::Ceiling& binding = model.binding_ceiling(wall);
+    const double tps = model.attainable_tps(wall);
+    const char* channel = core::channel_name(binding.channel);
+    channels.insert(channel);
+    append_result_line(reference, scenario.label, scenario.params, wall, tps,
+                       binding.label, channel,
+                       model.binding_ceiling(1.0).seconds_per_task,
+                       scenario.workflow.total_tasks / tps);
+    reference += '\n';
   }
   ASSERT_GT(channels.size(), 1u) << "the grid never moves the binding";
   for (int jobs : {1, 2, 8})

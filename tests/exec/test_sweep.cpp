@@ -93,9 +93,15 @@ TEST(SweepRunnerTest, RunModelsIsJobCountInvariant) {
                    {"nodes_per_task", {0.5, 1.0, 2.0, 4.0, 8.0}}});
   auto sweep = [&grid](int jobs) {
     SweepRunner runner({jobs});
-    std::vector<std::string> lines;
-    for (const ScenarioResult& r : runner.run_models(grid))
-      lines.push_back(scenario_result_line(r));
+    const std::vector<ModelSummary> results = runner.run_models(grid);
+    std::vector<std::string> lines(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const ModelSummary& r = results[i];
+      append_result_line(lines[i], grid[i].label, grid[i].params,
+                         r.parallelism_wall, r.attainable_tps_at_wall,
+                         r.binding_label, r.binding_channel, r.slot_seconds,
+                         r.campaign_makespan_seconds);
+    }
     return lines;
   };
   const std::vector<std::string> serial = sweep(1);
@@ -109,17 +115,15 @@ TEST(SweepRunnerTest, ResultsCarryLabelsAndDerivedQuantities) {
   const std::vector<Scenario> grid =
       expand_grid(test_system(), test_workflow(), {{"efficiency", {1.0}}});
   SweepRunner runner({2});
-  const std::vector<ScenarioResult> results = runner.run_models(grid);
+  const std::vector<ModelSummary> results = runner.run_models(grid);
   ASSERT_EQ(results.size(), 1u);
-  const ScenarioResult& r = results[0];
-  EXPECT_EQ(r.scenario.label, "efficiency=1");
-  ASSERT_NE(r.model, nullptr);
+  const ModelSummary& r = results[0];
+  EXPECT_EQ(grid[0].label, "efficiency=1");
   EXPECT_GE(r.parallelism_wall, 1);
   EXPECT_GT(r.attainable_tps_at_wall, 0.0);
   EXPECT_FALSE(r.binding_label.empty());
   EXPECT_NEAR(r.campaign_makespan_seconds,
-              r.scenario.workflow.total_tasks / r.attainable_tps_at_wall,
-              1e-9);
+              grid[0].workflow.total_tasks / r.attainable_tps_at_wall, 1e-9);
 }
 
 // Both sweep paths report a failing row the same way: the batch path
@@ -300,8 +304,12 @@ TEST(ScenarioResultLineTest, StableFieldOrderWithParams) {
   const std::vector<Scenario> grid = expand_grid(
       test_system(), test_workflow(), {{"nodes_per_task", {2.0}}});
   SweepRunner runner({1});
-  const std::vector<ScenarioResult> results = runner.run_models(grid);
-  const std::string line = scenario_result_line(results[0]);
+  const ModelSummary r = runner.run_models(grid)[0];
+  std::string line;
+  append_result_line(line, grid[0].label, grid[0].params, r.parallelism_wall,
+                     r.attainable_tps_at_wall, r.binding_label,
+                     r.binding_channel, r.slot_seconds,
+                     r.campaign_makespan_seconds);
   EXPECT_EQ(line.find("{\"sweep\":\"nodes_per_task=2\""), 0u);
   EXPECT_NE(line.find("\"params\":{\"nodes_per_task\":2}"),
             std::string::npos);

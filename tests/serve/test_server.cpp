@@ -595,6 +595,15 @@ TEST(ServeTest, SweepNdjsonMatchesJsonRows) {
   EXPECT_EQ(ndjson.body, rebuilt);
 }
 
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size()))
+    ++count;
+  return count;
+}
+
 TEST(ServeTest, SvgEndpointRendersFromQueryParameters) {
   AppServer server;
   LoopbackClient client(server.port());
@@ -606,6 +615,68 @@ TEST(ServeTest, SvgEndpointRendersFromQueryParameters) {
   EXPECT_NE(response.raw.find("Content-Type: image/svg+xml"),
             std::string::npos);
   EXPECT_NE(response.body.find("<svg"), std::string::npos);
+  EXPECT_EQ(count_of(response.body, ">measured</text>"), 0u);
+
+  // With a measurement the model carries exactly one measured dot.
+  const ClientResponse measured = client.request(
+      "GET",
+      "/v1/svg?system=perlmutter-gpu&total_tasks=600&parallel_tasks=120"
+      "&flops_per_node=1e15&makespan_seconds=1800");
+  ASSERT_EQ(measured.status, 200);
+  EXPECT_EQ(count_of(measured.body, ">measured</text>"), 1u);
+}
+
+// A /v1/roofline summary is a sweep row: a one-point sweep whose only
+// axis repeats the base total_tasks reports the same wall, attainable
+// throughput, binding ceiling, slot latency and campaign makespan.
+TEST(ServeTest, RooflineSummaryMatchesAOnePointSweepRow) {
+  App app(AppOptions{.sweep_jobs = 1});
+  const char* workflow = R"({"name": "unit", "total_tasks": 600,
+      "parallel_tasks": 120, "flops_per_node": 1.0e15,
+      "fs_bytes_per_task": 2.0e11})";
+  const util::HttpResponse roofline = app.roofline_from_bytes(
+      std::string(R"({"system": "perlmutter-gpu", "workflow": )") + workflow +
+      "}");
+  ASSERT_EQ(roofline.status, 200) << roofline.body;
+  const util::HttpResponse sweep = app.sweep_from_bytes(
+      std::string(R"({"system": "perlmutter-gpu", "workflow": )") + workflow +
+          R"(, "params": {"total_tasks": [600]}})",
+      "format=ndjson");
+  ASSERT_EQ(sweep.status, 200) << sweep.body;
+  ASSERT_EQ(count_of(sweep.body, "\n"), 1u);
+
+  const util::Json body = util::Json::parse(roofline.body);
+  const util::Json row = util::Json::parse(sweep.body);
+  EXPECT_EQ(body.at("parallelism_wall").as_number(),
+            row.at("wall").as_number());
+  EXPECT_EQ(body.at("attainable_tps_at_wall").as_number(),
+            row.at("attainable_tps").as_number());
+  EXPECT_EQ(body.at("binding").at("label").as_string(),
+            row.at("binding").as_string());
+  EXPECT_EQ(body.at("binding").at("channel").as_string(),
+            row.at("channel").as_string());
+  EXPECT_EQ(body.at("slot_seconds").as_number(),
+            row.at("slot_seconds").as_number());
+  EXPECT_EQ(body.at("campaign_makespan_seconds").as_number(),
+            row.at("campaign_makespan_s").as_number());
+}
+
+// A non-positive target makespan is a 400, never a silently absent
+// target.
+TEST(ServeTest, RooflineRejectsNonPositiveTargetMakespan) {
+  App app(AppOptions{.sweep_jobs = 1});
+  for (const char* target : {"-5", "\"0 s\""}) {
+    const util::HttpResponse response = app.roofline_from_bytes(
+        std::string(R"({"system": "perlmutter-gpu",
+          "workflow": {"name": "unit", "total_tasks": 600,
+                       "parallel_tasks": 120, "flops_per_node": 1.0e15},
+          "target_makespan": )") +
+        target + "}");
+    EXPECT_EQ(response.status, 400) << target;
+    EXPECT_NE(response.body.find("target_makespan must be finite and > 0"),
+              std::string::npos)
+        << response.body;
+  }
 }
 
 TEST(ServeTest, MetricsExposeExactPercentilesPerEndpoint) {
