@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -38,6 +39,28 @@ void BM_BuildModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildModel);
+
+// Every ceiling's label for one model that demands all nine channels: the
+// presentation half of build_model, priced apart from the ceiling math.
+// items/sec = labels/sec.
+void BM_CeilingLabel(benchmark::State& state) {
+  const core::SystemSpec system = core::SystemSpec::perlmutter_gpu();
+  core::WorkflowCharacterization c = bgw64();
+  c.dram_bytes_per_node = 32e9;
+  c.hbm_bytes_per_node = 70e9;
+  c.pcie_bytes_per_node = 45e6;
+  c.overhead_seconds_per_task = 0.02;
+  c.external_bytes_per_task = 5e12 / 6.0;
+  std::vector<core::CeilingSpec> specs;
+  core::compute_ceilings(system, c, specs);
+  for (auto _ : state) {
+    for (const core::CeilingSpec& spec : specs)
+      benchmark::DoNotOptimize(core::ceiling_label(spec, system, c));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(specs.size()));
+}
+BENCHMARK(BM_CeilingLabel);
 
 void BM_AttainableThroughput(benchmark::State& state) {
   const core::RooflineModel model =

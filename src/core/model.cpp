@@ -347,41 +347,34 @@ std::string ceiling_label(const CeilingSpec& spec, const SystemSpec& s,
                           const WorkflowCharacterization& w) {
   switch (spec.channel) {
     case Channel::kCompute:
-      return util::format("Compute %s @ %s",
-                          util::format_flops(w.flops_per_node).c_str(),
-                          util::format_flops_rate(s.node.peak_flops).c_str());
+      return "Compute " + util::format_flops(w.flops_per_node) + " @ " +
+             util::format_flops_rate(s.node.peak_flops);
     case Channel::kDram:
-      return util::format("CPU Bytes %s @ %s",
-                          util::format_bytes(w.dram_bytes_per_node).c_str(),
-                          util::format_rate(s.node.dram_gbs).c_str());
+      return "CPU Bytes " + util::format_bytes(w.dram_bytes_per_node) +
+             " @ " + util::format_rate(s.node.dram_gbs);
     case Channel::kHbm:
-      return util::format("HBM Bytes %s @ %s",
-                          util::format_bytes(w.hbm_bytes_per_node).c_str(),
-                          util::format_rate(s.node.hbm_gbs).c_str());
+      return "HBM Bytes " + util::format_bytes(w.hbm_bytes_per_node) +
+             " @ " + util::format_rate(s.node.hbm_gbs);
     case Channel::kPcie:
-      return util::format("PCIe Bytes %s @ %s",
-                          util::format_bytes(w.pcie_bytes_per_node).c_str(),
-                          util::format_rate(s.node.pcie_gbs).c_str());
+      return "PCIe Bytes " + util::format_bytes(w.pcie_bytes_per_node) +
+             " @ " + util::format_rate(s.node.pcie_gbs);
     case Channel::kNetwork:
-      return util::format("Network %s @ %d x %s",
-                          util::format_bytes(w.network_bytes_per_task).c_str(),
-                          w.nodes_per_task,
-                          util::format_rate(s.node.nic_gbs).c_str());
+      return "Network " + util::format_bytes(w.network_bytes_per_task) +
+             " @ " + std::to_string(w.nodes_per_task) + " x " +
+             util::format_rate(s.node.nic_gbs);
     case Channel::kOverhead:
-      return util::format(
-          "Control-flow overhead %s/task",
-          util::format_seconds(w.overhead_seconds_per_task).c_str());
+      return "Control-flow overhead " +
+             util::format_seconds(w.overhead_seconds_per_task) + "/task";
     case Channel::kFilesystem:
-      return util::format("File System %s @ %s",
-                          util::format_bytes(w.fs_bytes_per_task).c_str(),
-                          util::format_rate(s.fs_gbs).c_str());
+      return "File System " + util::format_bytes(w.fs_bytes_per_task) +
+             " @ " + util::format_rate(s.fs_gbs);
     case Channel::kExternal:
-      return util::format("System External %s @ %s",
-                          util::format_bytes(w.external_bytes_per_task).c_str(),
-                          util::format_rate(s.external_gbs).c_str());
+      return "System External " +
+             util::format_bytes(w.external_bytes_per_task) + " @ " +
+             util::format_rate(s.external_gbs);
     case Channel::kParallelism:
-      return util::format("System parallelism @ %d tasks",
-                          spec.max_parallel_tasks);
+      return "System parallelism @ " +
+             std::to_string(spec.max_parallel_tasks) + " tasks";
     case Channel::kCustom:
       break;
   }

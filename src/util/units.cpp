@@ -1,8 +1,9 @@
 #include "util/units.hpp"
 
 #include <array>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -26,10 +27,26 @@ constexpr std::array<Prefix, 7> kPrefixes{{
     {1.0, ""},
 }};
 
+// "%.3g" of `value` through std::to_chars (see units.hpp), a space, then
+// `prefix` and `unit`.
+std::string with_unit(double value, std::string_view prefix,
+                      std::string_view unit) {
+  char buf[16];  // fits the longest %.3g string, "-1.23e-308"
+  char* const end =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general,
+                    3)
+          .ptr;
+  std::string out(buf, end);
+  out += ' ';
+  out += prefix;
+  out += unit;
+  return out;
+}
+
 // Formats `value` scaled by the largest prefix whose factor it reaches,
 // trimming trailing zeros ("5 TB" rather than "5.00 TB").
 std::string format_with_prefix(double value, std::string_view unit) {
-  if (value == 0.0) return format("0 %.*s", static_cast<int>(unit.size()), unit.data());
+  if (value == 0.0) return with_unit(0.0, "", unit);
   const double mag = std::fabs(value);
   const Prefix* chosen = &kPrefixes.back();
   for (const Prefix& p : kPrefixes) {
@@ -38,10 +55,7 @@ std::string format_with_prefix(double value, std::string_view unit) {
       break;
     }
   }
-  const double scaled = value / chosen->factor;
-  std::string num = format("%.3g", scaled);
-  return format("%s %s%.*s", num.c_str(), chosen->symbol,
-                static_cast<int>(unit.size()), unit.data());
+  return with_unit(value / chosen->factor, chosen->symbol, unit);
 }
 
 double prefix_factor(char c) {
@@ -92,11 +106,11 @@ std::string format_flops_rate(double flops_per_second) {
 std::string format_seconds(double seconds) {
   const double mag = std::fabs(seconds);
   if (mag == 0.0) return "0 s";
-  if (mag < 1e-3) return format("%.3g us", seconds * 1e6);
-  if (mag < 1.0) return format("%.3g ms", seconds * 1e3);
-  if (mag < 120.0) return format("%.3g s", seconds);
-  if (mag < 2.0 * kHour) return format("%.3g min", seconds / kMinute);
-  return format("%.3g h", seconds / kHour);
+  if (mag < 1e-3) return with_unit(seconds * 1e6, "", "us");
+  if (mag < 1.0) return with_unit(seconds * 1e3, "", "ms");
+  if (mag < 120.0) return with_unit(seconds, "", "s");
+  if (mag < 2.0 * kHour) return with_unit(seconds / kMinute, "", "min");
+  return with_unit(seconds / kHour, "", "h");
 }
 
 std::string format_si(double value, std::string_view unit) {

@@ -46,6 +46,14 @@ inline constexpr double kMinute = 60.0;
 inline constexpr double kHour = 3600.0;
 
 // --- Formatting ----------------------------------------------------------
+//
+// Each formatter prints printf's "%.3g" of the scaled value, then a space,
+// the SI prefix (or time unit) and the unit text.  The number comes from
+// std::to_chars(general, 3), which the standard specifies as "%.3g" in the
+// C locale, so no printf runs; tests/util/test_units.cpp checks the bytes
+// against an snprintf reference.  The prefix is picked before rounding, so
+// a value just under a threshold carries into the next decade: "1e+03 GB",
+// "120 min".
 
 /// Formats a byte volume with an auto-selected SI prefix, e.g. "5 TB".
 std::string format_bytes(double bytes);

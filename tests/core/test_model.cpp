@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -282,6 +283,67 @@ TEST(Model, ReportMentionsKeyFacts) {
   EXPECT_NE(r.find("System External"), std::string::npos);
   EXPECT_NE(r.find("system-bound"), std::string::npos);
   EXPECT_NE(r.find("zone"), std::string::npos);
+}
+
+// Every channel demanded, on a system that provides each: the exact label
+// build_model (through ceiling_label) attaches to all nine ceilings.
+TEST(CeilingLabel, PinsEveryChannelsText) {
+  SystemSpec s;
+  s.name = "every-channel";
+  s.total_nodes = 1792;
+  s.node.peak_flops = 38.8e12;
+  s.node.dram_gbs = 204.8e9;
+  s.node.hbm_gbs = 1.5e12;
+  s.node.pcie_gbs = 25e9;
+  s.node.nic_gbs = 25e9;
+  s.fs_gbs = 5.6e12;
+  s.external_gbs = 10e9;
+  WorkflowCharacterization w;
+  w.name = "every-channel";
+  w.total_tasks = 8;
+  w.parallel_tasks = 4;
+  w.nodes_per_task = 4;
+  w.flops_per_node = 1164e15;
+  w.dram_bytes_per_node = 32e9;
+  w.hbm_bytes_per_node = 70e9;
+  w.pcie_bytes_per_node = 45e6;
+  w.network_bytes_per_task = 2676e9;
+  w.overhead_seconds_per_task = 0.02;
+  w.fs_bytes_per_task = 35e9;
+  w.external_bytes_per_task = 5e12 / 6.0;
+
+  const RooflineModel model = build_model(s, w);
+  std::vector<std::string> labels;
+  for (const Ceiling& c : model.ceilings()) {
+    labels.push_back(c.label);
+    EXPECT_EQ(ceiling_label(c, s, w), c.label);
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{
+                        "Compute 1.16 EFLOP @ 38.8 TFLOP/s",
+                        "CPU Bytes 32 GB @ 205 GB/s",
+                        "HBM Bytes 70 GB @ 1.5 TB/s",
+                        "PCIe Bytes 45 MB @ 25 GB/s",
+                        "Network 2.68 TB @ 4 x 25 GB/s",
+                        "Control-flow overhead 20 ms/task",
+                        "File System 35 GB @ 5.6 TB/s",
+                        "System External 833 GB @ 10 GB/s",
+                        "System parallelism @ 448 tasks",
+                    }));
+
+  // The overhead label in each format_seconds unit.
+  const std::pair<double, const char*> overheads[] = {
+      {250e-6, "Control-flow overhead 250 us/task"},
+      {0.02, "Control-flow overhead 20 ms/task"},
+      {45.0, "Control-flow overhead 45 s/task"},
+      {17.0 * 60.0, "Control-flow overhead 17 min/task"},
+      {2.5 * 3600.0, "Control-flow overhead 2.5 h/task"},
+  };
+  for (const auto& [seconds, label] : overheads) {
+    w.overhead_seconds_per_task = seconds;
+    const Ceiling overhead = build_model(s, w).ceilings().at(5);
+    ASSERT_EQ(overhead.channel, Channel::kOverhead);
+    EXPECT_EQ(overhead.label, label);
+  }
 }
 
 TEST(Model, ZoneNamesAreDistinct) {

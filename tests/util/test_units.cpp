@@ -2,12 +2,116 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 
 #include "util/error.hpp"
 
 namespace wfr::util {
 namespace {
+
+// The unit formatters as first written, on snprintf: "%.3g" of the value
+// scaled by the largest SI prefix its magnitude reaches (or by the
+// format_seconds unit), then the prefix and unit text.  The <charconv>
+// formatters must reproduce their bytes exactly; these are the reference
+// for the differential tests below.
+std::string reference_with_prefix(double value, const char* unit) {
+  static constexpr struct {
+    double factor;
+    const char* symbol;
+  } kReferencePrefixes[] = {{1e18, "E"}, {1e15, "P"}, {1e12, "T"}, {1e9, "G"},
+                            {1e6, "M"},  {1e3, "k"},  {1.0, ""}};
+  char buf[64];
+  if (value == 0.0) {
+    std::snprintf(buf, sizeof(buf), "0 %s", unit);
+    return buf;
+  }
+  const double mag = std::fabs(value);
+  double factor = 1.0;
+  const char* symbol = "";
+  for (const auto& p : kReferencePrefixes) {
+    if (mag >= p.factor) {
+      factor = p.factor;
+      symbol = p.symbol;
+      break;
+    }
+  }
+  std::snprintf(buf, sizeof(buf), "%.3g %s%s", value / factor, symbol, unit);
+  return buf;
+}
+
+std::string reference_seconds(double seconds) {
+  char buf[64];
+  const double mag = std::fabs(seconds);
+  if (mag == 0.0) return "0 s";
+  if (mag < 1e-3) {
+    std::snprintf(buf, sizeof(buf), "%.3g us", seconds * 1e6);
+  } else if (mag < 1.0) {
+    std::snprintf(buf, sizeof(buf), "%.3g ms", seconds * 1e3);
+  } else if (mag < 120.0) {
+    std::snprintf(buf, sizeof(buf), "%.3g s", seconds);
+  } else if (mag < 2.0 * 3600.0) {
+    std::snprintf(buf, sizeof(buf), "%.3g min", seconds / 60.0);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.3g h", seconds / 3600.0);
+  }
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// Runs every unit formatter on each value against the reference, counting
+// mismatches and reporting the first few.
+class UnitsDiff {
+ public:
+  void check(double value) {
+    ++checked_;
+    compare("format_bytes", value, format_bytes(value),
+            reference_with_prefix(value, "B"));
+    compare("format_rate", value, format_rate(value),
+            reference_with_prefix(value, "B/s"));
+    compare("format_flops", value, format_flops(value),
+            reference_with_prefix(value, "FLOP"));
+    compare("format_flops_rate", value, format_flops_rate(value),
+            reference_with_prefix(value, "FLOP/s"));
+    compare("format_si", value, format_si(value, "Hz"),
+            reference_with_prefix(value, "Hz"));
+    compare("format_seconds", value, format_seconds(value),
+            reference_seconds(value));
+  }
+  // `value` and its neighbours one ulp away on each side.
+  void check_with_neighbours(double value) {
+    check(value);
+    check(std::nextafter(value, -std::numeric_limits<double>::infinity()));
+    check(std::nextafter(value, std::numeric_limits<double>::infinity()));
+  }
+  std::size_t checked() const { return checked_; }
+  std::size_t mismatches() const { return mismatches_; }
+
+ private:
+  void compare(const char* formatter, double value, const std::string& got,
+               const std::string& want) {
+    if (got == want) return;
+    if (++mismatches_ <= 5) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      ADD_FAILURE() << formatter << " of bits 0x" << std::hex << bits
+                    << ": got '" << got << "', reference '" << want << "'";
+    }
+  }
+
+  std::size_t checked_ = 0;
+  std::size_t mismatches_ = 0;
+};
 
 TEST(Units, FormatBytesPicksPrefix) {
   EXPECT_EQ(format_bytes(0.0), "0 B");
@@ -127,6 +231,82 @@ TEST(Units, RoundTripThroughFormatAndParse) {
   const double value = 5.6e12;
   const double parsed = parse_bytes(format_bytes(value));
   EXPECT_NEAR(parsed / value, 1.0, 1e-2);
+}
+
+TEST(UnitsFormat, MatchesReferenceOnRandomBitPatterns) {
+  std::mt19937_64 rng(20240612);
+  UnitsDiff diff;
+  for (int i = 0; i < 1'000'000; ++i) diff.check(from_bits(rng()));
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
+}
+
+TEST(UnitsFormat, MatchesReferenceOnLogSpreadMagnitudes) {
+  // Random bit patterns are mostly far outside any unit's range; these are
+  // the magnitudes models print, from nanoseconds to exabytes.
+  std::mt19937_64 rng(20240613);
+  std::uniform_real_distribution<double> exponent(-12.0, 24.0);
+  UnitsDiff diff;
+  for (int i = 0; i < 200'000; ++i) {
+    const double value = std::pow(10.0, exponent(rng));
+    diff.check(value);
+    diff.check(-value);
+  }
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
+}
+
+TEST(UnitsFormat, MatchesReferenceAtPrefixThresholds) {
+  // Each prefix factor 1e3^k, where the prefix changes, and the two
+  // values that round either side of "1e+03" under %.3g at that prefix.
+  UnitsDiff diff;
+  for (const double factor : {1.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e18}) {
+    for (const double sign : {1.0, -1.0}) {
+      diff.check_with_neighbours(sign * factor);
+      diff.check_with_neighbours(sign * 999.5 * factor);
+      diff.check_with_neighbours(sign * 999.4999 * factor);
+    }
+  }
+  EXPECT_EQ(diff.checked(), 7u * 2u * 3u * 3u);
+  EXPECT_EQ(diff.mismatches(), 0u);
+}
+
+TEST(UnitsFormat, MatchesReferenceAtSecondsThresholds) {
+  // format_seconds switches unit at 1 ms, 1 s, 120 s and 2 h.
+  UnitsDiff diff;
+  for (const double threshold : {1e-3, 1.0, 120.0, 7200.0}) {
+    diff.check_with_neighbours(threshold);
+    diff.check_with_neighbours(-threshold);
+  }
+  EXPECT_EQ(diff.mismatches(), 0u);
+}
+
+TEST(UnitsFormat, MatchesReferenceOnDecadeCarries) {
+  // The prefix or unit is chosen before %.3g rounds, so these print a
+  // carried "1e+03" (or "120 min"): the bytes to keep, quirks included.
+  UnitsDiff diff;
+  for (const double value : {999.6e9, 0.00099996, 7199.99, 0.99996, 119.996,
+                             999.96, 999.6e-9, 1e21, 999.96e18})
+    diff.check_with_neighbours(value);
+  EXPECT_EQ(diff.mismatches(), 0u);
+  EXPECT_EQ(format_bytes(999.6e9), "1e+03 GB");
+  EXPECT_EQ(format_seconds(0.00099996), "1e+03 us");
+  EXPECT_EQ(format_seconds(7199.99), "120 min");
+}
+
+TEST(UnitsFormat, MatchesReferenceOnSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double min = std::numeric_limits<double>::min();
+  UnitsDiff diff;
+  for (const double value :
+       {0.0, -0.0, inf, -inf, nan, -nan, denorm, -denorm, min, -min,
+        min / 3.0, -min / 7.0, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(), -1.0, -5.6e12, -0.02})
+    diff.check(value);
+  EXPECT_EQ(diff.mismatches(), 0u);
+  EXPECT_EQ(format_bytes(-0.0), "0 B");
+  EXPECT_EQ(format_seconds(-0.0), "0 s");
+  EXPECT_EQ(format_rate(-inf), "-inf EB/s");
 }
 
 }  // namespace
