@@ -11,6 +11,7 @@
 
 #include "analytical/bgw_model.hpp"
 #include "autotune/gp.hpp"
+#include "check/scenario_gen.hpp"
 #include "common.hpp"
 #include "core/model.hpp"
 #include "dag/schedule.hpp"
@@ -189,6 +190,30 @@ void BM_RunLclsShapedWorkflow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (width + 1));
 }
 BENCHMARK(BM_RunLclsShapedWorkflow)->Arg(8)->Arg(64)->Arg(256);
+
+// The simulator layer of `wfr check --gen irregular`: sim::run_workflow
+// over the prebuilt graphs of the first 256 default-lane irregular
+// scenarios (about 16 tasks and 15 flows each).  items/sec = scenarios/sec.
+void BM_RunIrregularScenarios(benchmark::State& state) {
+  const check::ScenarioGen gen(check::kDefaultBaseSeed,
+                               check::GenMode::kIrregular);
+  std::vector<dag::WorkflowGraph> graphs;
+  std::vector<sim::MachineConfig> machines;
+  for (std::size_t i = 0; i < 256; ++i) {
+    const check::GenScenario scenario = gen.generate(i);
+    graphs.push_back(scenario.build_graph());
+    machines.push_back(scenario.system.to_machine());
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      const trace::WorkflowTrace t = sim::run_workflow(graphs[i], machines[i]);
+      benchmark::DoNotOptimize(t.makespan_seconds());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(graphs.size()));
+}
+BENCHMARK(BM_RunIrregularScenarios);
 
 void BM_ListScheduler(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));

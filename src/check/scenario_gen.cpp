@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "exec/thread_pool.hpp"
 #include "math/rng.hpp"
@@ -85,8 +86,9 @@ double topology_gap_ceiling(Topology topology) {
 
 dag::WorkflowGraph GenScenario::build_graph() const {
   if (mode == GenMode::kIrregular) {
-    dag::WorkflowGraph graph(util::format(
-        "check-irr-%s-%zu", topology_name(topology), index));
+    dag::WorkflowGraph graph(std::string("check-irr-") +
+                             topology_name(topology) + '-' +
+                             std::to_string(index));
     std::vector<dag::TaskId> ids;
     ids.reserve(tasks.size());
     for (const dag::TaskSpec& spec : tasks) ids.push_back(graph.add_task(spec));
@@ -95,13 +97,13 @@ dag::WorkflowGraph GenScenario::build_graph() const {
                            ids[static_cast<std::size_t>(e.to)]);
     return graph;
   }
-  dag::WorkflowGraph graph(util::format("check-%s-%zu", regime_name(regime),
-                                        index));
+  dag::WorkflowGraph graph(std::string("check-") + regime_name(regime) + '-' +
+                           std::to_string(index));
   for (int col = 0; col < width; ++col) {
     dag::TaskId prev = dag::kInvalidTask;
     for (int level = 0; level < levels; ++level) {
       dag::TaskSpec spec = task;
-      spec.name = util::format("t%d_%d", col, level);
+      spec.name = 't' + std::to_string(col) + '_' + std::to_string(level);
       const dag::TaskId id = graph.add_task(std::move(spec));
       if (level > 0) graph.add_dependency(prev, id);
       prev = id;
@@ -283,7 +285,7 @@ GenScenario ScenarioGen::generate_rectangular(std::size_t index) const {
   math::Rng rng(s.case_seed);
 
   core::SystemSpec& sys = s.system;
-  sys.name = util::format("gen-%zu", index);
+  sys.name = "gen-" + std::to_string(index);
   sys.total_nodes = static_cast<int>(rng.uniform_int(4, 256));
   draw_channel_rates(rng, sys);
 
@@ -373,7 +375,7 @@ GenScenario ScenarioGen::generate_irregular(std::size_t index) const {
   s.regime = static_cast<Regime>(rng.uniform_int(0, kRegimeCount - 1));
 
   core::SystemSpec& sys = s.system;
-  sys.name = util::format("gen-irr-%zu", index);
+  sys.name = "gen-irr-" + std::to_string(index);
   draw_channel_rates(rng, sys);
 
   // Uniform per-task node count.  With every task needing the same n nodes
@@ -477,9 +479,10 @@ GenScenario ScenarioGen::generate_irregular(std::size_t index) const {
   // shared flows even under full contention by `width` peers) at
   // <= 0.15 * t_i each — these caps are what the per-class gap ceilings in
   // topology_gap_ceiling() are derived from.
+  s.tasks.reserve(static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
     dag::TaskSpec spec;
-    spec.name = util::format("t%d", i);
+    spec.name = 't' + std::to_string(i);
     spec.kind = topology_name(s.topology);
     spec.nodes = s.nodes_per_task;
     double t_i = t_base * log_uniform(rng, 0.5, 2.0);

@@ -111,14 +111,22 @@ void Simulator::schedule_after(double delay, Callback callback) {
   schedule_at(now_ + delay, std::move(callback));
 }
 
-std::uint32_t Simulator::alloc_flow_slot() {
+Simulator::FlowState& Simulator::alloc_flow() {
+  // The serial fills the id's high 32 bits.  Every slot was opened by a
+  // flow, so bounding the serial also keeps each slot within 32 bits.
+  util::ensure(next_flow_serial_ <= std::numeric_limits<std::uint32_t>::max(),
+               "flow id serial exhausted after %llu flows",
+               static_cast<unsigned long long>(next_flow_serial_ - 1));
+  std::uint32_t slot = static_cast<std::uint32_t>(flow_slots_.size());
   if (!free_flow_slots_.empty()) {
-    const std::uint32_t slot = free_flow_slots_.back();
+    slot = free_flow_slots_.back();
     free_flow_slots_.pop_back();
-    return slot;
+  } else {
+    flow_slots_.emplace_back();
   }
-  flow_slots_.emplace_back();
-  return static_cast<std::uint32_t>(flow_slots_.size() - 1);
+  FlowState& st = flow_slots_[slot];
+  st.id = (next_flow_serial_++ << 32) | slot;
+  return st;
 }
 
 void Simulator::free_flow_slot(std::uint32_t slot) {
@@ -139,19 +147,16 @@ FlowId Simulator::start_flow(ResourceId resource, double volume,
     return kInvalidFlow;
   }
   Resource& r = resource_ref(resource);
-  const std::uint32_t slot = alloc_flow_slot();
-  FlowState& st = flow_slots_[slot];
-  st.id = next_flow_id_++;
+  FlowState& st = alloc_flow();
   st.resource = resource;
   st.volume = volume;
   st.finish_virtual = r.virtual_time + volume;
   st.background = false;
   st.on_complete = std::move(on_complete);
   st.on_cancel = std::move(on_cancel);
-  flow_index_.emplace(st.id, slot);
   ++r.flow_count;
   ++r.finite_count;
-  r.heap.push_back(FlowHeapEntry{st.finish_virtual, st.id, slot});
+  r.heap.push_back(FlowHeapEntry{st.finish_virtual, st.id});
   std::push_heap(r.heap.begin(), r.heap.end(), FlowHeapLater{});
   ++stats_.flows_started;
   return st.id;
@@ -159,24 +164,23 @@ FlowId Simulator::start_flow(ResourceId resource, double volume,
 
 FlowId Simulator::start_background_flow(ResourceId resource) {
   Resource& r = resource_ref(resource);
-  const std::uint32_t slot = alloc_flow_slot();
-  FlowState& st = flow_slots_[slot];
-  st.id = next_flow_id_++;
+  FlowState& st = alloc_flow();
   st.resource = resource;
   st.volume = std::numeric_limits<double>::infinity();
   st.finish_virtual = std::numeric_limits<double>::infinity();
   st.background = true;
-  flow_index_.emplace(st.id, slot);
   ++r.flow_count;
   ++stats_.background_flows_started;
   return st.id;
 }
 
 void Simulator::cancel_flow(FlowId flow) {
+  // A free slot holds kInvalidFlow, so that id is turned away first.  A
+  // finished flow's id, or a made-up one, then fails the match: its slot
+  // is free, out of range or holds a later serial.
   if (flow == kInvalidFlow) return;
-  const auto it = flow_index_.find(flow);
-  if (it == flow_index_.end()) return;
-  const std::uint32_t slot = it->second;
+  const std::uint32_t slot = flow_slot(flow);
+  if (slot >= flow_slots_.size() || flow_slots_[slot].id != flow) return;
   FlowState& st = flow_slots_[slot];
   Resource& r = resources_[st.resource];
   --r.flow_count;
@@ -189,7 +193,6 @@ void Simulator::cancel_flow(FlowId flow) {
                            st.volume);
   }
   CancelCallback on_cancel = std::move(st.on_cancel);
-  flow_index_.erase(it);
   free_flow_slot(slot);
   maybe_compact_heap(r);
   ++stats_.flows_cancelled;
@@ -253,8 +256,10 @@ void Simulator::advance(double dt) {
 void Simulator::complete_finished_flows() {
   // Collect finished flows first; callbacks may add flows/events.  Within
   // a resource the heap pops in (required service, flow id) order, so
-  // simultaneous completions fire in flow creation order.
-  std::vector<Callback> callbacks;
+  // simultaneous completions fire in flow creation order.  The batch
+  // reuses completion_batch_'s storage, moved out while the callbacks run
+  // so that a callback which steps the engine gets a batch of its own.
+  std::vector<Callback> callbacks = std::move(completion_batch_);
   for (Resource& r : resources_) {
     const double tolerance = completion_tolerance(r.virtual_time);
     for (;;) {
@@ -264,17 +269,18 @@ void Simulator::complete_finished_flows() {
       if (top.finish_virtual - r.virtual_time > tolerance) break;
       std::pop_heap(r.heap.begin(), r.heap.end(), FlowHeapLater{});
       r.heap.pop_back();
-      FlowState& st = flow_slots_[top.slot];
-      callbacks.push_back(std::move(st.on_complete));
+      const std::uint32_t slot = flow_slot(top.id);
+      callbacks.push_back(std::move(flow_slots_[slot].on_complete));
       --r.flow_count;
       --r.finite_count;
       ++stats_.flows_completed;
-      flow_index_.erase(top.id);
-      free_flow_slot(top.slot);
+      free_flow_slot(slot);
     }
   }
   for (Callback& cb : callbacks)
     if (cb) cb();
+  callbacks.clear();
+  completion_batch_ = std::move(callbacks);
 }
 
 bool Simulator::step() {

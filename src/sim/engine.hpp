@@ -21,15 +21,17 @@
 // reaches the value it had at the flow's admission plus the flow's
 // volume.  Advancing time therefore touches each resource once (not each
 // flow), the next completion is the top of a per-resource min-heap, and
-// cancellation is an O(1) id lookup.  Event callbacks live in a slab with
-// a free-list, so long simulations reuse storage instead of growing it.
+// cancellation reads the flow's slot straight from its id.  Flows and
+// event callbacks live in slabs with free-lists, so long simulations
+// reuse storage instead of growing it; once warm, the engine allocates
+// nothing per flow or step for callbacks that fit std::function's inline
+// buffer (16 bytes in libstdc++).
 
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace wfr::obs {
@@ -47,6 +49,10 @@ using CancelCallback = std::function<void(double remaining_volume)>;
 /// Handle to a shared bandwidth resource.
 using ResourceId = std::uint32_t;
 /// Handle to an active flow; valid until the flow completes / is cancelled.
+/// The low 32 bits hold the flow's slot in the engine's registry, the high
+/// 32 bits a creation serial that starts at 1.  So no id is kInvalidFlow,
+/// an id outlives its slot's reuse without aliasing the next flow there,
+/// and ids order by creation even when a later flow takes a lower slot.
 using FlowId = std::uint64_t;
 
 inline constexpr FlowId kInvalidFlow = 0;
@@ -144,7 +150,9 @@ class Simulator {
 
   /// Introspection for tests/benchmarks: flows currently registered
   /// (finite + background, across all resources).
-  std::size_t live_flows() const { return flow_index_.size(); }
+  std::size_t live_flows() const {
+    return flow_slots_.size() - free_flow_slots_.size();
+  }
 
   // --- Observation ------------------------------------------------------------
   /// Engine self-metric counters (always collected).
@@ -180,11 +188,10 @@ class Simulator {
 
   /// Min-heap node: finite flows ordered by required virtual service,
   /// ties broken by flow id (= creation order).  Cancelled flows leave
-  /// stale nodes that are pruned lazily (slot/id mismatch).
+  /// stale nodes that are pruned lazily (the id's slot holds another id).
   struct FlowHeapEntry {
     double finish_virtual = 0.0;
     FlowId id = kInvalidFlow;
-    std::uint32_t slot = 0;
   };
   struct FlowHeapLater {
     bool operator()(const FlowHeapEntry& a, const FlowHeapEntry& b) const {
@@ -230,11 +237,15 @@ class Simulator {
   Resource& resource_ref(ResourceId id);
   const Resource& resource_ref(ResourceId id) const;
 
-  std::uint32_t alloc_flow_slot();
+  static std::uint32_t flow_slot(FlowId id) {
+    return static_cast<std::uint32_t>(id);
+  }
+  /// Takes a free slot and stamps it with the next id.
+  FlowState& alloc_flow();
   void free_flow_slot(std::uint32_t slot);
   /// True when a heap node still refers to a live flow.
   bool heap_entry_live(const FlowHeapEntry& entry) const {
-    return flow_slots_[entry.slot].id == entry.id;
+    return flow_slots_[flow_slot(entry.id)].id == entry.id;
   }
   /// Pops cancelled leftovers off the heap top.
   void prune_heap_top(Resource& r);
@@ -251,7 +262,7 @@ class Simulator {
   double now_ = 0.0;
   EngineStats stats_;
   obs::ResourceProbe* probe_ = nullptr;
-  std::uint64_t next_flow_id_ = 1;
+  std::uint64_t next_flow_serial_ = 1;
   std::uint64_t next_sequence_ = 0;
   std::vector<Resource> resources_;
   std::priority_queue<TimedEvent, std::vector<TimedEvent>,
@@ -261,10 +272,12 @@ class Simulator {
   // is bounded by the peak number of simultaneously pending events.
   std::vector<Callback> events_payload_;
   std::vector<std::size_t> free_event_slots_;
-  // Flow registry slab + free-list, with an id index for O(1) cancel.
+  // Flow registry slab + free-list; a FlowId names its slot.
   std::vector<FlowState> flow_slots_;
   std::vector<std::uint32_t> free_flow_slots_;
-  std::unordered_map<FlowId, std::uint32_t> flow_index_;
+  // Callback batch of complete_finished_flows(), kept between steps so
+  // its capacity is reused.
+  std::vector<Callback> completion_batch_;
 };
 
 }  // namespace wfr::sim

@@ -227,6 +227,7 @@ class Runner {
     st.record.nodes = t.nodes;
     st.record.start_seconds = sim_.now();
     st.record.counters = trace::counters_from_demand(t.demand, t.nodes);
+    st.record.spans.reserve(5);  // one span per phase
     st.phase_start = sim_.now();
     run_overhead(id);
   }
@@ -254,14 +255,21 @@ class Runner {
   // Task flows must never be cancelled: the task's phase chain would stall
   // and the run would end in a misleading "workflow deadlocked" error.
   // Installing this cancellation callback turns that latent state into an
-  // immediate, attributable failure at the cancel site.
-  CancelCallback abort_on_cancel(dag::TaskId id, const char* phase) {
-    return [this, id, phase](double remaining) {
+  // immediate, attributable failure at the cancel site.  The closure fits
+  // std::function's 16-byte inline buffer, so a flow allocates nothing
+  // for it.
+  CancelCallback abort_on_cancel(dag::TaskId id, trace::Phase phase) {
+    auto on_cancel = [this, id, phase](double remaining) {
+      const char* flow = phase == trace::Phase::kExternalIn ? "external-ingress"
+                         : phase == trace::Phase::kFsRead   ? "fs-read"
+                                                            : "fs-write";
       throw util::InternalError(util::format(
           "task '%s' had its %s flow cancelled mid-run (%g bytes left); "
           "task flows must run to completion",
-          graph_.task(id).name.c_str(), phase, remaining));
+          graph_.task(id).name.c_str(), flow, remaining));
     };
+    static_assert(sizeof(on_cancel) <= 16);
+    return on_cancel;
   }
 
   void run_external_in(dag::TaskId id) {
@@ -272,7 +280,7 @@ class Runner {
     };
     if (volume > 0.0) {
       sim_.start_flow(external_, volume, next,
-                      abort_on_cancel(id, "external-ingress"));
+                      abort_on_cancel(id, trace::Phase::kExternalIn));
     } else {
       next();
     }
@@ -285,7 +293,8 @@ class Runner {
       run_work(id);
     };
     if (volume > 0.0) {
-      sim_.start_flow(fs_, volume, next, abort_on_cancel(id, "fs-read"));
+      sim_.start_flow(fs_, volume, next,
+                      abort_on_cancel(id, trace::Phase::kFsRead));
     } else {
       next();
     }
@@ -322,7 +331,8 @@ class Runner {
       finish_task(id);
     };
     if (volume > 0.0) {
-      sim_.start_flow(fs_, volume, next, abort_on_cancel(id, "fs-write"));
+      sim_.start_flow(fs_, volume, next,
+                      abort_on_cancel(id, trace::Phase::kFsWrite));
     } else {
       next();
     }

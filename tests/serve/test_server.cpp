@@ -550,8 +550,9 @@ TEST(ServeTest, MetricsDoubleScrapeDoesNotDoubleCountSweepTotals) {
   ASSERT_EQ(client.request("POST", "/v1/sweep", kSweepBody).status, 200);
   ASSERT_EQ(client.request("POST", "/v1/sweep", kSweepBody).status, 200);
   // Regression: counters used to be re-added on every scrape, so a second
-  // scrape doubled the totals.  The endpoint counters fold into the
-  // registry as deltas, so they stay exact however often /metrics runs.
+  // scrape doubled the totals.  App increments the registry's endpoint
+  // counters once per request, and a scrape only reads them, so they stay
+  // exact however often /metrics runs.
   client.request("GET", "/metrics");
   const std::string text = client.request("GET", "/metrics").body;
   // A scrape counts itself only after it returns: two sweeps and the
@@ -561,7 +562,7 @@ TEST(ServeTest, MetricsDoubleScrapeDoesNotDoubleCountSweepTotals) {
       << text;
   EXPECT_NE(text.find("serve_responses_2xx 3\n"), std::string::npos) << text;
 
-  // New work adds only its own delta on top of the running totals.
+  // New work adds only its own requests on top of the running totals.
   ASSERT_EQ(client.request("POST", "/v1/sweep", kSweepBody).status, 200);
   const std::string after = client.request("GET", "/metrics").body;
   EXPECT_NE(after.find("serve_requests_sweep 3\n"), std::string::npos)

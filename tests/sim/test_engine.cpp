@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -299,6 +300,51 @@ TEST(Engine, SimultaneousCompletionsFireInCreationOrder) {
   sim.start_flow(r, 500.0, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// The low 32 bits of a FlowId name its slot; the tests below use that to
+// make sure a slot really was reused.
+std::uint32_t slot_of(FlowId id) { return static_cast<std::uint32_t>(id); }
+
+TEST(Engine, StaleFlowIdLeavesTheSlotsNextFlowAlone) {
+  Simulator sim;
+  const ResourceId r = sim.add_resource("fs", 10.0);
+  const FlowId a = sim.start_flow(r, 10.0, [] {});
+  sim.run();
+  // A's slot is free now and holds kInvalidFlow, which must still not
+  // match a cancel of kInvalidFlow.
+  sim.cancel_flow(kInvalidFlow);
+  EXPECT_EQ(sim.live_flows(), 0u);
+  EXPECT_EQ(sim.active_flows(r), 0);
+  bool b_done = false;
+  const FlowId b = sim.start_flow(r, 10.0, [&] { b_done = true; });
+  ASSERT_EQ(slot_of(b), slot_of(a));
+  EXPECT_NE(b, a);
+  // A's id, and a made-up id naming the same slot, must not reach B.
+  sim.cancel_flow(a);
+  sim.cancel_flow(b + (std::uint64_t{1} << 32));
+  EXPECT_EQ(sim.live_flows(), 1u);
+  EXPECT_EQ(sim.active_flows(r), 1);
+  sim.run();
+  EXPECT_TRUE(b_done);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.stats().flows_cancelled, 0u);
+}
+
+TEST(Engine, SimultaneousCompletionsFireInCreationOrderAcrossReusedSlots) {
+  // D reuses A's slot 0, below B's slot 1, and finishes at the same
+  // instant as B.  Creation order, not slot order, decides who fires first.
+  Simulator sim;
+  const ResourceId r = sim.add_resource("fs", 100.0);
+  std::vector<char> order;
+  const FlowId a = sim.start_flow(r, 500.0, [&] { order.push_back('A'); });
+  const FlowId b = sim.start_flow(r, 500.0, [&] { order.push_back('B'); });
+  sim.cancel_flow(a);
+  const FlowId d = sim.start_flow(r, 500.0, [&] { order.push_back('D'); });
+  ASSERT_EQ(slot_of(d), slot_of(a));
+  ASSERT_LT(slot_of(d), slot_of(b));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'B', 'D'}));
 }
 
 TEST(Engine, FlowsOnDifferentResourcesAreIndependent) {
