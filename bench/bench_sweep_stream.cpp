@@ -184,7 +184,7 @@ int main() {
     std::vector<std::string> parts;
     for (int i = 0; i < 3; ++i) {
       exec::StreamOptions stream;
-      stream.shard = {3, i, exec::ShardMode::kStride};
+      stream.shard = {3, i};
       const std::string path =
           (fs::temp_directory_path() /
            ("wfr_bench_sweep_shard" + std::to_string(i) + ".ndjson"))
@@ -201,8 +201,7 @@ int main() {
       parts.push_back(path);
     }
     std::ostringstream merged;
-    exec::merge_shard_outputs(parts, exec::ShardMode::kStride, small.size(),
-                              merged);
+    exec::merge_shard_outputs(parts, small.size(), merged);
     for (const std::string& path : parts) fs::remove(path);
     shard_merge_matches = merged.str() == batch;
   }

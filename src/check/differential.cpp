@@ -28,97 +28,19 @@ ScenarioId scenario_id(const GenScenario& s) {
   return {s.base_seed, s.case_seed, s.index, s.mode, s.topology, s.regime};
 }
 
-// Irregular-mode comparison: the roofline is an upper bound on arbitrary
-// DAGs (path argument for diagonal ceilings, capacity argument for
-// horizontal ones — see scenario_gen.hpp), so assert the bound plus the
-// per-class gap ceiling instead of tight agreement.
-CaseResult run_irregular_case(const GenScenario& scenario,
-                              const CheckOptions& options) {
-  CaseResult r;
-  r.scenario = scenario_id(scenario);
-  auto fail = [&r](std::string message) {
-    r.failures.push_back(std::move(message));
-  };
-
-  const dag::WorkflowGraph graph = scenario.build_graph();
-  const core::WorkflowCharacterization characterization =
-      core::characterize_graph(graph);
-  if (characterization.parallel_tasks != scenario.width) {
-    fail(util::format("characterized parallel_tasks %d != generated max "
-                      "level width %d",
-                      characterization.parallel_tasks, scenario.width));
-  }
-
-  const core::RooflineModel model =
-      core::build_model(scenario.system, characterization);
-  r.model_wall = model.parallelism_wall();
-  if (r.model_wall != scenario.expected_wall) {
-    fail(util::format("parallelism wall mismatch: model %d, expected "
-                      "floor(%d / %d) = %d",
-                      r.model_wall, scenario.system.total_nodes,
-                      scenario.nodes_per_task, scenario.expected_wall));
-  }
-  // Construction keeps width <= wall, so the operating point is the DAG's
-  // parallel width and the upper-bound argument applies there.
-  const double operating_p =
-      std::min(static_cast<double>(characterization.parallel_tasks),
-               static_cast<double>(r.model_wall));
-  r.predicted_tps = model.attainable_tps(operating_p);
-  r.binding_channel =
-      core::channel_name(model.binding_ceiling(operating_p).channel);
-
-  const trace::WorkflowTrace trace =
-      sim::run_workflow(graph, scenario.system.to_machine());
-  const double makespan = trace.makespan_seconds();
-  if (!(makespan > 0.0)) {
-    fail("simulated makespan is not positive");
-    return r;
-  }
-  r.simulated_tps = static_cast<double>(scenario.total_tasks()) / makespan;
-  r.sim_peak_parallel = trace.peak_concurrency();
-  if (r.sim_peak_parallel < 1 || r.sim_peak_parallel > scenario.expected_wall) {
-    fail(util::format("peak concurrency %d outside [1, wall %d]",
-                      r.sim_peak_parallel, scenario.expected_wall));
-  }
-
-  r.relative_error =
-      std::fabs(r.simulated_tps - r.predicted_tps) / r.predicted_tps;
-  r.gap = std::max(0.0, 1.0 - r.simulated_tps / r.predicted_tps);
-  if (!(r.simulated_tps <=
-        r.predicted_tps * (1.0 + options.tolerance))) {
-    fail(util::format(
-        "roofline violated: simulated %s tps exceeds predicted upper bound "
-        "%s tps (by more than tolerance %s)",
-        util::format_double(r.simulated_tps).c_str(),
-        util::format_double(r.predicted_tps).c_str(),
-        util::format_double(options.tolerance).c_str()));
-  }
-  const double ceiling = topology_gap_ceiling(scenario.topology);
-  if (!(r.gap <= ceiling)) {
-    fail(util::format(
-        "gap ceiling exceeded: class %s gap %s > documented ceiling %s "
-        "(predicted %s tps, simulated %s tps)",
-        topology_name(scenario.topology),
-        util::format_double(r.gap).c_str(),
-        util::format_double(ceiling).c_str(),
-        util::format_double(r.predicted_tps).c_str(),
-        util::format_double(r.simulated_tps).c_str()));
-  }
-
-  core::Dot dot;
-  dot.label = "simulated";
-  dot.parallel_tasks = operating_p;
-  dot.tps = r.simulated_tps;
-  r.predicted_bound = core::bound_class_name(model.classify(dot));
-  r.expected_bound = r.predicted_bound;  // no engineered class to pin
-  return r;
-}
-
 }  // namespace
 
+// Both generator modes run one pipeline: graph, characterization, model,
+// wall, operating point, simulation, makespan, error and gap.  They part
+// at four points.  Rectangular scenarios are engineered to be tight, so
+// the run asserts agreement: the engineered binding channel, the exact
+// peak concurrency, the two-sided tolerance and the bound class.  On an
+// irregular DAG the roofline is only an upper bound (path argument for
+// diagonal ceilings, capacity argument for horizontal ones — see
+// scenario_gen.hpp), so the run asserts the bound plus the per-class gap
+// ceiling instead.
 CaseResult DifferentialRunner::run_case(const GenScenario& scenario) const {
-  if (scenario.mode == GenMode::kIrregular)
-    return run_irregular_case(scenario, options_);
+  const bool irregular = scenario.mode == GenMode::kIrregular;
   CaseResult r;
   r.scenario = scenario_id(scenario);
   auto fail = [&r](std::string message) {
@@ -129,8 +51,10 @@ CaseResult DifferentialRunner::run_case(const GenScenario& scenario) const {
   const core::WorkflowCharacterization characterization =
       core::characterize_graph(graph);
   if (characterization.parallel_tasks != scenario.width) {
-    fail(util::format("characterized parallel_tasks %d != generated width %d",
-                      characterization.parallel_tasks, scenario.width));
+    fail(util::format("characterized parallel_tasks %d != generated %s %d",
+                      characterization.parallel_tasks,
+                      irregular ? "max level width" : "width",
+                      scenario.width));
   }
 
   // Analytical side: Eq. 1 evaluated at the scenario's operating point.
@@ -143,18 +67,23 @@ CaseResult DifferentialRunner::run_case(const GenScenario& scenario) const {
                       r.model_wall, scenario.system.total_nodes,
                       scenario.nodes_per_task, scenario.expected_wall));
   }
+  // Irregular construction keeps width <= wall, so there the operating
+  // point is the DAG's parallel width and the upper-bound argument
+  // applies.
   const double operating_p = std::min(
       static_cast<double>(characterization.parallel_tasks),
       static_cast<double>(r.model_wall));
   r.predicted_tps = model.attainable_tps(operating_p);
   r.binding_channel =
       core::channel_name(model.binding_ceiling(operating_p).channel);
-  const char* expected_channel =
-      core::channel_name(regime_channel(scenario.regime));
-  if (r.binding_channel != expected_channel) {
-    fail(util::format("binding channel mismatch: model '%s', generator "
-                      "engineered '%s' to bind",
-                      r.binding_channel.c_str(), expected_channel));
+  if (!irregular) {
+    const char* expected_channel =
+        core::channel_name(regime_channel(scenario.regime));
+    if (r.binding_channel != expected_channel) {
+      fail(util::format("binding channel mismatch: model '%s', generator "
+                        "engineered '%s' to bind",
+                        r.binding_channel.c_str(), expected_channel));
+    }
   }
 
   // Simulated side: full discrete-event execution, default options
@@ -168,7 +97,13 @@ CaseResult DifferentialRunner::run_case(const GenScenario& scenario) const {
   }
   r.simulated_tps = static_cast<double>(scenario.total_tasks()) / makespan;
   r.sim_peak_parallel = trace.peak_concurrency();
-  if (r.sim_peak_parallel != scenario.width) {
+  if (irregular) {
+    if (r.sim_peak_parallel < 1 ||
+        r.sim_peak_parallel > scenario.expected_wall) {
+      fail(util::format("peak concurrency %d outside [1, wall %d]",
+                        r.sim_peak_parallel, scenario.expected_wall));
+    }
+  } else if (r.sim_peak_parallel != scenario.width) {
     fail(util::format("peak concurrency mismatch: simulator %d, DAG width %d",
                       r.sim_peak_parallel, scenario.width));
   }
@@ -176,6 +111,38 @@ CaseResult DifferentialRunner::run_case(const GenScenario& scenario) const {
   r.relative_error =
       std::fabs(r.simulated_tps - r.predicted_tps) / r.predicted_tps;
   r.gap = std::max(0.0, 1.0 - r.simulated_tps / r.predicted_tps);
+
+  core::Dot dot;
+  dot.label = "simulated";
+  dot.parallel_tasks = operating_p;
+  dot.tps = r.simulated_tps;
+  r.predicted_bound = core::bound_class_name(model.classify(dot));
+
+  if (irregular) {
+    if (!(r.simulated_tps <=
+          r.predicted_tps * (1.0 + options_.tolerance))) {
+      fail(util::format(
+          "roofline violated: simulated %s tps exceeds predicted upper "
+          "bound %s tps (by more than tolerance %s)",
+          util::format_double(r.simulated_tps).c_str(),
+          util::format_double(r.predicted_tps).c_str(),
+          util::format_double(options_.tolerance).c_str()));
+    }
+    const double ceiling = topology_gap_ceiling(scenario.topology);
+    if (!(r.gap <= ceiling)) {
+      fail(util::format(
+          "gap ceiling exceeded: class %s gap %s > documented ceiling %s "
+          "(predicted %s tps, simulated %s tps)",
+          topology_name(scenario.topology),
+          util::format_double(r.gap).c_str(),
+          util::format_double(ceiling).c_str(),
+          util::format_double(r.predicted_tps).c_str(),
+          util::format_double(r.simulated_tps).c_str()));
+    }
+    r.expected_bound = r.predicted_bound;  // no engineered class to pin
+    return r;
+  }
+
   if (!(r.relative_error <= options_.tolerance)) {
     fail(util::format(
         "throughput divergence: predicted %s tps, simulated %s tps "
@@ -185,12 +152,6 @@ CaseResult DifferentialRunner::run_case(const GenScenario& scenario) const {
         util::format_double(r.relative_error).c_str(),
         util::format_double(options_.tolerance).c_str()));
   }
-
-  core::Dot dot;
-  dot.label = "simulated";
-  dot.parallel_tasks = operating_p;
-  dot.tps = r.simulated_tps;
-  r.predicted_bound = core::bound_class_name(model.classify(dot));
   r.expected_bound = core::bound_class_name(scenario.expected_bound);
   if (r.predicted_bound != r.expected_bound) {
     fail(util::format("bound classification mismatch: model '%s', "

@@ -19,7 +19,6 @@ util::Json checkpoint_to_json(const SweepCheckpoint& checkpoint) {
     util::JsonObject shard;
     shard.set("count", util::Json(checkpoint.shard.count));
     shard.set("index", util::Json(checkpoint.shard.index));
-    shard.set("mode", util::Json(shard_mode_name(checkpoint.shard.mode)));
     doc.set("shard", util::Json(std::move(shard)));
   }
   util::JsonArray range;
@@ -57,9 +56,14 @@ SweepCheckpoint checkpoint_from_json(const util::Json& json) {
         1, kIntMax, "sweep checkpoint: shard.count"));
     checkpoint.shard.index = static_cast<int>(shard->at("index").as_int_in(
         0, kIntMax, "sweep checkpoint: shard.index"));
+    // Older builds wrote "mode": "stride", the only layout there is.
+    const util::Json* mode = shard->as_object().find("mode");
+    if (mode != nullptr &&
+        !(mode->is_string() && mode->as_string() == "stride"))
+      throw util::ParseError(
+          "sweep checkpoint: shard.mode must be \"stride\" or absent, got " +
+          mode->dump());
     try {
-      checkpoint.shard.mode =
-          parse_shard_mode(shard->at("mode").as_string());
       checkpoint.shard.validate();
     } catch (const util::Error& e) {
       throw util::ParseError(std::string("sweep checkpoint: ") + e.what());
@@ -118,19 +122,25 @@ SweepCheckpoint validate_resume(const std::string& checkpoint_path,
         util::to_hex(ckpt.grid_hash) + ", grid " + util::to_hex(grid_hash) +
         ")");
   util::require(
-      ckpt.shard.count == shard.count && ckpt.shard.index == shard.index &&
-          ckpt.shard.mode == shard.mode,
-      "checkpoint '%s' was written by shard %d/%d (%s) but this run is "
-      "shard %d/%d (%s)",
+      ckpt.shard.count == shard.count && ckpt.shard.index == shard.index,
+      "checkpoint '%s' was written by shard %d/%d but this run is shard "
+      "%d/%d",
       checkpoint_path.c_str(), ckpt.shard.index, ckpt.shard.count,
-      shard_mode_name(ckpt.shard.mode), shard.index, shard.count,
-      shard_mode_name(shard.mode));
-  util::require(ckpt.rows <= shard_rows,
-                "checkpoint '%s' records %llu rows but the grid has %llu "
-                "points",
-                checkpoint_path.c_str(),
-                static_cast<unsigned long long>(ckpt.rows),
-                static_cast<unsigned long long>(shard_rows));
+      shard.index, shard.count);
+  if (shard.sharded())
+    util::require(ckpt.rows <= shard_rows,
+                  "checkpoint '%s' records %llu rows but shard %d/%d owns "
+                  "%llu rows",
+                  checkpoint_path.c_str(),
+                  static_cast<unsigned long long>(ckpt.rows), shard.index,
+                  shard.count, static_cast<unsigned long long>(shard_rows));
+  else
+    util::require(ckpt.rows <= shard_rows,
+                  "checkpoint '%s' records %llu rows but the grid has %llu "
+                  "points",
+                  checkpoint_path.c_str(),
+                  static_cast<unsigned long long>(ckpt.rows),
+                  static_cast<unsigned long long>(shard_rows));
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(ndjson_path, ec);
   if (ec)

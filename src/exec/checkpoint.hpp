@@ -7,7 +7,7 @@
 // Format (versioned JSON, written atomically via util::write_file_atomic):
 //   {"wfr_sweep_checkpoint": 1,
 //    "grid_hash": "<32 lowercase hex chars>",
-//    "shard": {"count": N, "index": I, "mode": "stride"},   (sharded only)
+//    "shard": {"count": N, "index": I},   (sharded only)
 //    "completed": [[0, <rows>]],
 //    "ndjson_bytes": <bytes>}
 //
@@ -18,7 +18,9 @@
 // shard's emission order is itself a strictly increasing prefix — see
 // exec/shard.hpp) and the "shard" member pins the spec, so a checkpoint
 // can never resume under a different shard split.  Unsharded checkpoints
-// omit the member and stay byte-compatible with pre-shard readers.
+// omit the member and stay byte-compatible with pre-shard readers.  The
+// reader still accepts the "mode": "stride" that older builds wrote into
+// the member and rejects any other mode.
 // ndjson_bytes is the exact size of the output file after `rows` rows:
 // on resume the partial file is truncated to this length (discarding any
 // rows emitted after the last checkpoint) and appending continues at
@@ -52,8 +54,9 @@ struct SweepCheckpoint {
 util::Json checkpoint_to_json(const SweepCheckpoint& checkpoint);
 
 /// Parses and validates a checkpoint document.  Throws ParseError on an
-/// unknown version, a malformed shape, an invalid shard member, or a
-/// completed set that is not a single prefix range.
+/// unknown version, a malformed shape, an invalid shard member (a
+/// shard.mode other than "stride" included), or a completed set that is
+/// not a single prefix range.
 SweepCheckpoint checkpoint_from_json(const util::Json& json);
 
 /// Writes `checkpoint` to `path` atomically (temp file + rename), so a
@@ -70,7 +73,7 @@ SweepCheckpoint load_checkpoint(const std::string& path);
 
 /// Loads the checkpoint at `checkpoint_path` and cross-checks it against
 /// the sweep it is about to resume: the grid fingerprint, the shard spec
-/// (count/index/mode must all match), the row count (`shard_rows` = rows
+/// (count and index must both match), the row count (`shard_rows` = rows
 /// this shard owns), and the NDJSON output at `ndjson_path`, which must
 /// exist and hold at least ndjson_bytes bytes.  Bytes past the
 /// checkpoint (rows emitted after the last save) are truncated away so

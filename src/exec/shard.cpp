@@ -1,6 +1,5 @@
 #include "exec/shard.hpp"
 
-#include <algorithm>
 #include <fstream>
 
 #include "util/error.hpp"
@@ -8,70 +7,33 @@
 
 namespace wfr::exec {
 
-const char* shard_mode_name(ShardMode mode) {
-  switch (mode) {
-    case ShardMode::kStride: return "stride";
-    case ShardMode::kBlock: return "block";
-  }
-  return "stride";
-}
-
-ShardMode parse_shard_mode(const std::string& name) {
-  if (name == "stride") return ShardMode::kStride;
-  if (name == "block") return ShardMode::kBlock;
-  throw util::InvalidArgument("unknown shard mode '" + name +
-                              "' (expected stride or block)");
-}
-
 void ShardSpec::validate() const {
   util::require(count >= 1, "shard count must be >= 1, got %d", count);
   util::require(index >= 0 && index < count,
                 "shard index %d out of range [0, %d)", index, count);
 }
 
-namespace {
-
-/// Rows per contiguous block: ceil(total / count); 0 for an empty grid.
-std::size_t block_size(std::size_t total, int count) {
-  const std::size_t n = static_cast<std::size_t>(count);
-  return (total + n - 1) / n;
-}
-
-}  // namespace
-
 std::size_t ShardSpec::rows(std::size_t total) const {
   const std::size_t n = static_cast<std::size_t>(count);
   const std::size_t i = static_cast<std::size_t>(index);
-  if (mode == ShardMode::kStride) {
-    // Rows g in [0, total) with g % count == index.
-    return total > i ? (total - i - 1) / n + 1 : 0;
-  }
-  const std::size_t block = block_size(total, count);
-  const std::size_t start = std::min(i * block, total);
-  const std::size_t end = std::min(start + block, total);
-  return end - start;
+  // Rows g in [0, total) with g % count == index.
+  return total > i ? (total - i - 1) / n + 1 : 0;
 }
 
-std::size_t ShardSpec::global_row(std::size_t local, std::size_t total) const {
-  const std::size_t n = static_cast<std::size_t>(count);
-  const std::size_t i = static_cast<std::size_t>(index);
-  if (mode == ShardMode::kStride) return i + local * n;
-  return std::min(i * block_size(total, count), total) + local;
+std::size_t ShardSpec::global_row(std::size_t local) const {
+  return static_cast<std::size_t>(index) +
+         local * static_cast<std::size_t>(count);
 }
 
-int ShardSpec::shard_of(std::size_t global, std::size_t total) const {
-  const std::size_t n = static_cast<std::size_t>(count);
-  if (mode == ShardMode::kStride) return static_cast<int>(global % n);
-  return static_cast<int>(global / block_size(total, count));
+int ShardSpec::shard_of(std::size_t global) const {
+  return static_cast<int>(global % static_cast<std::size_t>(count));
 }
 
 void merge_shard_outputs(const std::vector<std::string>& paths,
-                         ShardMode mode, std::size_t total_rows,
-                         std::ostream& out) {
+                         std::size_t total_rows, std::ostream& out) {
   util::require(!paths.empty(), "shard merge needs at least one part file");
   ShardSpec spec;
   spec.count = static_cast<int>(paths.size());
-  spec.mode = mode;
 
   std::vector<std::ifstream> parts;
   parts.reserve(paths.size());
@@ -85,7 +47,7 @@ void merge_shard_outputs(const std::vector<std::string>& paths,
   // part in global order.  The line buffer is reused across rows.
   std::string line;
   for (std::size_t global = 0; global < total_rows; ++global) {
-    const int shard = spec.shard_of(global, total_rows);
+    const int shard = spec.shard_of(global);
     std::ifstream& in = parts[static_cast<std::size_t>(shard)];
     if (!std::getline(in, line))
       throw util::InvalidArgument(util::format(

@@ -5,15 +5,9 @@
 // shared state — so N processes (or N `wfr serve` backends) can each
 // stream their slice independently and a merger can re-assemble the
 // per-shard NDJSON streams byte-identical to the single-process
-// `--stream` path:
-//   * stride mode: global row g belongs to shard g % count.  Every shard
-//     walks the whole grid's parameter space, so per-shard progress rates
-//     stay uniform even when cost varies along an axis.
-//   * block mode: rows are split into `count` contiguous blocks of
-//     ceil(total / count); shard i owns [i*block, min((i+1)*block, total)).
-//     Each shard's part file is then one contiguous, in-order slice of
-//     the merged output, for tools that split a grid by row range.  It is
-//     not faster: every row is evaluated on its own in either mode.
+// `--stream` path: global row g belongs to shard g % count.  Every shard
+// walks the whole grid's parameter space, so per-shard progress rates
+// stay uniform even when cost varies along an axis.
 //
 // Each shard checkpoints independently (a shard-local prefix range — see
 // exec/checkpoint.hpp) because its emission order is strictly increasing
@@ -28,21 +22,12 @@
 
 namespace wfr::exec {
 
-enum class ShardMode { kStride, kBlock };
-
-/// Stable lowercase mode name ("stride" / "block").
-const char* shard_mode_name(ShardMode mode);
-
-/// Parses a mode name; throws InvalidArgument on anything else.
-ShardMode parse_shard_mode(const std::string& name);
-
 /// One shard of a sharded sweep: which slice of the grid this worker
 /// owns.  The default (count 1, index 0) is the unsharded identity —
 /// every row belongs to it.
 struct ShardSpec {
   int count = 1;
   int index = 0;
-  ShardMode mode = ShardMode::kStride;
 
   /// True when the grid is actually split (count > 1).
   bool sharded() const { return count > 1; }
@@ -55,23 +40,22 @@ struct ShardSpec {
 
   /// Global flat row index of this shard's `local`-th row.  Strictly
   /// increasing in `local`, so a shard's emission order is a prefix
-  /// range in shard-local coordinates.  `local` must be < rows(total).
-  std::size_t global_row(std::size_t local, std::size_t total) const;
+  /// range in shard-local coordinates.
+  std::size_t global_row(std::size_t local) const;
 
-  /// The shard owning global row `global` of a `total`-row grid (the
-  /// inverse of global_row; depends only on count and mode).
-  int shard_of(std::size_t global, std::size_t total) const;
+  /// The shard owning global row `global` (the inverse of global_row;
+  /// depends only on count).
+  int shard_of(std::size_t global) const;
 };
 
 /// Re-interleaves per-shard NDJSON part files into `out` in global row
-/// order: paths[i] must hold exactly shard i's rows (count = paths.size(),
-/// `mode` as during the run), one '\n'-terminated line per row.  The
-/// merged bytes are identical to a single-process stream of the same
-/// grid.  Throws InvalidArgument naming the offending path when a part
-/// file is missing, short a row, missing its final newline, or has bytes
-/// past its last expected row.
+/// order: paths[i] must hold exactly shard i's rows (count =
+/// paths.size()), one '\n'-terminated line per row.  The merged bytes are
+/// identical to a single-process stream of the same grid.  Throws
+/// InvalidArgument naming the offending path when a part file is missing,
+/// short a row, missing its final newline, or has bytes past its last
+/// expected row.
 void merge_shard_outputs(const std::vector<std::string>& paths,
-                         ShardMode mode, std::size_t total_rows,
-                         std::ostream& out);
+                         std::size_t total_rows, std::ostream& out);
 
 }  // namespace wfr::exec

@@ -467,7 +467,6 @@ void SweepRunner::stream_lines(const SweepGrid& grid,
                   "stream start_row %zu beyond grid (%zu points)",
                   options.start_row, rows);
   }
-  const std::size_t total = grid.size();
   const ShardSpec shard = options.shard;
   obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
 
@@ -475,11 +474,11 @@ void SweepRunner::stream_lines(const SweepGrid& grid,
   // ceiling set keep their heap capacity across every point the worker
   // evaluates; the only per-point string the hot path creates is the
   // binding label.
-  auto make_eval = [&grid, shard, total, tracer] {
-    return [&grid, shard, total, tracer, scenario = Scenario(),
+  auto make_eval = [&grid, shard, tracer] {
+    return [&grid, shard, tracer, scenario = Scenario(),
             ceilings = std::vector<core::CeilingSpec>()](
                std::size_t row, std::string& line) mutable {
-      const std::size_t flat = shard.global_row(row, total);
+      const std::size_t flat = shard.global_row(row);
       ModelSummary summary;
       try {
         grid.at_into(flat, scenario);

@@ -331,21 +331,25 @@ util::HttpResponse App::handle_sweep(const util::HttpRequest& request) {
       core::WorkflowCharacterization::from_json(body.at("workflow"));
   apply_target_makespan(body, base);
 
-  // Sharded requests ({"shard": {"count": N, "index": I, "mode": ...}})
-  // answer only shard I's rows, so N servers can split one campaign grid;
-  // the point cap then applies per shard, not to the whole grid
-  // (exec/shard.hpp has the row-assignment function).
+  // Sharded requests ({"shard": {"count": N, "index": I}}) answer only
+  // shard I's rows, so N servers can split one campaign grid; the point
+  // cap then applies per shard, not to the whole grid (exec/shard.hpp has
+  // the row-assignment function).
   exec::ShardSpec shard;
   if (const util::Json* shard_json = body.as_object().find("shard")) {
     util::require(shard_json->is_object(),
-                  "shard must be an object {count, index, mode?}");
+                  "shard must be an object {count, index}");
     constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
     shard.count = static_cast<int>(
         shard_json->at("count").as_int_in(1, kIntMax, "shard.count"));
     shard.index = static_cast<int>(
         shard_json->at("index").as_int_in(0, kIntMax, "shard.index"));
-    if (const util::Json* mode = shard_json->as_object().find("mode"))
-      shard.mode = exec::parse_shard_mode(mode->as_string());
+    // Bodies written for older servers may still say "mode": "stride".
+    const util::Json* mode = shard_json->as_object().find("mode");
+    if (mode != nullptr &&
+        !(mode->is_string() && mode->as_string() == "stride"))
+      throw util::ParseError("shard.mode must be \"stride\" or absent, got " +
+                             mode->dump());
     shard.validate();
   }
 
@@ -357,8 +361,8 @@ util::HttpResponse App::handle_sweep(const util::HttpRequest& request) {
   std::vector<exec::ParamAxis> axes;
   std::size_t points = 1;
   // With N shards the whole grid may hold N * cap points: each shard owns
-  // at most ceil(points / N) <= cap rows in both modes.  Checked per axis
-  // so the running product cannot overflow.
+  // at most ceil(points / N) <= cap rows.  Checked per axis so the
+  // running product cannot overflow.
   const std::size_t cap =
       options_.max_sweep_points * static_cast<std::size_t>(shard.count);
   for (const auto& [name, values] : params.as_object().members()) {
@@ -414,7 +418,6 @@ util::HttpResponse App::handle_sweep(const util::HttpRequest& request) {
     util::JsonObject shard_obj;
     shard_obj.set("count", util::Json(shard.count));
     shard_obj.set("index", util::Json(shard.index));
-    shard_obj.set("mode", util::Json(exec::shard_mode_name(shard.mode)));
     out.set("shard", util::Json(std::move(shard_obj)));
   }
   util::JsonArray rows;

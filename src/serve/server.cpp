@@ -19,6 +19,13 @@ namespace wfr::serve {
 
 namespace {
 
+/// Pause after an EMFILE/ENFILE-class accept failure before accepting
+/// again, so fd exhaustion does not hot-spin the accept thread.
+constexpr int kAcceptBackoffMs = 50;
+/// listen(2) backlog (the kernel clamps to net.core.somaxconn); sized
+/// for connect storms from the sustained-load harness.
+constexpr int kListenBacklog = 4096;
+
 /// Self-pipe write end for the installed SIGINT/SIGTERM handlers; -1 when
 /// no server has handlers installed.  One server per process may install.
 std::atomic<int> g_signal_wake_fd{-1};
@@ -134,7 +141,7 @@ int Server::start() {
     throw util::Error("bind " + options_.host + ":" +
                       std::to_string(options_.port) + ": " +
                       std::strerror(errno));
-  if (::listen(listen_fd_, options_.listen_backlog) != 0)
+  if (::listen(listen_fd_, kListenBacklog) != 0)
     throw util::Error("listen: " + std::string(std::strerror(errno)));
 
   sockaddr_in bound{};
@@ -211,9 +218,9 @@ void Server::serve_forever() {
           util::log_warn("accept failed: " +
                          std::string(std::strerror(errno)) +
                          "; backing off " +
-                         std::to_string(options_.accept_backoff_ms) + "ms");
+                         std::to_string(kAcceptBackoffMs) + "ms");
           pollfd wake{wake_pipe_[0], POLLIN, 0};
-          ::poll(&wake, 1, options_.accept_backoff_ms);
+          ::poll(&wake, 1, kAcceptBackoffMs);
           break;
         }
         util::log_warn("accept failed: " +

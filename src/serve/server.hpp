@@ -73,12 +73,6 @@ struct ServerOptions {
   /// this is closed — mid-request with a best-effort 408, the slow-loris
   /// defense.  0 disables.
   int idle_timeout_ms = 60000;
-  /// Pause after an EMFILE/ENFILE-class accept failure before accepting
-  /// again, so fd exhaustion does not hot-spin the accept thread.
-  int accept_backoff_ms = 50;
-  /// listen(2) backlog (the kernel clamps to net.core.somaxconn); sized
-  /// for connect storms from the sustained-load harness.
-  int listen_backlog = 4096;
 };
 
 /// A request handler: pure function of the request.

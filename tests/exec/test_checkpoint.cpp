@@ -112,13 +112,14 @@ std::string error_message(const std::function<void()>& action) {
 
 TEST(SweepCheckpointTest, ShardMemberRoundTripsAndUnshardedOmitsIt) {
   SweepCheckpoint before = sample();
-  before.shard = {3, 1, ShardMode::kBlock};
+  before.shard = {3, 1};
   const util::Json doc = checkpoint_to_json(before);
   EXPECT_NE(doc.dump().find("\"shard\""), std::string::npos);
+  // The split is always stride, so the member does not name a mode.
+  EXPECT_EQ(doc.dump().find("\"mode\""), std::string::npos) << doc.dump();
   const SweepCheckpoint after = checkpoint_from_json(doc);
   EXPECT_EQ(after.shard.count, 3);
   EXPECT_EQ(after.shard.index, 1);
-  EXPECT_EQ(after.shard.mode, ShardMode::kBlock);
   EXPECT_EQ(after.rows, before.rows);
 
   // Unsharded checkpoints stay byte-compatible with pre-shard readers:
@@ -144,6 +145,43 @@ TEST(SweepCheckpointTest, RejectsInvalidShardMember) {
           "\",\"shard\":{\"count\":3,\"index\":0,\"mode\":\"spiral\"},"
           "\"completed\":[[0,5]],\"ndjson_bytes\":0}")),
       util::ParseError);
+}
+
+// Older builds wrote "mode" into the shard member: "stride" still loads,
+// and "block", whose rows went to other shards, must fail naming the
+// field rather than resume as a stride shard.
+TEST(SweepCheckpointTest, BlockModeFailsAndStrideModeStillLoads) {
+  const std::string hash = util::to_hex(sample().grid_hash);
+  const auto doc = [&hash](const std::string& mode) {
+    return "{\"wfr_sweep_checkpoint\":1,\"grid_hash\":\"" + hash +
+           "\",\"shard\":{\"count\":3,\"index\":1" + mode +
+           "},\"completed\":[[0,15]],\"ndjson_bytes\":4141}";
+  };
+  for (const char* mode : {",\"mode\":\"stride\"", ""}) {
+    const SweepCheckpoint loaded =
+        checkpoint_from_json(util::Json::parse(doc(mode)));
+    EXPECT_EQ(loaded.shard.count, 3) << mode;
+    EXPECT_EQ(loaded.shard.index, 1) << mode;
+    EXPECT_EQ(loaded.rows, 15u) << mode;
+    EXPECT_EQ(loaded.ndjson_bytes, 4141u) << mode;
+  }
+
+  const std::string path = testing::TempDir() + "wfr_ckpt_block_mode.json";
+  util::write_file(path, doc(",\"mode\":\"block\""));
+  std::string message;
+  try {
+    load_checkpoint(path);
+    ADD_FAILURE() << "a block-mode checkpoint loaded";
+  } catch (const util::ParseError& error) {
+    message = error.what();
+  }
+  EXPECT_NE(message.find(path), std::string::npos) << message;
+  EXPECT_NE(message.find("shard.mode"), std::string::npos) << message;
+  EXPECT_NE(message.find("\"block\""), std::string::npos) << message;
+  std::filesystem::remove(path);
+  // A mode that is not a string fails the same way.
+  EXPECT_THROW(checkpoint_from_json(util::Json::parse(doc(",\"mode\":1"))),
+               util::ParseError);
 }
 
 TEST(SweepCheckpointTest, TruncatedFileFailsLoudlyWithPath) {
@@ -222,12 +260,12 @@ TEST_F(ValidateResumeTest, ShardSpecMismatchIsRejectedWithPath) {
   SweepCheckpoint ckpt = sample();
   ckpt.rows = 1;
   ckpt.ndjson_bytes = 0;
-  ckpt.shard = {2, 0, ShardMode::kStride};
+  ckpt.shard = {2, 0};
   save_checkpoint(checkpoint_path_, ckpt);
   write_ndjson("");
   const std::string message = error_message([&] {
     validate_resume(checkpoint_path_, ckpt.grid_hash,
-                    ShardSpec{3, 0, ShardMode::kStride}, 10, ndjson_path_);
+                    ShardSpec{3, 0}, 10, ndjson_path_);
   });
   EXPECT_NE(message.find(checkpoint_path_), std::string::npos) << message;
   EXPECT_NE(message.find("was written by shard"), std::string::npos)
@@ -246,6 +284,25 @@ TEST_F(ValidateResumeTest, RowsPastTheGridAreRejected) {
   });
   EXPECT_NE(message.find(checkpoint_path_), std::string::npos) << message;
   EXPECT_NE(message.find("records 10 rows"), std::string::npos) << message;
+}
+
+// A shard's checkpoint counts the shard's own rows, so the message names
+// the shard and its row count, not the grid's point count.
+TEST_F(ValidateResumeTest, RowsPastTheShardAreRejectedNamingTheShard) {
+  SweepCheckpoint ckpt = sample();
+  ckpt.rows = 16;
+  ckpt.ndjson_bytes = 0;
+  ckpt.shard = {3, 1};
+  save_checkpoint(checkpoint_path_, ckpt);
+  write_ndjson("");
+  const std::string message = error_message([&] {
+    validate_resume(checkpoint_path_, ckpt.grid_hash, ShardSpec{3, 1}, 15,
+                    ndjson_path_);
+  });
+  EXPECT_NE(message.find(checkpoint_path_), std::string::npos) << message;
+  EXPECT_NE(message.find("records 16 rows but shard 1/3 owns 15 rows"),
+            std::string::npos)
+      << message;
 }
 
 TEST_F(ValidateResumeTest, BytesPastEndOfOutputAreRejectedWithBothPaths) {

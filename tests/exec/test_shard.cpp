@@ -1,9 +1,9 @@
 // Tests for deterministic grid sharding (exec/shard.hpp): the partition
-// properties both modes guarantee (disjoint cover of every row, strictly
-// increasing per-shard emission order, shard_of as the exact inverse of
-// global_row) and the merge protocol, which must re-assemble per-shard
-// NDJSON part files byte-identical to a single stream and fail loudly —
-// naming the offending path — on every malformed part.
+// properties the stride split guarantees (disjoint cover of every row,
+// strictly increasing per-shard emission order, shard_of as the exact
+// inverse of global_row) and the merge protocol, which must re-assemble
+// per-shard NDJSON part files byte-identical to a single stream and fail
+// loudly — naming the offending path — on every malformed part.
 
 #include "exec/shard.hpp"
 
@@ -22,15 +22,6 @@
 namespace wfr::exec {
 namespace {
 
-TEST(ShardModeTest, NamesRoundTrip) {
-  EXPECT_STREQ(shard_mode_name(ShardMode::kStride), "stride");
-  EXPECT_STREQ(shard_mode_name(ShardMode::kBlock), "block");
-  EXPECT_EQ(parse_shard_mode("stride"), ShardMode::kStride);
-  EXPECT_EQ(parse_shard_mode("block"), ShardMode::kBlock);
-  EXPECT_THROW(parse_shard_mode("diagonal"), util::InvalidArgument);
-  EXPECT_THROW(parse_shard_mode(""), util::InvalidArgument);
-}
-
 TEST(ShardSpecTest, ValidateRejectsBadSpecs) {
   EXPECT_THROW((ShardSpec{0, 0}).validate(), util::InvalidArgument);
   EXPECT_THROW((ShardSpec{-2, 0}).validate(), util::InvalidArgument);
@@ -42,65 +33,58 @@ TEST(ShardSpecTest, ValidateRejectsBadSpecs) {
   EXPECT_TRUE((ShardSpec{2, 0}).sharded());
 }
 
-TEST(ShardSpecTest, StrideInterleavesAndBlockChunks) {
-  const ShardSpec stride{3, 1, ShardMode::kStride};
+TEST(ShardSpecTest, StrideInterleaves) {
+  const ShardSpec stride{3, 1};
   EXPECT_EQ(stride.rows(10), 3u);  // global rows 1, 4, 7
-  EXPECT_EQ(stride.global_row(0, 10), 1u);
-  EXPECT_EQ(stride.global_row(2, 10), 7u);
-
-  // Blocks of ceil(10/3)=4: shard 2 owns the short tail [8, 10).
-  const ShardSpec block{3, 2, ShardMode::kBlock};
-  EXPECT_EQ(block.rows(10), 2u);
-  EXPECT_EQ(block.global_row(0, 10), 8u);
-  EXPECT_EQ(block.shard_of(0, 10), 0);
-  EXPECT_EQ(block.shard_of(4, 10), 1);
-  EXPECT_EQ(block.shard_of(9, 10), 2);
+  EXPECT_EQ(stride.global_row(0), 1u);
+  EXPECT_EQ(stride.global_row(2), 7u);
+  EXPECT_EQ(stride.shard_of(7), 1);
+  EXPECT_EQ(stride.shard_of(9), 0);
+  // Shard 2 of 3 owns rows 2, 5 and 8 of a 10-row grid, none of a 2-row one.
+  EXPECT_EQ((ShardSpec{3, 2}).rows(10), 3u);
+  EXPECT_EQ((ShardSpec{3, 2}).rows(2), 0u);
 }
 
 // The load-bearing property behind per-shard prefix checkpoints and the
-// merge protocol: for any (total, count, mode), the shards partition
+// merge protocol: for any (total, count), the shards partition
 // [0, total) — every global row is owned exactly once, each shard's
 // global_row is strictly increasing in the local index, and shard_of
 // inverts it.
 TEST(ShardSpecTest, PartitionCoversEveryRowExactlyOnce) {
-  for (const ShardMode mode : {ShardMode::kStride, ShardMode::kBlock}) {
-    for (const std::size_t total :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
-          std::size_t{101}}) {
-      for (const int count : {1, 2, 3, 8, 13}) {
-        std::vector<int> owner(total, -1);
-        std::size_t covered = 0;
-        for (int i = 0; i < count; ++i) {
-          const ShardSpec shard{count, i, mode};
-          std::size_t previous = 0;
-          for (std::size_t local = 0; local < shard.rows(total); ++local) {
-            const std::size_t global = shard.global_row(local, total);
-            ASSERT_LT(global, total)
-                << shard_mode_name(mode) << " count=" << count;
-            EXPECT_EQ(owner[global], -1) << "global row " << global
-                                         << " owned by two shards";
-            owner[global] = i;
-            if (local > 0) {
-              EXPECT_GT(global, previous);
-            }
-            previous = global;
-            EXPECT_EQ(shard.shard_of(global, total), i);
-            ++covered;
+  for (const std::size_t total :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
+        std::size_t{101}}) {
+    for (const int count : {1, 2, 3, 8, 13}) {
+      std::vector<int> owner(total, -1);
+      std::size_t covered = 0;
+      for (int i = 0; i < count; ++i) {
+        const ShardSpec shard{count, i};
+        std::size_t previous = 0;
+        for (std::size_t local = 0; local < shard.rows(total); ++local) {
+          const std::size_t global = shard.global_row(local);
+          ASSERT_LT(global, total) << "count=" << count;
+          EXPECT_EQ(owner[global], -1) << "global row " << global
+                                       << " owned by two shards";
+          owner[global] = i;
+          if (local > 0) {
+            EXPECT_GT(global, previous);
           }
+          previous = global;
+          EXPECT_EQ(shard.shard_of(global), i);
+          ++covered;
         }
-        EXPECT_EQ(covered, total)
-            << shard_mode_name(mode) << " count=" << count;
       }
+      EXPECT_EQ(covered, total) << "count=" << count;
     }
   }
 }
 
 TEST(ShardSpecTest, CountOneIsTheIdentity) {
-  const ShardSpec whole{1, 0, ShardMode::kStride};
+  const ShardSpec whole{1, 0};
   EXPECT_EQ(whole.rows(17), 17u);
   for (std::size_t g = 0; g < 17; ++g) {
-    EXPECT_EQ(whole.global_row(g, 17), g);
-    EXPECT_EQ(whole.shard_of(g, 17), 0);
+    EXPECT_EQ(whole.global_row(g), g);
+    EXPECT_EQ(whole.shard_of(g), 0);
   }
 }
 
@@ -122,15 +106,13 @@ class MergeShardTest : public ::testing::Test {
   }
 
   /// Part files for `count` shards of `total` rows, each row "row<g>\n".
-  std::vector<std::string> write_parts(int count, std::size_t total,
-                                       ShardMode mode) {
+  std::vector<std::string> write_parts(int count, std::size_t total) {
     std::vector<std::string> paths;
     for (int i = 0; i < count; ++i) {
-      const ShardSpec shard{count, i, mode};
+      const ShardSpec shard{count, i};
       std::string contents;
       for (std::size_t local = 0; local < shard.rows(total); ++local)
-        contents +=
-            "row" + std::to_string(shard.global_row(local, total)) + "\n";
+        contents += "row" + std::to_string(shard.global_row(local)) + "\n";
       paths.push_back(write_part(i, contents));
     }
     return paths;
@@ -154,50 +136,46 @@ class MergeShardTest : public ::testing::Test {
   std::vector<std::string> written_;
 };
 
-TEST_F(MergeShardTest, ReassemblesGlobalOrderInBothModes) {
+TEST_F(MergeShardTest, ReassemblesGlobalOrder) {
   const std::size_t total = 7;
   std::string expected;
   for (std::size_t g = 0; g < total; ++g)
     expected += "row" + std::to_string(g) + "\n";
-  for (const ShardMode mode : {ShardMode::kStride, ShardMode::kBlock}) {
-    const std::vector<std::string> paths = write_parts(3, total, mode);
-    std::ostringstream merged;
-    merge_shard_outputs(paths, mode, total, merged);
-    EXPECT_EQ(merged.str(), expected) << shard_mode_name(mode);
-  }
+  const std::vector<std::string> paths = write_parts(3, total);
+  std::ostringstream merged;
+  merge_shard_outputs(paths, total, merged);
+  EXPECT_EQ(merged.str(), expected);
 }
 
 TEST_F(MergeShardTest, SinglePartIsTheIdentity) {
-  const std::vector<std::string> paths =
-      write_parts(1, 5, ShardMode::kStride);
+  const std::vector<std::string> paths = write_parts(1, 5);
   std::ostringstream merged;
-  merge_shard_outputs(paths, ShardMode::kStride, 5, merged);
+  merge_shard_outputs(paths, 5, merged);
   EXPECT_EQ(merged.str(), "row0\nrow1\nrow2\nrow3\nrow4\n");
 }
 
 TEST_F(MergeShardTest, EmptyPathListIsRejected) {
   std::ostringstream merged;
-  EXPECT_THROW(merge_shard_outputs({}, ShardMode::kStride, 0, merged),
-               util::InvalidArgument);
+  EXPECT_THROW(merge_shard_outputs({}, 0, merged), util::InvalidArgument);
 }
 
 TEST_F(MergeShardTest, MissingPartNamesThePath) {
-  std::vector<std::string> paths = write_parts(2, 4, ShardMode::kStride);
+  std::vector<std::string> paths = write_parts(2, 4);
   paths[1] = testing::TempDir() + "wfr_test_shard_nonexistent.ndjson";
   std::ostringstream merged;
-  const std::string message = merge_message(
-      [&] { merge_shard_outputs(paths, ShardMode::kStride, 4, merged); });
+  const std::string message =
+      merge_message([&] { merge_shard_outputs(paths, 4, merged); });
   EXPECT_NE(message.find(paths[1]), std::string::npos) << message;
   EXPECT_NE(message.find("cannot open"), std::string::npos) << message;
 }
 
 TEST_F(MergeShardTest, ShortPartNamesPathAndRow) {
   // Shard 1 of 2 owns global rows 1 and 3; drop its second row.
-  std::vector<std::string> paths = write_parts(2, 4, ShardMode::kStride);
+  std::vector<std::string> paths = write_parts(2, 4);
   paths[1] = write_part(1, "row1\n");
   std::ostringstream merged;
-  const std::string message = merge_message(
-      [&] { merge_shard_outputs(paths, ShardMode::kStride, 4, merged); });
+  const std::string message =
+      merge_message([&] { merge_shard_outputs(paths, 4, merged); });
   EXPECT_NE(message.find(paths[1]), std::string::npos) << message;
   EXPECT_NE(message.find("unexpected end of file at global row 3"),
             std::string::npos)
@@ -205,22 +183,22 @@ TEST_F(MergeShardTest, ShortPartNamesPathAndRow) {
 }
 
 TEST_F(MergeShardTest, MissingTrailingNewlineIsATruncatedWrite) {
-  std::vector<std::string> paths = write_parts(2, 4, ShardMode::kStride);
+  std::vector<std::string> paths = write_parts(2, 4);
   paths[0] = write_part(0, "row0\nrow2");  // last row lost its newline
   std::ostringstream merged;
-  const std::string message = merge_message(
-      [&] { merge_shard_outputs(paths, ShardMode::kStride, 4, merged); });
+  const std::string message =
+      merge_message([&] { merge_shard_outputs(paths, 4, merged); });
   EXPECT_NE(message.find(paths[0]), std::string::npos) << message;
   EXPECT_NE(message.find("missing trailing newline"), std::string::npos)
       << message;
 }
 
 TEST_F(MergeShardTest, TrailingDataPastTheLastRowIsRejected) {
-  std::vector<std::string> paths = write_parts(2, 4, ShardMode::kStride);
+  std::vector<std::string> paths = write_parts(2, 4);
   paths[1] = write_part(1, "row1\nrow3\nrow5\n");  // one row too many
   std::ostringstream merged;
-  const std::string message = merge_message(
-      [&] { merge_shard_outputs(paths, ShardMode::kStride, 4, merged); });
+  const std::string message =
+      merge_message([&] { merge_shard_outputs(paths, 4, merged); });
   EXPECT_NE(message.find(paths[1]), std::string::npos) << message;
   EXPECT_NE(message.find("trailing data"), std::string::npos) << message;
 }

@@ -275,7 +275,7 @@ TEST(StreamLinesTest, MatchesStreamModelsBytesAtAnyJobsAndWindow) {
 
 TEST(StreamLinesTest, RowIndicesAreShardLocalAndDense) {
   const SweepGrid grid = test_grid();
-  const ShardSpec shard{3, 1, ShardMode::kStride};
+  const ShardSpec shard{3, 1};
   SweepRunner runner({2});
   StreamOptions stream;
   stream.shard = shard;
@@ -291,35 +291,29 @@ TEST(StreamLinesTest, RowIndicesAreShardLocalAndDense) {
 // The multi-process contract at the library level: stream each shard on
 // its own runner (its own jobs), re-interleave the lines by global row,
 // and the result must be byte-identical to the unsharded stream — for
-// both modes, shard counts that divide the grid and ones that leave a
-// ragged tail, and any per-shard job count.
+// shard counts that divide the grid and ones that leave a ragged tail,
+// and any per-shard job count.
 TEST(StreamLinesTest, ShardedStreamsReassembleByteIdentically) {
   const SweepGrid grid = test_grid();  // 15 rows: ragged under 2 and 4
   const std::string reference = batch_ndjson(grid);
-  for (const ShardMode mode : {ShardMode::kStride, ShardMode::kBlock}) {
-    for (const int count : {2, 3, 4}) {
-      for (const int jobs : {1, 4}) {
-        std::vector<std::string> per_row(grid.size());
-        for (int i = 0; i < count; ++i) {
-          const ShardSpec shard{count, i, mode};
-          SweepRunner runner({jobs});
-          StreamOptions stream;
-          stream.shard = shard;
-          stream.reorder_window = 4;
-          runner.stream_lines(
-              grid, stream,
-              [&per_row, &shard, &grid](std::size_t row,
-                                        std::string_view line) {
-                per_row[shard.global_row(row, grid.size())] =
-                    std::string(line);
-              });
-        }
-        std::string merged;
-        for (const std::string& line : per_row) merged += line;
-        EXPECT_EQ(merged, reference)
-            << shard_mode_name(mode) << " count=" << count
-            << " jobs=" << jobs;
+  for (const int count : {2, 3, 4}) {
+    for (const int jobs : {1, 4}) {
+      std::vector<std::string> per_row(grid.size());
+      for (int i = 0; i < count; ++i) {
+        const ShardSpec shard{count, i};
+        SweepRunner runner({jobs});
+        StreamOptions stream;
+        stream.shard = shard;
+        stream.reorder_window = 4;
+        runner.stream_lines(
+            grid, stream,
+            [&per_row, &shard](std::size_t row, std::string_view line) {
+              per_row[shard.global_row(row)] = std::string(line);
+            });
       }
+      std::string merged;
+      for (const std::string& line : per_row) merged += line;
+      EXPECT_EQ(merged, reference) << "count=" << count << " jobs=" << jobs;
     }
   }
 }
@@ -329,7 +323,7 @@ TEST(StreamLinesTest, ShardedStreamsReassembleByteIdentically) {
 // uninterrupted shard stream would have produced.
 TEST(StreamLinesTest, ShardLocalResumeSplitsReassemble) {
   const SweepGrid grid = test_grid();
-  const ShardSpec shard{3, 2, ShardMode::kStride};
+  const ShardSpec shard{3, 2};
   const std::string whole = stream_ndjson(grid, 1, 4, 0, shard);
   const std::size_t rows = shard.rows(grid.size());
   ASSERT_GT(rows, 2u);
@@ -359,14 +353,14 @@ TEST(StreamLinesTest, RejectsInvalidShard) {
   const SweepGrid grid = test_grid();
   SweepRunner runner({1});
   StreamOptions bad;
-  bad.shard = {3, 3, ShardMode::kStride};  // index out of range
+  bad.shard = {3, 3};  // index out of range
   EXPECT_THROW(
       runner.stream_lines(grid, bad, [](std::size_t, std::string_view) {}),
       util::InvalidArgument);
   // start_row is shard-local: one past the shard's own row count fails
   // even though the grid is larger.
   StreamOptions past_shard_end;
-  past_shard_end.shard = {3, 0, ShardMode::kStride};
+  past_shard_end.shard = {3, 0};
   past_shard_end.start_row =
       past_shard_end.shard.rows(grid.size()) + 1;
   EXPECT_THROW(runner.stream_lines(grid, past_shard_end,

@@ -3,6 +3,7 @@
 #include "core/characterization.hpp"
 #include "core/system_spec.hpp"
 #include "dag/wdl.hpp"
+#include "exec/checkpoint.hpp"
 #include "serve/app.hpp"
 #include "util/error.hpp"
 #include "util/http.hpp"
@@ -161,6 +162,18 @@ std::string run_serve(std::string_view input) {
   std::string label = util::format("%s:%d", sweep ? "sweep" : "roofline",
                                    response.status);
   if (response.content_type == "application/x-ndjson") label += ":ndjson";
+  // Split the 400s by cause so each rejection entry proves its own branch.
+  if (response.status == 400) {
+    const auto has = [&](const char* text) {
+      return response.body.find(text) != std::string::npos;
+    };
+    if (has("shard.mode"))
+      label += "-shard-mode";
+    else if (has("must be an integer in"))
+      label += "-range";
+    else if (has("grid exceeds"))
+      label += "-cap";
+  }
   return label;
 }
 
@@ -182,6 +195,8 @@ std::string run_import(std::string_view input) {
       return what.find(text) != std::string_view::npos;
     };
     if (has("duplicate task id")) return "reject:duplicate-task";
+    if (has(": runtime ") && has("out of range")) return "reject:runtime";
+    if (has(": core count ") && has("out of range")) return "reject:cores";
     if (has("out of range")) return "reject:size";
     if (has("unknown")) return "reject:ref";
     if (has("cycle")) return "reject:cycle";
@@ -195,6 +210,42 @@ std::string run_import(std::string_view input) {
   return instance.legacy ? "ok:legacy" : "ok:spec";
 }
 
+std::string run_checkpoint(std::string_view input) {
+  util::Json doc;
+  try {
+    doc = util::Json::parse(input);
+  } catch (const util::ParseError&) {
+    return "reject:json";
+  }
+  exec::SweepCheckpoint checkpoint;
+  try {
+    checkpoint = exec::checkpoint_from_json(doc);
+  } catch (const util::Error& e) {
+    const std::string_view what = e.what();
+    const auto has = [&](const char* text) {
+      return what.find(text) != std::string_view::npos;
+    };
+    if (has("shard.mode")) return "reject:shard-mode";
+    if (has("unsupported version") || has("version marker"))
+      return "reject:version";
+    if (has("Hash128")) return "reject:hash";
+    if (has("ndjson_bytes")) return "reject:bytes";
+    if (has("'completed'") || has("range must be")) return "reject:range";
+    if (has("shard")) return "reject:shard";
+    return "reject:shape";
+  }
+  // What save_checkpoint writes, --resume must read back unchanged.
+  const exec::SweepCheckpoint again =
+      exec::checkpoint_from_json(exec::checkpoint_to_json(checkpoint));
+  if (again.grid_hash != checkpoint.grid_hash ||
+      again.rows != checkpoint.rows ||
+      again.ndjson_bytes != checkpoint.ndjson_bytes ||
+      again.shard.count != checkpoint.shard.count ||
+      again.shard.index != checkpoint.shard.index)
+    return "fail:round-trip";
+  return checkpoint.shard.sharded() ? "ok:sharded" : "ok:whole";
+}
+
 const std::vector<Target>& targets() {
   static const std::vector<Target> kTargets = {
       {"json", "util::Json::parse + serializer round-trip", run_json},
@@ -202,6 +253,8 @@ const std::vector<Target>& targets() {
       {"spec", "workflow/system/characterization spec loaders", run_spec},
       {"serve", "/v1/roofline and /v1/sweep handlers", run_serve},
       {"import", "WfCommons/WfBench instance loader", run_import},
+      {"checkpoint", "sweep checkpoint reader behind --resume",
+       run_checkpoint},
   };
   return kTargets;
 }

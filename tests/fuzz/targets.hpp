@@ -1,8 +1,9 @@
 #pragma once
 // Fuzz targets for every parser that consumes untrusted bytes
 // (docs/TESTING.md): util::Json::parse, util::HttpParser, the spec
-// loaders behind --system/--workflow/--characterization files, and the
-// /v1/roofline + /v1/sweep handlers.
+// loaders behind --system/--workflow/--characterization files, the
+// /v1/roofline + /v1/sweep handlers, the WfCommons importer and the
+// sweep checkpoint reader behind --resume.
 //
 // Each target runs one input and returns the *branch label* the input
 // exercised ("ok:object", "error:411", ...).  Labels serve two masters:
@@ -55,5 +56,10 @@ std::string run_serve(std::string_view input);
 /// every reject path (shape, duplicate ids, dangling refs, cycles,
 /// out-of-range volumes).
 std::string run_import(std::string_view input);
+
+/// exec::checkpoint_from_json over untrusted checkpoint bytes (the file
+/// `wfr sweep --resume` reads).  An accepted checkpoint must come back
+/// from checkpoint_to_json -> checkpoint_from_json with every field equal.
+std::string run_checkpoint(std::string_view input);
 
 }  // namespace wfr::fuzz

@@ -276,8 +276,32 @@ TEST(ServeTest, SweepJsonFormatEchoesTheShard) {
   const util::Json out = util::Json::parse(response.body);
   EXPECT_EQ(out.at("shard").at("count").as_int(), 2);
   EXPECT_EQ(out.at("shard").at("index").as_int(), 1);
-  EXPECT_EQ(out.at("shard").at("mode").as_string(), "stride");
+  EXPECT_EQ(out.at("shard").as_object().find("mode"), nullptr)
+      << response.body;
   EXPECT_EQ(out.at("points").as_array().size(), 2u);
+}
+
+// Rows are dealt to shards by stride only.  A body written for older
+// servers may still say "mode": "stride" and gets the same bytes as one
+// without it; "block" is a 400 naming the field, never a stride answer.
+TEST(ServeTest, SweepShardModeBlockIsRejected) {
+  App app(AppOptions{.sweep_jobs = 1});
+  const auto body_with_mode = [](const std::string& mode) {
+    std::string body = sharded_sweep_body(/*count=*/2, /*index=*/1);
+    body.insert(body.rfind("}}"), mode);
+    return body;
+  };
+  const util::HttpResponse block =
+      app.sweep_from_bytes(body_with_mode(", \"mode\": \"block\""));
+  EXPECT_EQ(block.status, 400);
+  EXPECT_NE(block.body.find("shard.mode"), std::string::npos) << block.body;
+
+  const util::HttpResponse plain = app.sweep_from_bytes(body_with_mode(""));
+  const util::HttpResponse stride =
+      app.sweep_from_bytes(body_with_mode(", \"mode\": \"stride\""));
+  ASSERT_EQ(plain.status, 200) << plain.body;
+  EXPECT_EQ(stride.status, 200);
+  EXPECT_EQ(stride.body, plain.body);
 }
 
 TEST(ServeTest, PipelinedKeepAliveRequestsAnswerInOrder) {
