@@ -14,7 +14,6 @@
 #include "check/scenario_gen.hpp"
 #include "common.hpp"
 #include "core/model.hpp"
-#include "dag/schedule.hpp"
 #include "exec/sweep.hpp"
 #include "math/rng.hpp"
 #include "obs/observation.hpp"
@@ -214,30 +213,6 @@ void BM_RunIrregularScenarios(benchmark::State& state) {
                           static_cast<std::int64_t>(graphs.size()));
 }
 BENCHMARK(BM_RunIrregularScenarios);
-
-void BM_ListScheduler(benchmark::State& state) {
-  const int tasks = static_cast<int>(state.range(0));
-  dag::WorkflowGraph g("chainy");
-  math::Rng rng(1);
-  std::vector<double> durations;
-  for (int i = 0; i < tasks; ++i) {
-    dag::TaskSpec t;
-    t.name = "t" + std::to_string(i);
-    t.nodes = static_cast<int>(rng.uniform_int(1, 8));
-    const dag::TaskId id = g.add_task(t);
-    if (i > 0 && rng.bernoulli(0.5))
-      g.add_dependency(static_cast<dag::TaskId>(rng.uniform_int(0, i - 1)),
-                       id);
-    durations.push_back(rng.uniform(1.0, 100.0));
-  }
-  for (auto _ : state) {
-    const dag::Schedule s =
-        dag::schedule_workflow(g, durations, {.pool_nodes = 32});
-    benchmark::DoNotOptimize(s.makespan_seconds);
-  }
-  state.SetItemsProcessed(state.iterations() * tasks);
-}
-BENCHMARK(BM_ListScheduler)->Arg(64)->Arg(512);
 
 void BM_GpFitPredict(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

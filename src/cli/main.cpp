@@ -199,6 +199,10 @@ struct Args {
   }
 };
 
+/// Options that never take a value, so a word after one is positional.
+constexpr std::string_view kValuelessFlags[] = {"ascii", "stream", "spawn",
+                                                "no-trace"};
+
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc < 2) return args;
@@ -210,7 +214,9 @@ Args parse_args(int argc, char** argv) {
       continue;
     }
     token = token.substr(2);
-    if (i + 1 < argc && !util::starts_with(argv[i + 1], "--")) {
+    const bool valueless = std::ranges::find(kValuelessFlags, token) !=
+                           std::end(kValuelessFlags);
+    if (!valueless && i + 1 < argc && !util::starts_with(argv[i + 1], "--")) {
       args.options.emplace_back(token, argv[++i]);
     } else {
       args.options.emplace_back(token, "");
@@ -840,8 +846,8 @@ int cmd_sweep(const Args& args) {
     return run_sweep_stream(args, grid, options);
   }
   for (const char* flag :
-       {"checkpoint", "checkpoint-every", "resume", "abort-after-rows",
-        "shards", "shard-id", "spawn"})
+       {"reorder-window", "checkpoint", "checkpoint-every", "resume",
+        "abort-after-rows", "shards", "shard-id", "spawn"})
     if (args.get_optional(flag))
       throw util::InvalidArgument(std::string("--") + flag +
                                   " needs --stream");

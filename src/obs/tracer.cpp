@@ -123,38 +123,6 @@ std::uint64_t Tracer::now_ns() {
           .count());
 }
 
-void Tracer::record_span(
-    std::string_view name, std::string_view category, std::uint64_t begin_ns,
-    std::uint64_t end_ns,
-    std::vector<std::pair<std::string, std::string>> args) {
-  if (!options_.enabled) return;
-  TraceSpan span;
-  span.name.assign(name);
-  span.category.assign(category);
-  span.begin_ns = begin_ns;
-  span.end_ns = end_ns;
-  span.thread = thread_slot();
-  span.args = std::move(args);
-
-  ThreadTraceState& state = tls_state();
-  if (state.depth > 0 && state.owner == this) {
-    // Joins the open trace on this thread as a child of the current span
-    // and flushes with it.
-    span.trace_id = state.trace_id;
-    span.span_id = next_span_id();
-    span.parent_id = state.current_parent;
-    state.pending.push_back(std::move(span));
-    return;
-  }
-  // Standalone single-span trace (e.g. per-connection queue-wait, sweep
-  // evaluations on pool threads).
-  span.trace_id = next_trace_id();
-  span.span_id = next_span_id();
-  std::vector<TraceSpan> batch;
-  batch.push_back(std::move(span));
-  flush(batch);
-}
-
 TraceRef Tracer::begin_trace() {
   if (!options_.enabled) return {};
   TraceRef ref;

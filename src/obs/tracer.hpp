@@ -89,8 +89,8 @@ class Tracer;
 class SpanScope {
  public:
   SpanScope(Tracer* tracer, std::string_view name, std::string_view category);
-  /// Explicit begin timestamp (e.g. queue-wait measured from the accept
-  /// thread's clock reading).
+  /// Explicit begin timestamp (a clock reading taken before the scope
+  /// could be opened).
   SpanScope(Tracer* tracer, std::string_view name, std::string_view category,
             std::uint64_t begin_ns);
   /// Continues a trace started on another thread: the span is parented
@@ -139,14 +139,6 @@ class Tracer {
   /// stamping manually assembled spans with the thread they actually ran
   /// on before handing them to another thread's record_batch().
   static std::uint32_t current_thread_slot();
-
-  /// Records one already-closed span with explicit timestamps.  Inside an
-  /// open SpanScope on this thread it joins that trace as a child of the
-  /// current span; otherwise it forms a single-span trace of its own and
-  /// is flushed immediately.
-  void record_span(std::string_view name, std::string_view category,
-                   std::uint64_t begin_ns, std::uint64_t end_ns,
-                   std::vector<std::pair<std::string, std::string>> args = {});
 
   /// Opens a trace whose spans will be assembled manually across threads
   /// (the reactor's request lifecycle): allocates a trace id plus the

@@ -14,6 +14,27 @@
 
 namespace wfr::serve {
 
+namespace {
+
+/// A closed child span of the request trace `ref`, stamped with the
+/// thread that measured it (the loop or a pool worker).
+obs::TraceSpan child_span(obs::Tracer& tracer, const obs::TraceRef& ref,
+                          const char* name, std::uint64_t begin_ns,
+                          std::uint64_t end_ns) {
+  obs::TraceSpan span;
+  span.trace_id = ref.trace_id;
+  span.span_id = tracer.allocate_span_id();
+  span.parent_id = ref.span_id;
+  span.name = name;
+  span.category = "serve";
+  span.begin_ns = begin_ns;
+  span.end_ns = end_ns;
+  span.thread = obs::Tracer::current_thread_slot();
+  return span;
+}
+
+}  // namespace
+
 Connection::Connection(EventLoop& loop, int fd, std::uint64_t id)
     : loop_(loop), fd_(fd), id_(id) {
   Server& server = loop_.server();
@@ -72,17 +93,20 @@ void Connection::update_idle_gauge() {
       now_idle ? 1 : -1, std::memory_order_relaxed);
 }
 
-void Connection::push_span(std::string name, std::uint64_t begin_ns,
-                           std::uint64_t end_ns) {
-  obs::TraceSpan span;
-  span.trace_id = trace_ref_.trace_id;
-  span.span_id = tracer_->allocate_span_id();
-  span.parent_id = trace_ref_.span_id;
-  span.name = std::move(name);
-  span.category = "serve";
-  span.begin_ns = begin_ns;
-  span.end_ns = end_ns;
-  trace_spans_.push_back(std::move(span));
+void Connection::flush_trace(int status, std::uint64_t end_ns) {
+  obs::TraceSpan root;
+  root.trace_id = trace_ref_.trace_id;
+  root.span_id = trace_ref_.span_id;
+  root.name = "request";
+  root.category = "serve";
+  root.begin_ns = request_begin_ns_;
+  root.end_ns = end_ns;
+  root.args.emplace_back("method", method_);
+  root.args.emplace_back("path", path_);
+  root.args.emplace_back("status", std::to_string(status));
+  trace_spans_.push_back(std::move(root));
+  tracer_->record_batch(std::move(trace_spans_));
+  trace_spans_.clear();
 }
 
 void Connection::on_readable() {
@@ -149,9 +173,10 @@ void Connection::dispatch_request(util::HttpRequest request,
                                   std::uint64_t parse_begin) {
   Server& server = loop_.server();
   if (tracing_) {
-    trace_ref_ = server.tracer()->begin_trace();
+    trace_ref_ = tracer_->begin_trace();
     if (trace_ref_.valid())
-      push_span("parse", parse_begin, obs::Tracer::now_ns());
+      trace_spans_.push_back(child_span(*tracer_, trace_ref_, "parse",
+                                        parse_begin, obs::Tracer::now_ns()));
   }
   method_ = request.method;
   path_.assign(request.path());
@@ -168,21 +193,9 @@ void Connection::dispatch_request(util::HttpRequest request,
                request = std::move(request)]() mutable {
     std::vector<obs::TraceSpan> spans;
     const bool tracing = tracer != nullptr && ref.valid();
-    const auto manual_span = [&](const char* name, std::uint64_t begin_ns,
-                                 std::uint64_t end_ns) {
-      obs::TraceSpan span;
-      span.trace_id = ref.trace_id;
-      span.span_id = tracer->allocate_span_id();
-      span.parent_id = ref.span_id;
-      span.name = name;
-      span.category = "serve";
-      span.begin_ns = begin_ns;
-      span.end_ns = end_ns;
-      span.thread = obs::Tracer::current_thread_slot();
-      spans.push_back(std::move(span));
-    };
     if (tracing && dispatch_ns != 0)
-      manual_span("queue_wait", dispatch_ns, obs::Tracer::now_ns());
+      spans.push_back(child_span(*tracer, ref, "queue_wait", dispatch_ns,
+                                 obs::Tracer::now_ns()));
 
     util::HttpResponse response;
     {
@@ -197,7 +210,8 @@ void Connection::dispatch_request(util::HttpRequest request,
         tracing ? obs::Tracer::now_ns() : 0;
     std::string wire = util::serialize_response(response);
     if (tracing)
-      manual_span("serialize", serialize_begin, obs::Tracer::now_ns());
+      spans.push_back(child_span(*tracer, ref, "serialize", serialize_begin,
+                                 obs::Tracer::now_ns()));
 
     loop->post([loop, fd, id, status = response.status,
                 close_after = response.close, wire = std::move(wire),
@@ -217,21 +231,8 @@ void Connection::dispatch_request(util::HttpRequest request,
     const std::string& wire = canned_response_503();
     [[maybe_unused]] const ssize_t n =
         ::send(fd_, wire.data(), wire.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (tracing_ && trace_ref_.valid()) {
-      obs::TraceSpan root;
-      root.trace_id = trace_ref_.trace_id;
-      root.span_id = trace_ref_.span_id;
-      root.name = "request";
-      root.category = "serve";
-      root.begin_ns = request_begin_ns_;
-      root.end_ns = obs::Tracer::now_ns();
-      root.args.emplace_back("method", method_);
-      root.args.emplace_back("path", path_);
-      root.args.emplace_back("status", "503");
-      trace_spans_.push_back(std::move(root));
-      server.tracer()->record_batch(std::move(trace_spans_));
-      trace_spans_.clear();
-    }
+    if (tracing_ && trace_ref_.valid())
+      flush_trace(503, obs::Tracer::now_ns());
     loop_.close_connection(*this);
     return;
   }
@@ -294,20 +295,10 @@ void Connection::finish_request(bool sent) {
   const std::uint64_t end_ns = timing_ ? obs::Tracer::now_ns() : 0;
   if (was_dispatched_) {
     if (tracing_ && trace_ref_.valid()) {
-      if (write_begin_ns_ != 0) push_span("write", write_begin_ns_, end_ns);
-      obs::TraceSpan root;
-      root.trace_id = trace_ref_.trace_id;
-      root.span_id = trace_ref_.span_id;
-      root.name = "request";
-      root.category = "serve";
-      root.begin_ns = request_begin_ns_;
-      root.end_ns = end_ns;
-      root.args.emplace_back("method", method_);
-      root.args.emplace_back("path", path_);
-      root.args.emplace_back("status", std::to_string(status_));
-      trace_spans_.push_back(std::move(root));
-      server.tracer()->record_batch(std::move(trace_spans_));
-      trace_spans_.clear();
+      if (write_begin_ns_ != 0)
+        trace_spans_.push_back(child_span(*tracer_, trace_ref_, "write",
+                                          write_begin_ns_, end_ns));
+      flush_trace(status_, end_ns);
     }
     server.stats_.requests.fetch_add(1, std::memory_order_relaxed);
     if (access_log_) {

@@ -90,9 +90,10 @@ class Connection {
   /// Stamps last_activity_ns_ when idle timeouts are enabled.
   void touch();
   void update_idle_gauge();
-  /// Appends a manually assembled span of this request's trace.
-  void push_span(std::string name, std::uint64_t begin_ns,
-                 std::uint64_t end_ns);
+  /// Closes this request's trace: appends the root "request" span
+  /// (method, path and status args) and flushes every collected span
+  /// into the tracer's ring.
+  void flush_trace(int status, std::uint64_t end_ns);
 
   EventLoop& loop_;
   int fd_;

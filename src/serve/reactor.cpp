@@ -1,7 +1,10 @@
 #include "serve/reactor.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -16,7 +19,7 @@
 namespace wfr::serve {
 
 EventLoop::EventLoop(Server& server, int index)
-    : server_(server), index_(index) {
+    : server_(server), index_(index), listen_fd_(server.listen_fd_) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0)
     throw util::Error("epoll_create1: " + std::string(std::strerror(errno)));
@@ -57,14 +60,35 @@ void EventLoop::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void EventLoop::adopt(int fd) {
-  post([this, fd] {
+void EventLoop::accept_connections() {
+  Server::Stats& stats = server_.stats_;
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_CLOEXEC | SOCK_NONBLOCK);
+    if (fd < 0) {
+      const int error = errno;
+      if (error == EAGAIN || error == EWOULDBLOCK) return;
+      if (error == EINTR || error == ECONNABORTED) continue;
+      stats.accept_errors.fetch_add(1, std::memory_order_relaxed);
+      // Out of fds (or kernel memory), retrying now would spin at 100%
+      // CPU: the listener leaves the epoll set until the next timeout
+      // sweep, one poll tick away, puts it back.
+      const bool pause = error == EMFILE || error == ENFILE ||
+                         error == ENOBUFS || error == ENOMEM;
+      util::log_warn("accept failed: " + std::string(std::strerror(error)) +
+                     (pause ? "; pausing accepts for one poll tick" : ""));
+      if (pause) set_listening(false);
+      return;
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    stats.accepted.fetch_add(1, std::memory_order_relaxed);
     auto connection =
         std::make_unique<Connection>(*this, fd, next_connection_id_++);
     if (!connection->register_with_loop()) {
       util::log_warn("epoll_ctl(add) failed for accepted socket: " +
                      std::string(std::strerror(errno)));
-      return;  // dtor closes the socket
+      continue;  // dtor closes the socket
     }
     Connection* raw = connection.get();
     connections_.emplace(fd, std::move(connection));
@@ -72,7 +96,23 @@ void EventLoop::adopt(int fd) {
     // Bytes may already be waiting (the client often writes immediately
     // after connect); serve them without another epoll round-trip.
     raw->on_readable();
-  });
+  }
+}
+
+void EventLoop::set_listening(bool on) {
+  if (on == listening_) return;
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.fd = listen_fd_;
+  // Removal cannot fail for a registered fd; a failed add is retried by
+  // the next timeout sweep.
+  const int op = on ? EPOLL_CTL_ADD : EPOLL_CTL_DEL;
+  if (::epoll_ctl(epoll_fd_, op, listen_fd_, &event) != 0 && on) {
+    util::log_warn("epoll_ctl(add listener): " +
+                   std::string(std::strerror(errno)));
+    return;
+  }
+  listening_ = on;
 }
 
 void EventLoop::post(std::function<void()> fn) {
@@ -135,10 +175,12 @@ void EventLoop::run() {
   std::vector<std::function<void()>> batch;
   const int poll_interval_ms = server_.options_.poll_interval_ms;
 
+  set_listening(true);
   for (;;) {
     const bool draining = draining_.load(std::memory_order_acquire);
     if (draining && !drain_began_) {
       drain_began_ = true;
+      set_listening(false);  // for good: the drain accepts nothing new
       const std::uint64_t now = obs::Tracer::now_ns();
       drain_deadline_ns_ =
           now + static_cast<std::uint64_t>(poll_interval_ms) * 1'000'000ull;
@@ -170,6 +212,10 @@ void EventLoop::run() {
             ::read(event_fd_, &count, sizeof(count));
         continue;
       }
+      if (fd == listen_fd_) {
+        accept_connections();
+        continue;
+      }
       // Look up per event: a connection closed earlier in this batch (or
       // replaced after fd reuse) simply misses.
       const auto it = connections_.find(fd);
@@ -185,8 +231,8 @@ void EventLoop::run() {
       }
     }
 
-    // Completions posted by pool tasks (responses, adoptions, drain
-    // wake-ups) run after I/O so a response never races its own read.
+    // Completions posted by pool tasks (responses, drain wake-ups) run
+    // after I/O so a response never races its own read.
     batch.clear();
     completions_.drain_into(batch);
     for (std::function<void()>& fn : batch) fn();
@@ -196,6 +242,8 @@ void EventLoop::run() {
         static_cast<std::uint64_t>(poll_interval_ms) * 1'000'000ull;
     if (drain_began_ || now - last_sweep_ns_ >= sweep_interval) {
       last_sweep_ns_ = now;
+      // A listener paused by fd exhaustion rejoins the epoll set here.
+      if (!drain_began_) set_listening(true);
       sweep_timeouts(now);
     }
     graveyard_.clear();

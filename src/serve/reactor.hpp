@@ -4,9 +4,10 @@
 // the exclusive right to touch its connections' state.
 //
 // Threading model:
-//   * The accept thread (Server::serve_forever) hands each accepted
-//     socket to a loop round-robin via adopt(); from then on only that
-//     loop's thread reads, writes, or mutates the connection.
+//   * Every loop has the server's one listen socket in its epoll set and
+//     accepts its own connections (pausing for one poll tick when out of
+//     fds), so a socket is born on the thread that owns it; from then on
+//     only that loop reads, writes, or mutates the connection.
 //   * CPU-heavy handler work runs on the server's exec::ThreadPool.  A
 //     parsed request is dispatched there; the finished response is
 //     posted back to the owning loop through an exec::CompletionQueue
@@ -16,9 +17,9 @@
 //     reactor needs no per-connection locks; the only cross-thread
 //     traffic is the completion queue and a handful of stats atomics.
 //
-// Shutdown: request_drain() stops the loop accepting new work, closes
-// idle keep-alive connections immediately, gives partially received
-// requests one poll tick to finish arriving, and keeps running until
+// Shutdown: request_drain() makes the loop remove the listener for good,
+// close idle keep-alive connections immediately, give partially received
+// requests one poll tick to finish arriving, and keep running until
 // every dispatched request has completed and its response is written —
 // the drain contract the serve-smoke CI job asserts.
 
@@ -60,10 +61,6 @@ class EventLoop {
   /// Joins the loop thread (returns once the loop has fully drained).
   void join();
 
-  /// Transfers ownership of an accepted socket to this loop (accept
-  /// thread only; the connection is created on the loop thread).
-  void adopt(int fd);
-
   /// Runs `fn` on the loop thread (any thread; wakes the loop).
   void post(std::function<void()> fn);
 
@@ -89,6 +86,12 @@ class EventLoop {
   friend class Connection;
 
   void run();
+  /// Accepts from the shared listener until EAGAIN, creating and serving
+  /// each new connection on this loop (loop thread only).
+  void accept_connections();
+  /// Adds (true) or removes (false) the listener in this loop's epoll set
+  /// (loop thread only; no-op when unchanged).
+  void set_listening(bool on);
   /// Removes a connection from the loop (loop thread only).  The socket
   /// closes with the Connection, whose destruction is deferred to the end
   /// of the current iteration (see graveyard_).
@@ -104,6 +107,11 @@ class EventLoop {
 
   Server& server_;
   const int index_;
+  /// The server's listen socket, shared by every loop; the Server closes
+  /// it only after all loops have joined.
+  const int listen_fd_;
+  /// Whether listen_fd_ is in this loop's epoll set; loop thread only.
+  bool listening_ = false;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
   std::thread thread_;

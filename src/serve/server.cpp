@@ -1,27 +1,19 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <csignal>
 #include <cstring>
 
-#include "obs/tracer.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace wfr::serve {
 
 namespace {
 
-/// Pause after an EMFILE/ENFILE-class accept failure before accepting
-/// again, so fd exhaustion does not hot-spin the accept thread.
-constexpr int kAcceptBackoffMs = 50;
 /// listen(2) backlog (the kernel clamps to net.core.somaxconn); sized
 /// for connect storms from the sustained-load harness.
 constexpr int kListenBacklog = 4096;
@@ -43,13 +35,6 @@ void close_if_open(int& fd) {
     ::close(fd);
     fd = -1;
   }
-}
-
-/// fd-exhaustion-class accept failures: transient, recoverable by
-/// waiting for connections to close rather than by retrying immediately.
-bool accept_needs_backoff(int error) {
-  return error == EMFILE || error == ENFILE || error == ENOBUFS ||
-         error == ENOMEM;
 }
 
 }  // namespace
@@ -175,7 +160,7 @@ void Server::install_signal_handlers() {
   struct sigaction action{};
   action.sa_handler = wfr_serve_signal_handler;
   sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;  // no SA_RESTART: accept's poll must wake
+  action.sa_flags = 0;  // no SA_RESTART: serve_forever's read must wake
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
 }
@@ -192,56 +177,21 @@ void Server::serve_forever() {
   util::require(listen_fd_ >= 0, "call start() before serve_forever()");
   for (const std::unique_ptr<EventLoop>& loop : loops_) loop->start();
 
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, options_.poll_interval_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      throw util::Error("poll: " + std::string(std::strerror(errno)));
-    }
-    if (fds[1].revents != 0) break;  // request_stop or signal
-    if ((fds[0].revents & POLLIN) == 0) continue;
+  // The loops accept and serve; this thread only waits for the byte that
+  // request_stop() or a signal handler writes to the self-pipe.
+  char byte = 0;
+  while (::read(wake_pipe_[0], &byte, 1) < 0 && errno == EINTR)
+    continue;
 
-    // Drain the backlog until the non-blocking accept would block, so a
-    // connect storm costs one poll() round, not one per connection.
-    for (;;) {
-      const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                               SOCK_CLOEXEC | SOCK_NONBLOCK);
-      if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        stats_.accept_errors.fetch_add(1, std::memory_order_relaxed);
-        if (accept_needs_backoff(errno)) {
-          // Out of fds (or kernel memory): retrying immediately would
-          // hot-spin at 100% CPU.  Sleep interruptibly on the wake pipe
-          // so shutdown stays responsive, then let poll() try again.
-          util::log_warn("accept failed: " +
-                         std::string(std::strerror(errno)) +
-                         "; backing off " +
-                         std::to_string(kAcceptBackoffMs) + "ms");
-          pollfd wake{wake_pipe_[0], POLLIN, 0};
-          ::poll(&wake, 1, kAcceptBackoffMs);
-          break;
-        }
-        util::log_warn("accept failed: " +
-                       std::string(std::strerror(errno)));
-        break;
-      }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      loops_[next_loop_ % loops_.size()]->adopt(fd);
-      ++next_loop_;
-      stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Drain: stop accepting, then let the loops finish everything already
-  // received (see the shutdown contract in the header).
+  // Drain: the loops stop accepting and finish everything already
+  // received (see the shutdown contract in the header).  The listen
+  // socket closes only after every loop has joined, so no loop can call
+  // accept4 on a closed fd whose number was reused.
   stop_.store(true, std::memory_order_release);
-  close_if_open(listen_fd_);
   for (const std::unique_ptr<EventLoop>& loop : loops_) loop->request_drain();
   for (const std::unique_ptr<EventLoop>& loop : loops_) loop->join();
   pool_.wait_idle();
+  close_if_open(listen_fd_);
 }
 
 util::HttpResponse Server::dispatch(const util::HttpRequest& request) const {

@@ -4,10 +4,10 @@
 // serving surface behind `wfr serve` (docs/SERVER.md).
 //
 // Threading model:
-//   * The caller of serve_forever() is the accept thread: it accepts
-//     non-blocking sockets and hands each to one of io_threads event
-//     loops round-robin.  On EMFILE/ENFILE-class failures it backs off
-//     briefly instead of hot-spinning (stats().accept_errors counts).
+//   * The caller of serve_forever() starts io_threads event loops, which
+//     share the listen socket and accept their own connections; on
+//     EMFILE/ENFILE-class failures a loop pauses accepting for one poll
+//     tick instead of hot-spinning (stats().accept_errors counts).
 //   * Each EventLoop owns its connections outright (serve/connection.hpp
 //     has the state machine): parsing and response writes happen on the
 //     loop thread; handler dispatch runs on the shared ThreadPool and the
@@ -18,12 +18,12 @@
 //     close — shedding never occupies the loop).
 //
 // Graceful shutdown (request_stop() or SIGINT/SIGTERM via
-// install_signal_handlers): the accept loop wakes through a self-pipe,
-// stops accepting, and closes the listen socket; the loops close idle
-// keep-alive connections, give partially received requests one poll tick
-// to complete, and finish every request already dispatched.
-// serve_forever returns only after every loop has drained and the pool
-// is idle — the drain contract the serve-smoke CI job asserts.
+// install_signal_handlers): serve_forever wakes through a self-pipe; the
+// loops stop accepting, close idle keep-alive connections, give partially
+// received requests one poll tick to complete, and finish every request
+// already dispatched.  serve_forever closes the listen socket and returns
+// only after every loop has drained and the pool is idle — the drain
+// contract the serve-smoke CI job asserts.
 //
 // Determinism: handlers are pure functions of the request, and responses
 // carry no clocks or identifiers, so a given request body produces
@@ -62,8 +62,9 @@ struct ServerOptions {
   int max_queue = 64;
   /// Request body limit (413 beyond it).
   std::size_t max_body_bytes = 4 * 1024 * 1024;
-  /// Tick for the accept loop, the event-loop timeout sweeps, and the
-  /// drain grace a partially received request gets at shutdown.
+  /// Tick for the event-loop timeout sweeps (which also end an accept
+  /// pause after fd exhaustion) and the drain grace a partially received
+  /// request gets at shutdown.
   int poll_interval_ms = 250;
   /// Event-loop (reactor) threads; 0 = 1, or 2 when the resolved worker
   /// count is >= 4.  Each loop owns an epoll set and a share of the
@@ -102,12 +103,12 @@ class Server {
   /// Throws util::Error on bind/listen failure.
   int start();
 
-  /// Runs the accept loop until request_stop(), then drains the event
-  /// loops and returns.  Call start() first.
+  /// Runs the event loops until request_stop(), then drains them and
+  /// returns.  Call start() first.
   void serve_forever();
 
-  /// Signals the accept loop to stop (safe from any thread and from
-  /// signal handlers via the installed handlers).
+  /// Signals serve_forever to drain and return (safe from any thread and
+  /// from signal handlers via the installed handlers).
   void request_stop();
 
   /// Routes SIGINT and SIGTERM to request_stop() of this server (one
@@ -135,7 +136,7 @@ class Server {
 
   /// Lifetime totals and live gauges, readable while serving.
   struct Stats {
-    std::atomic<std::uint64_t> accepted{0};  // connections handed to loops
+    std::atomic<std::uint64_t> accepted{0};  // connections the loops accepted
     std::atomic<std::uint64_t> shed{0};      // requests answered 503
     std::atomic<std::uint64_t> requests{0};  // requests fully served
     std::atomic<std::uint64_t> accept_errors{0};  // failed accept(2) calls
@@ -163,7 +164,6 @@ class Server {
   exec::ThreadPool pool_;
   std::map<std::pair<std::string, std::string>, Handler> routes_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::size_t next_loop_ = 0;
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   int port_ = 0;

@@ -18,7 +18,6 @@
 
 // Workflow structure and execution.
 #include "dag/graph.hpp"      // IWYU pragma: export
-#include "dag/schedule.hpp"   // IWYU pragma: export
 #include "dag/task.hpp"       // IWYU pragma: export
 #include "dag/wdl.hpp"        // IWYU pragma: export
 

@@ -7,7 +7,6 @@
 #include "core/model.hpp"
 #include "core/taskview.hpp"
 #include "dag/graph.hpp"
-#include "dag/schedule.hpp"
 #include "trace/timeline.hpp"
 
 namespace wfr::workflows {

@@ -1,6 +1,6 @@
 // obs::Tracer + SpanScope: thread-local nesting, batch flush at root
-// close, bounded-ring eviction, record_span joining semantics, and the
-// Trace Event JSON export (docs/OBSERVABILITY.md).
+// close, bounded-ring eviction, manual cross-thread trace assembly, and
+// the Trace Event JSON export (docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <map>
@@ -107,27 +107,6 @@ TEST(TracerTest, SnapshotLastTakesTheNewestSpans) {
   EXPECT_EQ(tracer.snapshot(99).size(), 5u);
 }
 
-TEST(TracerTest, RecordSpanJoinsOpenTraceOrStandsAlone) {
-  Tracer tracer;
-  const std::uint64_t begin = Tracer::now_ns();
-  // Standalone: no open scope on this thread.
-  tracer.record_span("queue_wait", "serve", begin, begin + 1000);
-  {
-    SpanScope root(&tracer, "request", "serve");
-    tracer.record_span("parse", "serve", begin, begin + 500);
-  }
-  const std::vector<TraceSpan> spans = tracer.snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].name, "queue_wait");
-  EXPECT_EQ(spans[0].parent_id, 0u);
-  const TraceSpan& parse = spans[1];
-  const TraceSpan& request = spans[2];
-  EXPECT_EQ(parse.name, "parse");
-  EXPECT_EQ(parse.trace_id, request.trace_id);
-  EXPECT_EQ(parse.parent_id, request.span_id);
-  EXPECT_NE(spans[0].trace_id, request.trace_id);
-}
-
 TEST(TracerTest, ArgsSurviveIntoTheExport) {
   Tracer tracer;
   {
@@ -204,7 +183,7 @@ TEST(TracerTest, ConcurrentThreadsFlushWithoutLossOrCrosstalk) {
 TEST(TracerTest, ClearDropsSpansButKeepsStats) {
   Tracer tracer(TracerOptions{/*enabled=*/true, /*capacity=*/4});
   const auto record = [&tracer](const std::string& name) {
-    tracer.record_span(name, "test", 1, 2);
+    SpanScope scope(&tracer, name, "test");
   };
   const auto names = [&tracer] {
     std::vector<std::string> out;

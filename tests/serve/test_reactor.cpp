@@ -1,15 +1,18 @@
 // Adversarial-client coverage of the epoll reactor (docs/SERVER.md):
 // slow-loris arrival, idle-timeout enforcement, mid-response aborts,
-// partial-write backpressure, and connection churn — all asserting the
-// server stays deterministic and responsive.
+// partial-write backpressure, connection churn, and fd exhaustion — all
+// asserting the server stays deterministic and responsive.
 
+#include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,9 +53,12 @@ class RawServer {
     thread_ = std::thread([this] { server_->serve_forever(); });
   }
 
-  ~RawServer() {
+  ~RawServer() { stop(); }
+
+  /// Requests the drain and waits for serve_forever to return.
+  void stop() {
     server_->request_stop();
-    thread_.join();
+    if (thread_.joinable()) thread_.join();
   }
 
   /// 4 MiB with position-dependent bytes, so truncation or reordering in
@@ -75,6 +81,40 @@ class RawServer {
   std::unique_ptr<Server> server_;
   int port_ = 0;
   std::thread thread_;
+};
+
+/// This process's open fds, from /proc/self/fd (less the one the listing
+/// itself holds open).
+std::size_t open_fd_count() {
+  std::size_t entries = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++entries;
+  return entries - 1;
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE so exactly one more fd can be
+/// opened, and restores the old limit when it goes out of scope.  The
+/// limit caps fd numbers and a new fd takes the lowest free number, so
+/// the limit is set one above that number.
+class OneFreeFd {
+ public:
+  OneFreeFd() {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    EXPECT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~OneFreeFd() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+  OneFreeFd(const OneFreeFd&) = delete;
+  OneFreeFd& operator=(const OneFreeFd&) = delete;
+
+ private:
+  rlimit saved_{};
 };
 
 ServerOptions fast_options() {
@@ -214,6 +254,68 @@ TEST(ReactorTest, ConnectionChurnInWavesReturnsToIdle) {
 
   LoopbackClient client(server.port());
   EXPECT_EQ(client.request("GET", "/healthz").body, "ok\n");
+}
+
+TEST(ReactorTest, FdExhaustionPausesAcceptsWithoutSpinningAndRecovers) {
+  const std::size_t fds_before = open_fd_count();
+  ServerOptions options = fast_options();
+  options.io_threads = 2;  // both loops share the listener
+  {
+    RawServer server(options);
+    const Server::Stats& stats = server.server().stats();
+    const auto begin = std::chrono::steady_clock::now();
+    std::unique_ptr<LoopbackClient> waiting;
+    {
+      // The client socket takes the last fd under the limit, so every
+      // loop's accept4 of its connection fails with EMFILE.
+      OneFreeFd limit;
+      waiting = std::make_unique<LoopbackClient>(server.port());
+      waiting->send_raw(LoopbackClient::format_request("GET", "/healthz"));
+      for (int i = 0; i < 1000 && stats.accept_errors.load() == 0; ++i)
+        std::this_thread::sleep_for(2ms);
+      // Ten ticks of failed accepts.
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(10 * options.poll_interval_ms));
+
+      // Read before the limit goes back up and a loop may accept.
+      const std::uint64_t errors = stats.accept_errors.load();
+      const double ticks =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - begin)
+              .count() /
+          options.poll_interval_ms;
+      EXPECT_EQ(stats.accepted.load(), 0u);
+      EXPECT_GE(errors, 1u);
+      // At most one failed accept per loop per tick: a paused loop
+      // neither sleeps nor spins.  A hot spin would count thousands.
+      EXPECT_LE(static_cast<double>(errors), 2 * (ticks + 2)) << ticks;
+    }
+
+    // With the limit restored, a loop's next sweep puts the listener back
+    // and the client that waited in the backlog gets its answer.
+    const timeval receive_timeout{10, 0};
+    ::setsockopt(waiting->fd(), SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
+                 sizeof(receive_timeout));
+    const ClientResponse response = waiting->read_response();
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.body, "ok\n");
+    EXPECT_EQ(stats.accepted.load(), 1u);
+
+    // Exhausted again, the loops pause; the drain must still finish and
+    // close the keep-alive connection.
+    {
+      OneFreeFd limit;
+      LoopbackClient queued(server.port());
+      const std::uint64_t seen = stats.accept_errors.load();
+      for (int i = 0; i < 1000 && stats.accept_errors.load() == seen; ++i)
+        std::this_thread::sleep_for(2ms);
+      EXPECT_GT(stats.accept_errors.load(), seen);
+      server.stop();
+    }
+    EXPECT_TRUE(waiting->at_eof());
+  }
+  // Every accepted socket, the listener and the loops' fds are closed.
+  EXPECT_EQ(open_fd_count(), fds_before);
 }
 
 TEST(ReactorTest, LoopAndConnectionGaugesExportOnMetrics) {
