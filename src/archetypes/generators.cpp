@@ -1,5 +1,6 @@
 #include "archetypes/generators.hpp"
 
+#include "math/rng.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
@@ -166,13 +167,12 @@ dag::WorkflowGraph simulation_insitu(int steps,
 
 void RandomDagParams::validate() const {
   util::require(tasks >= 1, "random_dag needs >= 1 task");
-  util::require(edge_probability >= 0.0 && edge_probability <= 1.0,
-                "edge_probability must be in [0, 1]");
-  util::require(max_nodes_per_task >= 1, "max_nodes_per_task must be >= 1");
   base.validate();
 }
 
 dag::WorkflowGraph random_dag(const RandomDagParams& params) {
+  constexpr int kMaxNodesPerTask = 8;
+  constexpr double kEdgeProbability = 0.15;
   params.validate();
   math::Rng rng(params.seed);
   dag::WorkflowGraph g("random-dag");
@@ -180,8 +180,7 @@ dag::WorkflowGraph random_dag(const RandomDagParams& params) {
     dag::TaskSpec t;
     t.name = util::format("task_%d", i);
     t.kind = "random";
-    t.nodes =
-        static_cast<int>(rng.uniform_int(1, params.max_nodes_per_task));
+    t.nodes = static_cast<int>(rng.uniform_int(1, kMaxNodesPerTask));
     const double s = params.base.scale;
     if (rng.bernoulli(0.85))
       t.demand.flops_per_node = rng.uniform(1.0, 100.0) * util::kTFLOP * s;
@@ -199,7 +198,7 @@ dag::WorkflowGraph random_dag(const RandomDagParams& params) {
       t.demand.overhead_seconds = rng.uniform(0.1, 10.0);
     const dag::TaskId id = g.add_task(std::move(t));
     for (dag::TaskId p = 0; p < id; ++p)
-      if (rng.bernoulli(params.edge_probability)) g.add_dependency(p, id);
+      if (rng.bernoulli(kEdgeProbability)) g.add_dependency(p, id);
   }
   return g;
 }

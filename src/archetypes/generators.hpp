@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "dag/graph.hpp"
-#include "math/rng.hpp"
 
 namespace wfr::archetypes {
 
@@ -54,9 +53,6 @@ dag::WorkflowGraph simulation_insitu(int steps,
 /// Options for the random DAG generator.
 struct RandomDagParams {
   int tasks = 20;
-  /// Probability of an edge from each earlier task.
-  double edge_probability = 0.15;
-  int max_nodes_per_task = 8;
   std::uint64_t seed = 0;
   ArchetypeParams base;
 
@@ -64,7 +60,9 @@ struct RandomDagParams {
 };
 
 /// A seeded random DAG with randomized demands on every channel; always
-/// acyclic by construction (edges point from lower to higher ids).
+/// acyclic by construction (edges point from lower to higher ids).  Each
+/// task takes 1 to 8 nodes and depends on each earlier task with
+/// probability 0.15.
 dag::WorkflowGraph random_dag(const RandomDagParams& params = {});
 
 }  // namespace wfr::archetypes

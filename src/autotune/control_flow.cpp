@@ -57,7 +57,7 @@ double CampaignResult::samples_per_second() const {
   return static_cast<double>(history.samples.size()) / total_seconds;
 }
 
-CampaignResult run_campaign(SuperluSurface& surface,
+CampaignResult run_campaign(const SuperluSurface& surface,
                             const CampaignConfig& config) {
   const ControlFlowCosts costs =
       config.use_custom_costs

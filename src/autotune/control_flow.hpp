@@ -81,7 +81,7 @@ struct CampaignResult {
 
 /// Runs the campaign: executes the BO loop against `surface` and accounts
 /// the orchestration costs of the chosen control flow.
-CampaignResult run_campaign(SuperluSurface& surface,
+CampaignResult run_campaign(const SuperluSurface& surface,
                             const CampaignConfig& config);
 
 }  // namespace wfr::autotune

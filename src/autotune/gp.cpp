@@ -1,10 +1,9 @@
 #include "autotune/gp.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace wfr::autotune {
 
@@ -84,37 +83,6 @@ GpPrediction GaussianProcess::predict(std::span<const double> x) const {
   out.variance = std::max(kernel(x, x) - reduction, 0.0) * target_scale_ *
                  target_scale_;
   return out;
-}
-
-double GaussianProcess::select_length_scale(
-    const std::vector<std::vector<double>>& inputs,
-    std::span<const double> targets, std::span<const double> candidates) {
-  util::require(!candidates.empty(),
-                "select_length_scale needs candidate values");
-  double best_scale = params_.length_scale;
-  double best_ll = -std::numeric_limits<double>::infinity();
-  for (double candidate : candidates) {
-    util::require(candidate > 0.0, "length-scale candidates must be > 0");
-    params_.length_scale = candidate;
-    fit(inputs, targets);
-    const double ll = log_marginal_likelihood();
-    if (ll > best_ll) {
-      best_ll = ll;
-      best_scale = candidate;
-    }
-  }
-  params_.length_scale = best_scale;
-  fit(inputs, targets);
-  return best_scale;
-}
-
-double GaussianProcess::log_marginal_likelihood() const {
-  util::require(fitted_, "GP log-likelihood before fit");
-  const auto n = static_cast<double>(inputs_.size());
-  const double data_fit = -0.5 * math::dot(targets_centered_, alpha_);
-  const double complexity = -0.5 * math::log_det_from_cholesky(chol_);
-  const double norm = -0.5 * n * std::log(2.0 * M_PI);
-  return data_fit + complexity + norm;
 }
 
 }  // namespace wfr::autotune

@@ -50,19 +50,6 @@ class GaussianProcess {
   /// matching dimensionality.
   GpPrediction predict(std::span<const double> x) const;
 
-  /// Marginal log-likelihood of the training targets (for tests and
-  /// hyperparameter sanity checks).
-  double log_marginal_likelihood() const;
-
- public:
-  /// Selects the length scale from `candidates` by refitting and keeping
-  /// the highest marginal likelihood (type-II maximum likelihood on a
-  /// grid — the standard lightweight GP hyperparameter scheme).  Returns
-  /// the chosen length scale and leaves the model fitted with it.
-  double select_length_scale(const std::vector<std::vector<double>>& inputs,
-                             std::span<const double> targets,
-                             std::span<const double> candidates);
-
  private:
   double kernel(std::span<const double> a, std::span<const double> b) const;
 

@@ -13,18 +13,15 @@ constexpr double kOptX1 = 0.62;
 constexpr double kOptX2 = 0.75;
 }  // namespace
 
-SuperluSurface::SuperluSurface(int matrix_dim, double noise_sigma,
-                               std::uint64_t noise_seed)
-    : matrix_dim_(matrix_dim), noise_sigma_(noise_sigma), rng_(noise_seed) {
+SuperluSurface::SuperluSurface(int matrix_dim) {
   util::require(matrix_dim >= 16, "matrix_dim must be >= 16");
-  util::require(noise_sigma >= 0.0, "noise_sigma must be >= 0");
   // Runtime scale: a 4960^2 sparse factorization lands around a third of a
   // second on one Milan socket; scale cubically in the dimension.
-  const double n = static_cast<double>(matrix_dim_);
+  const double n = static_cast<double>(matrix_dim);
   base_seconds_ = 0.28 * std::pow(n / 4960.0, 3.0);
 }
 
-double SuperluSurface::evaluate_exact(std::span<const double> x) const {
+double SuperluSurface::evaluate(std::span<const double> x) const {
   util::require(x.size() == dim(), "surface expects 3 parameters");
   for (double v : x)
     util::require(v >= 0.0 && v <= 1.0,
@@ -46,17 +43,11 @@ double SuperluSurface::evaluate_exact(std::span<const double> x) const {
   return base_seconds_ * (basin + ridge + 0.1);
 }
 
-double SuperluSurface::evaluate(std::span<const double> x) {
-  double value = evaluate_exact(x);
-  if (noise_sigma_ > 0.0) value *= rng_.lognormal(0.0, noise_sigma_);
-  return value;
-}
-
 std::vector<double> SuperluSurface::optimum() const {
   // The ridge perturbs the quadratic argmin slightly; a local grid refine
   // keeps the reported optimum honest.
   std::vector<double> best{kOptX0, kOptX1, kOptX2};
-  double best_v = evaluate_exact(best);
+  double best_v = evaluate(best);
   const double delta = 0.02;
   for (int i = -3; i <= 3; ++i) {
     for (int j = -3; j <= 3; ++j) {
@@ -66,7 +57,7 @@ std::vector<double> SuperluSurface::optimum() const {
         bool in_range = true;
         for (double v : cand) in_range = in_range && v >= 0.0 && v <= 1.0;
         if (!in_range) continue;
-        const double v = evaluate_exact(cand);
+        const double v = evaluate(cand);
         if (v < best_v) {
           best_v = v;
           best = cand;
@@ -77,11 +68,11 @@ std::vector<double> SuperluSurface::optimum() const {
   return best;
 }
 
-double SuperluSurface::optimum_value() const { return evaluate_exact(optimum()); }
+double SuperluSurface::optimum_value() const { return evaluate(optimum()); }
 
 double SuperluSurface::default_value() const {
   const std::vector<double> mid{0.5, 0.5, 0.5};
-  return evaluate_exact(mid);
+  return evaluate(mid);
 }
 
 }  // namespace wfr::autotune

@@ -6,36 +6,27 @@
 //   x0 — process-grid aspect (nprows / npcols balance),
 //   x1 — supernode / block size,
 //   x2 — look-ahead depth.
-// The surface has one global optimum, a local basin to trap greedy search,
-// and an optional multiplicative noise term — enough structure to make the
-// Bayesian-optimization loop's behaviour realistic.
+// The surface has one global optimum and a local basin to trap greedy
+// search — enough structure to make the Bayesian-optimization loop's
+// behaviour realistic.
 
-#include <cstdint>
 #include <span>
 #include <vector>
-
-#include "math/rng.hpp"
 
 namespace wfr::autotune {
 
 class SuperluSurface {
  public:
   /// `matrix_dim` scales the overall runtime (the paper uses 4960).
-  /// `noise_sigma` is the sigma of a lognormal noise factor (0 = exact).
-  explicit SuperluSurface(int matrix_dim = 4960, double noise_sigma = 0.0,
-                          std::uint64_t noise_seed = 0);
+  explicit SuperluSurface(int matrix_dim = 4960);
 
   std::size_t dim() const { return 3; }
 
-  /// Runtime (seconds) at normalized parameters x in [0,1]^3.  Throws on
-  /// out-of-range inputs.  Noise (if configured) makes repeated calls
-  /// differ; the noiseless landscape is evaluate_exact().
-  double evaluate(std::span<const double> x);
+  /// Runtime (seconds) at normalized parameters x in [0,1]^3: a
+  /// deterministic landscape.  Throws on out-of-range inputs.
+  double evaluate(std::span<const double> x) const;
 
-  /// The deterministic landscape (no noise).
-  double evaluate_exact(std::span<const double> x) const;
-
-  /// The known global optimum (for tests): argmin of evaluate_exact.
+  /// The known global optimum (for tests): argmin of evaluate.
   std::vector<double> optimum() const;
   double optimum_value() const;
 
@@ -43,9 +34,6 @@ class SuperluSurface {
   double default_value() const;
 
  private:
-  int matrix_dim_;
-  double noise_sigma_;
-  math::Rng rng_;
   double base_seconds_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "autotune/acquisition.hpp"
-#include "exec/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace wfr::autotune {
@@ -29,11 +28,8 @@ std::vector<double> History::best_trajectory() const {
 
 void TunerConfig::validate() const {
   util::require(total_samples >= 1, "total_samples must be >= 1");
-  util::require(warmup_samples >= 1, "warmup_samples must be >= 1");
-  util::require(warmup_samples <= total_samples,
+  util::require(kWarmupSamples <= total_samples,
                 "warmup cannot exceed total samples");
-  util::require(ei_candidates >= 1, "ei_candidates must be >= 1");
-  gp.validate();
 }
 
 History tune(const Objective& objective, std::size_t dim,
@@ -46,28 +42,17 @@ History tune(const Objective& objective, std::size_t dim,
   History history;
   history.samples.reserve(static_cast<std::size_t>(config.total_samples));
 
-  // Warm-up: uniform random samples.  Params are all drawn first (one rng
-  // stream, one fixed order), then the independent evaluations fan out
-  // over a pool when config.jobs != 1; results land by sample index, so
-  // the history is byte-identical for any job count.
-  const int warmup = std::min(config.warmup_samples, config.total_samples);
-  for (int i = 0; i < warmup; ++i) {
+  // Warm-up: uniform random samples.
+  for (int i = 0; i < kWarmupSamples; ++i) {
     Sample s;
     s.params.resize(dim);
     for (double& p : s.params) p = rng.uniform();
+    s.value = objective(s.params);
     history.samples.push_back(std::move(s));
-  }
-  if (config.jobs == 1 || warmup == 1) {
-    for (Sample& s : history.samples) s.value = objective(s.params);
-  } else {
-    exec::ThreadPool pool(config.jobs);
-    exec::parallel_for(pool, history.samples.size(), [&](std::size_t i) {
-      history.samples[i].value = objective(history.samples[i].params);
-    });
   }
 
   // BO iterations: fit GP on everything seen, propose by EI, evaluate.
-  GaussianProcess gp(config.gp);
+  GaussianProcess gp;
   while (static_cast<int>(history.samples.size()) < config.total_samples) {
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
@@ -77,15 +62,9 @@ History tune(const Objective& objective, std::size_t dim,
       xs.push_back(s.params);
       ys.push_back(s.value);
     }
-    if (config.adapt_length_scale) {
-      static constexpr double kScaleGrid[] = {0.1, 0.2, 0.3, 0.5, 0.8};
-      gp.select_length_scale(xs, ys, kScaleGrid);
-    } else {
-      gp.fit(xs, ys);
-    }
+    gp.fit(xs, ys);
     Sample s;
-    s.params = propose_next(gp, dim, history.best().value, rng,
-                            config.ei_candidates);
+    s.params = propose_next(gp, dim, history.best().value, rng);
     s.value = objective(s.params);
     history.samples.push_back(std::move(s));
   }

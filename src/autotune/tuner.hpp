@@ -4,11 +4,10 @@
 // paper: "the application runs are serialized in GPTune due to the data
 // dependencies").
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
-
-#include "autotune/gp.hpp"
-#include "math/rng.hpp"
 
 namespace wfr::autotune {
 
@@ -29,24 +28,15 @@ struct History {
   std::vector<double> best_trajectory() const;
 };
 
+/// The first kWarmupSamples samples are uniform random; after them a GP
+/// with the default GpParams proposes each sample by expected improvement.
+inline constexpr int kWarmupSamples = 8;
+
 struct TunerConfig {
   int total_samples = 40;  // the paper's GPTune campaign tunes 40 samples
-  int warmup_samples = 8;  // random before the GP takes over
-  int ei_candidates = 256;
   std::uint64_t seed = 0;
-  GpParams gp;
-  /// When true, the GP length scale is re-selected each refit from a
-  /// small grid by marginal likelihood (type-II ML).  Off by default to
-  /// keep the paper-calibrated campaigns byte-stable.
-  bool adapt_length_scale = false;
-  /// Worker threads for the warm-up batch (the only phase whose samples
-  /// are independent; BO iterations stay serialized, as in the paper).
-  /// All warm-up params are drawn up front from the single rng stream and
-  /// results land by sample index, so the history is byte-identical for
-  /// any value.  Values != 1 require a thread-safe objective.  0 resolves
-  /// via exec::resolve_jobs (WFR_JOBS, then hardware concurrency).
-  int jobs = 1;
 
+  /// Requires kWarmupSamples <= total_samples.
   void validate() const;
 };
 

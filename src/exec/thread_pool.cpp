@@ -95,11 +95,6 @@ bool ThreadPool::try_submit(std::function<void()> task) {
   return true;
 }
 
-std::size_t ThreadPool::queue_depth() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_.wait(lock, [this] { return queue_.empty() && busy_workers_ == 0; });

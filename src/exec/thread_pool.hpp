@@ -76,16 +76,13 @@ class ThreadPool {
   /// queue behind `wfr serve`'s 503 responses (docs/SERVER.md).
   bool try_submit(std::function<void()> task);
 
-  /// Number of tasks waiting in the queue (excludes running tasks).
-  std::size_t queue_depth() const;
-
   /// Blocks until the queue is empty and every worker is idle.
   void wait_idle();
 
  private:
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;

@@ -148,12 +148,6 @@ std::vector<double> cholesky_solve(const Matrix& l, std::span<const double> b) {
   return solve_upper_from_lower(l, solve_lower(l, b));
 }
 
-double log_det_from_cholesky(const Matrix& l) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < l.rows(); ++i) s += std::log(l(i, i));
-  return 2.0 * s;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   util::require(a.size() == b.size(), "dot size mismatch");
   double s = 0.0;

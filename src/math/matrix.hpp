@@ -74,9 +74,6 @@ std::vector<double> solve_upper_from_lower(const Matrix& l,
 /// Solves A x = b using the Cholesky factor `l` of A.
 std::vector<double> cholesky_solve(const Matrix& l, std::span<const double> b);
 
-/// log(det(A)) from the Cholesky factor of A: 2 * sum(log(diag(L))).
-double log_det_from_cholesky(const Matrix& l);
-
 /// Dot product; requires equal sizes.
 double dot(std::span<const double> a, std::span<const double> b);
 

@@ -10,19 +10,20 @@ namespace {
 
 constexpr int kWorkflowPid = 1;
 constexpr int kResourcePid = 2;
+// Counter samples kept per resource track.
+constexpr std::size_t kMaxCounterEventsPerResource = 8192;
 
 /// Counter tracks for one resource: one event per surviving sample (step
 /// function), plus a closing zero so tracks do not dangle at the last
 /// value forever.
 void append_resource_counters(const ResourceTimeSeries& series,
-                              std::size_t max_events,
                               util::JsonArray* events) {
   const std::vector<ResourceSample>& samples = series.samples();
   if (samples.empty()) return;
   // Even decimation keeping first and last.
-  std::size_t stride = 1;
-  if (max_events != 0 && samples.size() > max_events)
-    stride = (samples.size() + max_events - 1) / max_events;
+  const std::size_t stride =
+      (samples.size() + kMaxCounterEventsPerResource - 1) /
+      kMaxCounterEventsPerResource;
   const std::string flows_track = series.name() + " flows";
   const std::string rate_track = series.name() + " bandwidth";
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -55,8 +56,7 @@ void append_resource_counters(const ResourceTimeSeries& series,
 }  // namespace
 
 util::Json chrome_trace_json(const trace::WorkflowTrace& trace,
-                             const std::vector<ResourceTimeSeries>& resources,
-                             const ChromeTraceOptions& options) {
+                             const std::vector<ResourceTimeSeries>& resources) {
   util::JsonArray events;
 
   // Process + thread naming metadata.
@@ -80,10 +80,9 @@ util::Json chrome_trace_json(const trace::WorkflowTrace& trace,
   // Task + phase slices.
   for (const trace::TaskRecord& record : trace.records()) {
     const int tid = static_cast<int>(record.task) + 1;
-    if (options.task_slices && record.duration() > 0.0) {
+    if (record.duration() > 0.0) {
       util::JsonObject args;
       args.set("nodes", record.nodes);
-      args.set("attempts", record.attempts);
       events.push_back(trace_complete_event(
           kWorkflowPid, tid, record.name,
           record.kind.empty() ? "task" : record.kind, record.start_seconds,
@@ -100,9 +99,7 @@ util::Json chrome_trace_json(const trace::WorkflowTrace& trace,
 
   // Resource counter tracks.
   for (const ResourceTimeSeries& series : resources)
-    append_resource_counters(series,
-                             options.max_counter_events_per_resource,
-                             &events);
+    append_resource_counters(series, &events);
 
   sort_trace_events(events);
   return trace_events_envelope(std::move(events));
@@ -110,10 +107,8 @@ util::Json chrome_trace_json(const trace::WorkflowTrace& trace,
 
 void write_chrome_trace(const std::string& path,
                         const trace::WorkflowTrace& trace,
-                        const std::vector<ResourceTimeSeries>& resources,
-                        const ChromeTraceOptions& options) {
-  const std::string text =
-      chrome_trace_json(trace, resources, options).dump();
+                        const std::vector<ResourceTimeSeries>& resources) {
+  const std::string text = chrome_trace_json(trace, resources).dump();
   util::write_file(path, text + "\n");
 }
 

@@ -11,7 +11,9 @@
 //     phases nest under their task slice;
 //   * a second process (pid 2, "shared resources") holding counter ("C")
 //     tracks per resource: active/finite flow counts, instantaneous
-//     utilization, and per-flow fair-share bandwidth.
+//     utilization, and per-flow fair-share bandwidth.  A track longer
+//     than 8192 samples is decimated evenly; its first and last samples
+//     always survive.
 //
 // Timestamps are microseconds (the format's unit); events are sorted by
 // timestamp with metadata first, so consumers that stream see a
@@ -26,27 +28,15 @@
 
 namespace wfr::obs {
 
-struct ChromeTraceOptions {
-  /// Emit one enclosing "X" slice per task in addition to its phase
-  /// slices (phases then nest under the task in the UI).
-  bool task_slices = true;
-  /// Upper bound on counter events per resource track; longer series are
-  /// decimated evenly (the first and last samples always survive).
-  /// 0 means unlimited.
-  std::size_t max_counter_events_per_resource = 8192;
-};
-
 /// Builds the trace as a JSON object: {"displayTimeUnit": "ms",
 /// "traceEvents": [...]}.
 util::Json chrome_trace_json(
     const trace::WorkflowTrace& trace,
-    const std::vector<ResourceTimeSeries>& resources = {},
-    const ChromeTraceOptions& options = {});
+    const std::vector<ResourceTimeSeries>& resources = {});
 
 /// Serializes chrome_trace_json() to `path` (compact, one file).
 void write_chrome_trace(
     const std::string& path, const trace::WorkflowTrace& trace,
-    const std::vector<ResourceTimeSeries>& resources = {},
-    const ChromeTraceOptions& options = {});
+    const std::vector<ResourceTimeSeries>& resources = {});
 
 }  // namespace wfr::obs

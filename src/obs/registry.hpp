@@ -7,7 +7,7 @@
 // lightweight; this registry is the sink for such metrics.  The engine
 // reports self-metrics into it (events processed, heap compactions, flows
 // registered/cancelled), the runner reports workflow metrics (tasks
-// started/completed/retried, queue-wait and per-phase histograms), and
+// started/completed, queue-wait and per-phase histograms), and
 // `wfr serve` records its per-endpoint request counters and latency
 // histograms straight into one, so `GET /metrics` is prometheus_text().
 //

@@ -26,12 +26,9 @@ double bin_value(int i, double lo, double hi, int n) {
 
 }  // namespace
 
-std::string ascii_roofline(const core::RooflineModel& model,
-                           const AsciiOptions& options) {
-  util::require(options.width >= 20 && options.height >= 8,
-                "ascii canvas too small");
-  const int W = options.width;
-  const int H = options.height;
+std::string ascii_roofline(const core::RooflineModel& model) {
+  constexpr int W = 72;  // plot columns (not counting the y-axis gutter)
+  constexpr int H = 22;  // plot rows
 
   const int wall = model.parallelism_wall();
   const double x_lo = 1.0;
@@ -137,8 +134,8 @@ std::string ascii_roofline(const core::RooflineModel& model,
   return out;
 }
 
-std::string ascii_gantt(const trace::WorkflowTrace& trace, int width) {
-  util::require(width >= 16, "ascii gantt too narrow");
+std::string ascii_gantt(const trace::WorkflowTrace& trace) {
+  constexpr int width = 64;
   util::require(!trace.empty(), "cannot render an empty trace");
   double t_end = 0.0;
   std::size_t name_w = 4;

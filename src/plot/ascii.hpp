@@ -9,21 +9,16 @@
 
 namespace wfr::plot {
 
-struct AsciiOptions {
-  int width = 72;   // plot columns (not counting the y-axis gutter)
-  int height = 22;  // plot rows
-};
-
-/// Renders the model as monospace art:
+/// Renders the model as monospace art on a 72-column, 22-row canvas
+/// (plus a 10-column y-axis gutter):
 ///   * '-' horizontal ceilings, '/' diagonals, '|' the parallelism wall,
 ///   * '#' the unattainable region, 'O' measured dots, 'o' projected dots,
 ///   * '~' target lines.
 /// A key with ceiling labels follows the canvas.
-std::string ascii_roofline(const core::RooflineModel& model,
-                           const AsciiOptions& options = {});
+std::string ascii_roofline(const core::RooflineModel& model);
 
-/// Renders a trace as one bar per task:
+/// Renders a trace as one 64-column bar per task:
 ///   name  |   ====####====   | with '=' work and '#' I/O phases.
-std::string ascii_gantt(const trace::WorkflowTrace& trace, int width = 64);
+std::string ascii_gantt(const trace::WorkflowTrace& trace);
 
 }  // namespace wfr::plot

@@ -1,7 +1,6 @@
 #include "plot/bar_plot.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <vector>
 
@@ -9,23 +8,29 @@
 #include "plot/palette.hpp"
 #include "plot/svg.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace wfr::plot {
+
+namespace {
+constexpr double kWidth = 560.0;
+constexpr double kHeight = 420.0;
+}  // namespace
 
 std::string render_breakdown(const std::vector<trace::TimeBreakdown>& bars,
                              const BarPlotOptions& options) {
   util::require(!bars.empty(), "no breakdowns to render");
   const Palette& p = default_palette();
-  SvgDocument svg(options.width, options.height);
-  svg.rect(0, 0, options.width, options.height, Style{.fill = p.surface});
+  SvgDocument svg(kWidth, kHeight);
+  svg.rect(0, 0, kWidth, kHeight, Style{.fill = p.surface});
 
   const double margin_left = 70.0;
   const double margin_right = 24.0;
   const double margin_top = 70.0;
   const double margin_bottom = 56.0;
-  const double plot_w = options.width - margin_left - margin_right;
-  const double plot_h = options.height - margin_top - margin_bottom;
+  const double plot_w = kWidth - margin_left - margin_right;
+  const double plot_h = kHeight - margin_top - margin_bottom;
 
   // Component color order by first appearance.
   std::map<std::string, int> slot;
@@ -55,7 +60,7 @@ std::string render_breakdown(const std::vector<trace::TimeBreakdown>& bars,
   }
   svg.text(margin_left, 26.0, options.title,
            TextStyle{.size = 15, .fill = p.text_primary, .bold = true});
-  svg.text(18.0, margin_top + plot_h / 2.0, options.y_label,
+  svg.text(18.0, margin_top + plot_h / 2.0, "Time (s)",
            TextStyle{.size = 13, .fill = p.text_primary,
                      .anchor = Anchor::kMiddle, .rotate = -90.0});
 
@@ -107,12 +112,7 @@ std::string render_breakdown(const std::vector<trace::TimeBreakdown>& bars,
 void write_breakdown_svg(const std::vector<trace::TimeBreakdown>& bars,
                          const std::string& path,
                          const BarPlotOptions& options) {
-  const std::string content = render_breakdown(bars, options);
-  FILE* fp = std::fopen(path.c_str(), "wb");
-  if (fp == nullptr)
-    throw util::Error("cannot open '" + path + "' for writing");
-  std::fwrite(content.data(), 1, content.size(), fp);
-  std::fclose(fp);
+  util::write_file(path, render_breakdown(bars, options));
 }
 
 }  // namespace wfr::plot

@@ -1,6 +1,7 @@
 #pragma once
 // Stacked-bar renderer for time breakdowns (Figs. 5b and 10b): one bar per
-// scenario, stacked by labelled component, with a legend.
+// scenario, stacked by labelled component, with a legend, on a 560x420
+// canvas whose y axis reads "Time (s)".
 
 #include <string>
 #include <vector>
@@ -10,10 +11,7 @@
 namespace wfr::plot {
 
 struct BarPlotOptions {
-  double width = 560.0;
-  double height = 420.0;
   std::string title = "Time breakdown";
-  std::string y_label = "Time (s)";
 };
 
 /// Renders stacked bars.  Component colors are assigned by first
@@ -22,6 +20,8 @@ struct BarPlotOptions {
 std::string render_breakdown(const std::vector<trace::TimeBreakdown>& bars,
                              const BarPlotOptions& options = {});
 
+/// Renders and writes to `path`; throws util::Error naming the path when
+/// the write fails.
 void write_breakdown_svg(const std::vector<trace::TimeBreakdown>& bars,
                          const std::string& path,
                          const BarPlotOptions& options = {});

@@ -1,20 +1,22 @@
 #include "plot/gantt_plot.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
 #include <vector>
 
 #include "plot/axes.hpp"
 #include "plot/palette.hpp"
 #include "plot/svg.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace wfr::plot {
 
 namespace {
+
+constexpr double kWidth = 820.0;
+constexpr double kLaneHeight = 26.0;
 
 std::string phase_color(trace::Phase phase, const Palette& p) {
   switch (phase) {
@@ -47,14 +49,14 @@ std::string render_gantt(const trace::WorkflowTrace& trace,
   const double margin_top = 44.0;
   const double margin_bottom = 54.0;
   const double height = margin_top + margin_bottom +
-                        options.lane_height * static_cast<double>(lanes.size());
-  SvgDocument svg(options.width, height);
-  svg.rect(0, 0, options.width, height, Style{.fill = p.surface});
+                        kLaneHeight * static_cast<double>(lanes.size());
+  SvgDocument svg(kWidth, height);
+  svg.rect(0, 0, kWidth, height, Style{.fill = p.surface});
 
   double t_end = 0.0;
   for (const auto* r : lanes) t_end = std::max(t_end, r->end_seconds);
   if (t_end <= 0.0) t_end = 1.0;
-  LinearScale x(0.0, t_end, margin_left, options.width - margin_right);
+  LinearScale x(0.0, t_end, margin_left, kWidth - margin_right);
 
   // Time axis.
   for (double t : x.ticks()) {
@@ -65,7 +67,7 @@ std::string render_gantt(const trace::WorkflowTrace& trace,
              TextStyle{.size = 11, .fill = p.text_secondary,
                        .anchor = Anchor::kMiddle});
   }
-  svg.text((margin_left + options.width - margin_right) / 2.0, height - 16.0,
+  svg.text((margin_left + kWidth - margin_right) / 2.0, height - 16.0,
            "Time (s)",
            TextStyle{.size = 13, .fill = p.text_primary,
                      .anchor = Anchor::kMiddle});
@@ -73,16 +75,15 @@ std::string render_gantt(const trace::WorkflowTrace& trace,
            TextStyle{.size = 15, .fill = p.text_primary, .bold = true});
 
   // Lanes.
-  std::map<dag::TaskId, std::pair<double, double>> bar_ends;  // id -> x,y mid
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     const trace::TaskRecord& r = *lanes[i];
-    const double y = margin_top + options.lane_height * static_cast<double>(i);
+    const double y = margin_top + kLaneHeight * static_cast<double>(i);
     const double bar_top = y + 4.0;
-    const double bar_h = options.lane_height - 8.0;
-    svg.text(margin_left - 8.0, y + options.lane_height / 2.0 + 4.0, r.name,
+    const double bar_h = kLaneHeight - 8.0;
+    svg.text(margin_left - 8.0, y + kLaneHeight / 2.0 + 4.0, r.name,
              TextStyle{.size = 11, .fill = p.text_primary,
                        .anchor = Anchor::kEnd});
-    if (options.color_phases && !r.spans.empty()) {
+    if (!r.spans.empty()) {
       for (const trace::Span& s : r.spans) {
         const double x0 = x(s.start_seconds);
         // 2px surface gap between adjacent segments.
@@ -96,7 +97,6 @@ std::string render_gantt(const trace::WorkflowTrace& trace,
       svg.rect(x0, bar_top, x1 - x0, bar_h,
                Style{.fill = p.series_color(0)}, 3.0);
     }
-    bar_ends[r.task] = {x(r.end_seconds), y + options.lane_height / 2.0};
   }
 
   // Critical-path overlay: connected black outline through the path tasks.
@@ -105,9 +105,9 @@ std::string render_gantt(const trace::WorkflowTrace& trace,
     for (dag::TaskId id : options.critical_path) {
       for (std::size_t i = 0; i < lanes.size(); ++i) {
         if (lanes[i]->task == id) {
-          const double y =
-              margin_top + options.lane_height * static_cast<double>(i) +
-              options.lane_height / 2.0;
+          const double y = margin_top +
+                           kLaneHeight * static_cast<double>(i) +
+                           kLaneHeight / 2.0;
           points.emplace_back(x(lanes[i]->start_seconds), y);
           points.emplace_back(x(lanes[i]->end_seconds), y);
           break;
@@ -118,18 +118,16 @@ std::string render_gantt(const trace::WorkflowTrace& trace,
   }
 
   // Legend for phases present in the trace.
-  if (options.color_phases) {
-    double lx = margin_left;
-    for (trace::Phase ph :
-         {trace::Phase::kOverhead, trace::Phase::kExternalIn,
-          trace::Phase::kFsRead, trace::Phase::kWork, trace::Phase::kFsWrite}) {
-      if (trace.total_time_in_phase(ph) <= 0.0) continue;
-      svg.rect(lx, 32.0, 10.0, 10.0, Style{.fill = phase_color(ph, p)}, 2.0);
-      const std::string label = trace::phase_name(ph);
-      svg.text(lx + 14.0, 41.0, label,
-               TextStyle{.size = 10, .fill = p.text_secondary});
-      lx += 24.0 + 6.5 * static_cast<double>(label.size());
-    }
+  double lx = margin_left;
+  for (trace::Phase ph :
+       {trace::Phase::kOverhead, trace::Phase::kExternalIn,
+        trace::Phase::kFsRead, trace::Phase::kWork, trace::Phase::kFsWrite}) {
+    if (trace.total_time_in_phase(ph) <= 0.0) continue;
+    svg.rect(lx, 32.0, 10.0, 10.0, Style{.fill = phase_color(ph, p)}, 2.0);
+    const std::string label = trace::phase_name(ph);
+    svg.text(lx + 14.0, 41.0, label,
+             TextStyle{.size = 10, .fill = p.text_secondary});
+    lx += 24.0 + 6.5 * static_cast<double>(label.size());
   }
 
   return svg.str();
@@ -138,12 +136,7 @@ std::string render_gantt(const trace::WorkflowTrace& trace,
 void write_gantt_svg(const trace::WorkflowTrace& trace,
                      const std::string& path,
                      const GanttPlotOptions& options) {
-  const std::string content = render_gantt(trace, options);
-  FILE* fp = std::fopen(path.c_str(), "wb");
-  if (fp == nullptr)
-    throw util::Error("cannot open '" + path + "' for writing");
-  std::fwrite(content.data(), 1, content.size(), fp);
-  std::fclose(fp);
+  util::write_file(path, render_gantt(trace, options));
 }
 
 }  // namespace wfr::plot

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "plot/axes.hpp"
 #include "plot/svg.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
@@ -25,6 +26,9 @@ constexpr double kMarginLeft = 72.0;
 constexpr double kMarginRight = 26.0;
 constexpr double kMarginTop = 46.0;
 constexpr double kMarginBottom = 58.0;
+// Task-view canvas size.
+constexpr double kTaskViewWidth = 780.0;
+constexpr double kTaskViewHeight = 560.0;
 
 std::string channel_color(Channel channel, const Palette& p) {
   switch (channel) {
@@ -46,9 +50,10 @@ struct Frame {
   double plot_left, plot_right, plot_top, plot_bottom;
 };
 
-// Computes the y domain from ceilings, dots and targets, padded to decades.
-void auto_y_domain(const RooflineModel& model, double x_lo, double x_hi,
-                   double* y_min, double* y_max) {
+// Computes the y domain {min, max} from ceilings, dots and targets, padded
+// to decades.
+std::pair<double, double> auto_y_domain(const RooflineModel& model,
+                                        double x_lo, double x_hi) {
   std::vector<double> values;
   for (const Ceiling& c : model.ceilings()) {
     if (c.kind == CeilingKind::kWall) continue;
@@ -66,8 +71,8 @@ void auto_y_domain(const RooflineModel& model, double x_lo, double x_hi,
   util::require(!values.empty(), "nothing to plot: model has no ceilings");
   const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
   // Pad half a decade either side, snapped to decades.
-  *y_min = std::pow(10.0, std::floor(std::log10(*lo_it) - 0.5));
-  *y_max = std::pow(10.0, std::ceil(std::log10(*hi_it) + 0.3));
+  return {std::pow(10.0, std::floor(std::log10(*lo_it) - 0.5)),
+          std::pow(10.0, std::ceil(std::log10(*hi_it) + 0.3))};
 }
 
 void draw_axes(SvgDocument& svg, const Frame& f, const Palette& p,
@@ -142,13 +147,9 @@ std::string render_roofline(const RooflineModel& model,
 
   const int wall = model.parallelism_wall();
   const double x_lo = 1.0;
-  const double x_hi =
-      std::max(static_cast<double>(wall) * options.x_max_factor, 4.0);
+  const double x_hi = std::max(static_cast<double>(wall) * 2.0, 4.0);
 
-  double y_min = options.y_min;
-  double y_max = options.y_max;
-  if (y_min <= 0.0 || y_max <= y_min)
-    auto_y_domain(model, x_lo, x_hi, &y_min, &y_max);
+  const auto [y_min, y_max] = auto_y_domain(model, x_lo, x_hi);
 
   Frame f{
       LogScale(x_lo, x_hi, kMarginLeft, options.width - kMarginRight),
@@ -175,7 +176,7 @@ std::string render_roofline(const RooflineModel& model,
   }
 
   // --- Zone tints (under everything else) -----------------------------------
-  if (options.shade_zones && model.has_targets()) {
+  if (model.has_targets()) {
     svg.comment("target zones");
     const double y_t = f.y(model.target_throughput_tps());
     // The iso-makespan diagonal is a straight line in pixel space.
@@ -215,22 +216,20 @@ std::string render_roofline(const RooflineModel& model,
   }
 
   // --- Unattainable region ---------------------------------------------------
-  if (options.shade_unattainable) {
-    svg.comment("unattainable region");
-    std::vector<std::pair<double, double>> poly;
-    poly.emplace_back(f.plot_left, f.plot_top);
-    poly.emplace_back(f.plot_right, f.plot_top);
-    poly.emplace_back(f.plot_right, f.plot_bottom);
-    const double wall_px = f.x(static_cast<double>(wall));
-    poly.emplace_back(wall_px, f.plot_bottom);
-    for (auto it = boundary.rbegin(); it != boundary.rend(); ++it)
-      poly.emplace_back(f.x(it->first), f.y(it->second));
-    svg.polygon(poly, Style{.fill = p.unattainable, .opacity = 0.45});
-    svg.text((wall_px + f.plot_right) / 2.0, (f.plot_top + f.plot_bottom) / 2.0,
-             "unattainable",
-             TextStyle{.size = 12, .fill = p.text_secondary,
-                       .anchor = Anchor::kMiddle, .italic = true});
-  }
+  svg.comment("unattainable region");
+  std::vector<std::pair<double, double>> poly;
+  poly.emplace_back(f.plot_left, f.plot_top);
+  poly.emplace_back(f.plot_right, f.plot_top);
+  poly.emplace_back(f.plot_right, f.plot_bottom);
+  const double wall_px = f.x(static_cast<double>(wall));
+  poly.emplace_back(wall_px, f.plot_bottom);
+  for (auto it = boundary.rbegin(); it != boundary.rend(); ++it)
+    poly.emplace_back(f.x(it->first), f.y(it->second));
+  svg.polygon(poly, Style{.fill = p.unattainable, .opacity = 0.45});
+  svg.text((wall_px + f.plot_right) / 2.0, (f.plot_top + f.plot_bottom) / 2.0,
+           "unattainable",
+           TextStyle{.size = 12, .fill = p.text_secondary,
+                     .anchor = Anchor::kMiddle, .italic = true});
 
   draw_axes(svg, f, p, title);
 
@@ -242,10 +241,9 @@ std::string render_roofline(const RooflineModel& model,
       const double px = f.x(static_cast<double>(c.max_parallel_tasks));
       svg.line(px, f.plot_top, px, f.plot_bottom,
                Style{.stroke = p.wall, .stroke_width = 2.0});
-      if (options.show_labels)
-        svg.text(px - 6.0, f.plot_top + 14.0, c.label,
-                 TextStyle{.size = 11, .fill = p.text_primary,
-                           .anchor = Anchor::kEnd});
+      svg.text(px - 6.0, f.plot_top + 14.0, c.label,
+               TextStyle{.size = 11, .fill = p.text_primary,
+                         .anchor = Anchor::kEnd});
       continue;
     }
     const std::string color = channel_color(c.channel, p);
@@ -254,23 +252,21 @@ std::string render_roofline(const RooflineModel& model,
     if (!std::isfinite(tps_lo) || !std::isfinite(tps_hi)) continue;
     svg.line(f.x(x_lo), f.y(tps_lo), f.x(x_hi), f.y(tps_hi),
              Style{.stroke = color, .stroke_width = 2.0});
-    if (options.show_labels) {
-      // Horizontal ceilings: label at the right end; diagonals: near the
-      // left so they do not pile up at the wall.
-      double lx, ly;
-      Anchor anchor;
-      if (c.kind == CeilingKind::kHorizontal) {
-        lx = f.plot_right - 4.0;
-        ly = labels.place(f.y(tps_lo) - 5.0);
-        anchor = Anchor::kEnd;
-      } else {
-        lx = f.x(x_lo) + 6.0;
-        ly = labels.place(f.y(tps_lo) - 6.0);
-        anchor = Anchor::kStart;
-      }
-      svg.text(lx, ly, c.label,
-               TextStyle{.size = 11, .fill = p.text_primary, .anchor = anchor});
+    // Horizontal ceilings: label at the right end; diagonals: near the
+    // left so they do not pile up at the wall.
+    double lx, ly;
+    Anchor anchor;
+    if (c.kind == CeilingKind::kHorizontal) {
+      lx = f.plot_right - 4.0;
+      ly = labels.place(f.y(tps_lo) - 5.0);
+      anchor = Anchor::kEnd;
+    } else {
+      lx = f.x(x_lo) + 6.0;
+      ly = labels.place(f.y(tps_lo) - 6.0);
+      anchor = Anchor::kStart;
     }
+    svg.text(lx, ly, c.label,
+             TextStyle{.size = 11, .fill = p.text_primary, .anchor = anchor});
   }
 
   // --- Targets -----------------------------------------------------------------
@@ -279,22 +275,20 @@ std::string render_roofline(const RooflineModel& model,
     const double y_t = f.y(model.target_throughput_tps());
     svg.line(f.plot_left, y_t, f.plot_right, y_t,
              Style{.stroke = p.target, .stroke_width = 1.5, .dash = "7 5"});
-    if (options.show_labels)
-      svg.text(f.plot_left + 6.0, y_t - 5.0,
-               util::format("Target throughput = %.3g tasks/s",
-                            model.target_throughput_tps()),
-               TextStyle{.size = 11, .fill = p.text_primary});
+    svg.text(f.plot_left + 6.0, y_t - 5.0,
+             util::format("Target throughput = %.3g tasks/s",
+                          model.target_throughput_tps()),
+             TextStyle{.size = 11, .fill = p.text_primary});
     svg.line(f.x(x_lo), f.y(model.target_makespan_tps(x_lo)), f.x(x_hi),
              f.y(model.target_makespan_tps(x_hi)),
              Style{.stroke = p.target, .stroke_width = 1.5, .dash = "2 4"});
-    if (options.show_labels)
-      svg.text(
-          f.x(x_lo) + 6.0, f.y(model.target_makespan_tps(x_lo)) + 14.0,
-          util::format(
-              "Target makespan = %s",
-              util::format_seconds(
-                  model.workflow().target_makespan_seconds).c_str()),
-          TextStyle{.size = 11, .fill = p.text_primary});
+    svg.text(
+        f.x(x_lo) + 6.0, f.y(model.target_makespan_tps(x_lo)) + 14.0,
+        util::format(
+            "Target makespan = %s",
+            util::format_seconds(
+                model.workflow().target_makespan_seconds).c_str()),
+        TextStyle{.size = 11, .fill = p.text_primary});
   }
 
   // --- Dots ---------------------------------------------------------------------
@@ -320,7 +314,7 @@ std::string render_roofline(const RooflineModel& model,
       svg.circle(cx, cy, 8.0, Style{.fill = p.surface});
       svg.circle(cx, cy, 6.0, Style{.fill = p.dot_measured});
     }
-    if (options.show_labels && !d.label.empty())
+    if (!d.label.empty())
       svg.text(cx + 10.0, cy + 4.0, d.label,
                TextStyle{.size = 11, .fill = p.text_primary});
   }
@@ -328,27 +322,17 @@ std::string render_roofline(const RooflineModel& model,
   return svg.str();
 }
 
-namespace {
-void write_text_file(const std::string& path, const std::string& content) {
-  FILE* fp = std::fopen(path.c_str(), "wb");
-  if (fp == nullptr)
-    throw util::Error("cannot open '" + path + "' for writing");
-  std::fwrite(content.data(), 1, content.size(), fp);
-  std::fclose(fp);
-}
-}  // namespace
-
 void write_roofline_svg(const RooflineModel& model, const std::string& path,
                         const RooflinePlotOptions& options) {
-  write_text_file(path, render_roofline(model, options));
+  util::write_file(path, render_roofline(model, options));
 }
 
 std::string render_task_view(const core::TaskView& view,
                              const TaskViewPlotOptions& options) {
   util::require(!view.empty(), "task view is empty");
   const Palette& p = default_palette();
-  SvgDocument svg(options.width, options.height);
-  svg.rect(0, 0, options.width, options.height, Style{.fill = p.surface});
+  SvgDocument svg(kTaskViewWidth, kTaskViewHeight);
+  svg.rect(0, 0, kTaskViewWidth, kTaskViewHeight, Style{.fill = p.surface});
 
   const double x_lo = 1.0;
   const double x_hi = std::max(2.0 * options.parallelism_wall, 4.0);
@@ -369,10 +353,10 @@ std::string render_task_view(const core::TaskView& view,
   const double y_min = std::pow(10.0, std::floor(std::log10(lo) - 0.5));
   const double y_max = std::pow(10.0, std::ceil(std::log10(hi) + 0.3));
 
-  Frame f{LogScale(x_lo, x_hi, kMarginLeft, options.width - kMarginRight),
-          LogScale(y_min, y_max, options.height - kMarginBottom, kMarginTop),
-          kMarginLeft, options.width - kMarginRight, kMarginTop,
-          options.height - kMarginBottom};
+  Frame f{LogScale(x_lo, x_hi, kMarginLeft, kTaskViewWidth - kMarginRight),
+          LogScale(y_min, y_max, kTaskViewHeight - kMarginBottom, kMarginTop),
+          kMarginLeft, kTaskViewWidth - kMarginRight, kMarginTop,
+          kTaskViewHeight - kMarginBottom};
 
   draw_axes(svg, f, p, options.title);
 
@@ -419,7 +403,7 @@ std::string render_task_view(const core::TaskView& view,
 
 void write_task_view_svg(const core::TaskView& view, const std::string& path,
                          const TaskViewPlotOptions& options) {
-  write_text_file(path, render_task_view(view, options));
+  util::write_file(path, render_task_view(view, options));
 }
 
 }  // namespace wfr::plot

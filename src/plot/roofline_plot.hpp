@@ -16,31 +16,24 @@ struct RooflinePlotOptions {
   double width = 780.0;
   double height = 560.0;
   std::string title;  // defaults to "<workflow> on <system>"
-  /// Shade the region above the ceilings / right of the wall.
-  bool shade_unattainable = true;
-  /// Tint the four target zones when the model has targets.
-  bool shade_zones = true;
-  /// Draw ceiling labels along the lines.
-  bool show_labels = true;
-  /// Extend the x axis this factor beyond the parallelism wall.
-  double x_max_factor = 2.0;
-  /// Explicit y domain; both 0 means auto.
-  double y_min = 0.0;
-  double y_max = 0.0;
 };
 
-/// Renders the model as a standalone SVG string.
+/// Renders the model as a standalone SVG string: the x axis runs from 1 to
+/// twice the parallelism wall, the y domain spans every ceiling, dot and
+/// target, the region above the ceilings / right of the wall is shaded,
+/// the four target zones are tinted when the model has targets, and
+/// ceilings, targets and dots carry labels.
 std::string render_roofline(const core::RooflineModel& model,
                             const RooflinePlotOptions& options = {});
 
-/// Renders and writes to `path`.
+/// Renders and writes to `path`; throws util::Error naming the path when
+/// the write fails.
 void write_roofline_svg(const core::RooflineModel& model,
                         const std::string& path,
                         const RooflinePlotOptions& options = {});
 
+/// The task view is drawn on a 780x560 canvas.
 struct TaskViewPlotOptions {
-  double width = 780.0;
-  double height = 560.0;
   std::string title = "Task view";
   /// The parallelism wall to draw (tasks cannot scale past it).
   int parallelism_wall = 1;
@@ -51,6 +44,8 @@ struct TaskViewPlotOptions {
 std::string render_task_view(const core::TaskView& view,
                              const TaskViewPlotOptions& options = {});
 
+/// Renders and writes to `path`; throws util::Error naming the path when
+/// the write fails.
 void write_task_view_svg(const core::TaskView& view, const std::string& path,
                          const TaskViewPlotOptions& options = {});
 

@@ -1,8 +1,5 @@
 #include "plot/svg.hpp"
 
-#include <cstdio>
-#include <fstream>
-
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -127,14 +124,6 @@ std::string SvgDocument::str() const {
   }
   out += "</svg>\n";
   return out;
-}
-
-void SvgDocument::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw util::Error("cannot open '" + path + "' for writing");
-  const std::string content = str();
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  if (!out) throw util::Error("failed writing '" + path + "'");
 }
 
 }  // namespace wfr::plot

@@ -61,9 +61,6 @@ class SvgDocument {
   /// Finalizes the document.
   std::string str() const;
 
-  /// Writes the document to `path`; throws util::Error on I/O failure.
-  void write_file(const std::string& path) const;
-
  private:
   double width_;
   double height_;

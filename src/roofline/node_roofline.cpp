@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "plot/axes.hpp"
 #include "plot/palette.hpp"
 #include "plot/svg.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
@@ -230,12 +230,7 @@ std::string NodeRoofline::render_svg(double width, double height) const {
 }
 
 void NodeRoofline::write_svg(const std::string& path) const {
-  const std::string content = render_svg();
-  FILE* fp = std::fopen(path.c_str(), "wb");
-  if (fp == nullptr)
-    throw util::Error("cannot open '" + path + "' for writing");
-  std::fwrite(content.data(), 1, content.size(), fp);
-  std::fclose(fp);
+  util::write_file(path, render_svg());
 }
 
 }  // namespace wfr::roofline

@@ -85,6 +85,8 @@ class NodeRoofline {
 
   /// Renders the classic log-log roofline (GFLOP/s vs AI) as SVG.
   std::string render_svg(double width = 720.0, double height = 520.0) const;
+  /// Writes render_svg() to `path`; throws util::Error naming the path
+  /// when the write fails.
   void write_svg(const std::string& path) const;
 
  private:

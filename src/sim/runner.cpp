@@ -61,6 +61,9 @@ double uncontended_task_seconds(const dag::TaskSpec& task,
 
 namespace {
 
+// Hard wall on simulated time; guards against configuration errors.
+constexpr double kTimeLimitSeconds = 1e12;
+
 /// Drives the execution of one workflow over the event engine.
 class Runner {
  public:
@@ -69,17 +72,9 @@ class Runner {
       : graph_(graph),
         machine_(machine),
         options_(options),
-        cluster_(options.pool_nodes > 0 ? options.pool_nodes
-                                        : machine.total_nodes),
-        rng_(options.seed) {
+        cluster_(machine.total_nodes) {
     graph_.validate();
     machine_.validate();
-    util::require(options.failure_probability >= 0.0 &&
-                      options.failure_probability < 1.0,
-                  "failure_probability must be in [0, 1)");
-    util::require(options.max_attempts >= 1, "max_attempts must be >= 1");
-    util::require(options.work_jitter_sigma >= 0.0,
-                  "work_jitter_sigma must be >= 0");
     // Shared resources.  Capacities of 0 are modeled as absent; tasks that
     // demand them fail in channel_seconds with a clear message, so here we
     // register resources only when present.
@@ -99,7 +94,6 @@ class Runner {
       obs::Observation& ob = *options_.observe;
       if (ob.sample_resources) sim_.attach_probe(&ob.probe);
       tasks_started_ = &ob.registry.counter("runner.tasks_started");
-      tasks_retried_ = &ob.registry.counter("runner.tasks_retried");
       queue_wait_ = &ob.registry.histogram("runner.queue_wait_seconds");
       for (trace::Phase phase :
            {trace::Phase::kOverhead, trace::Phase::kExternalIn,
@@ -139,7 +133,7 @@ class Runner {
     // Kick off initial tasks via a zero-delay event so that all engine
     // invariants hold during callbacks.
     sim_.schedule_after(0.0, [this] { launch_ready_tasks(); });
-    sim_.run(options_.time_limit_seconds);
+    sim_.run(kTimeLimitSeconds);
     util::ensure(completed_ == graph_.task_count(),
                  "workflow '%s' deadlocked: %zu of %zu tasks completed",
                  graph_.name().c_str(), completed_, graph_.task_count());
@@ -150,7 +144,6 @@ class Runner {
  private:
   struct TaskState {
     int waiting_deps = 0;
-    bool started = false;
     double phase_start = 0.0;
     /// When the task's dependencies were satisfied (for queue-wait).
     double ready_seconds = 0.0;
@@ -220,7 +213,6 @@ class Runner {
       tasks_started_->increment();
       queue_wait_->observe(sim_.now() - st.ready_seconds);
     }
-    st.started = true;
     st.record.task = id;
     st.record.name = t.name;
     st.record.kind = t.kind;
@@ -303,8 +295,6 @@ class Runner {
   void run_work(dag::TaskId id) {
     const dag::TaskSpec& t = graph_.task(id);
     double work = work_phase_seconds(t, machine_);
-    if (options_.work_jitter_sigma > 0.0)
-      work *= rng_.lognormal(0.0, options_.work_jitter_sigma);
     if (t.fixed_duration_seconds >= 0.0) {
       // Pad so that, absent contention on the remaining I/O, the total
       // task duration matches the fixed (measured) value.
@@ -319,7 +309,6 @@ class Runner {
     }
     sim_.schedule_after(std::max(work, 0.0), [this, id] {
       end_span(id, trace::Phase::kWork);
-      if (attempt_failed(id)) return;
       run_fs_write(id);
     });
   }
@@ -336,25 +325,6 @@ class Runner {
     } else {
       next();
     }
-  }
-
-  // Failure injection: decides at the end of the work phase whether this
-  // attempt fails; a failed attempt restarts the task from its first
-  // phase (its spans so far stay in the record as lost time).
-  bool attempt_failed(dag::TaskId id) {
-    if (options_.failure_probability <= 0.0) return false;
-    if (!rng_.bernoulli(options_.failure_probability)) return false;
-    TaskState& st = states_[id];
-    if (st.record.attempts >= options_.max_attempts) {
-      throw util::Error(util::format(
-          "task '%s' failed %d times (failure injection); workflow aborted",
-          graph_.task(id).name.c_str(), st.record.attempts));
-    }
-    ++st.record.attempts;
-    st.phase_start = sim_.now();
-    if (options_.observe != nullptr) tasks_retried_->increment();
-    run_overhead(id);  // restart from the top
-    return true;
   }
 
   void finish_task(dag::TaskId id) {
@@ -378,7 +348,6 @@ class Runner {
   const MachineConfig& machine_;
   const RunOptions& options_;
   Cluster cluster_;
-  math::Rng rng_;
   Simulator sim_;
   ResourceId fs_ = kMissingResource;
   ResourceId external_ = kMissingResource;
@@ -390,7 +359,6 @@ class Runner {
   // path pays a pointer indirection, not a registry lookup.  Null when
   // not observing.
   obs::Counter* tasks_started_ = nullptr;
-  obs::Counter* tasks_retried_ = nullptr;
   obs::LogHistogram* queue_wait_ = nullptr;
   std::array<obs::LogHistogram*, 5> phase_hist_{};
 };

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "dag/graph.hpp"
-#include "math/rng.hpp"
 #include "obs/observation.hpp"
 #include "sim/machine.hpp"
 #include "trace/timeline.hpp"
@@ -43,32 +42,15 @@ struct BackgroundLoad {
   double end_seconds = -1.0;
 };
 
-/// Options controlling a workflow run.
+/// Options controlling a workflow run.  The node pool is the machine's
+/// total_nodes.
 struct RunOptions {
-  /// Node-pool size; 0 means "the whole machine".
-  int pool_nodes = 0;
   /// Contention injectors.
   std::vector<BackgroundLoad> background;
-  /// When set, the work phase of each task is jittered by a lognormal
-  /// factor exp(N(0, sigma)); 0 disables jitter.
-  double work_jitter_sigma = 0.0;
-  /// Failure injection: probability that a task attempt fails at the end
-  /// of its work phase and restarts from its first phase.  A retrying
-  /// task keeps its node allocation; the failed attempt's spans stay in
-  /// the trace record as lost time.  0 disables.
-  double failure_probability = 0.0;
-  /// Work-phase attempts per task before the whole run is declared failed
-  /// (throws util::Error after exactly this many attempts).  Only
-  /// meaningful with failure_probability > 0.
-  int max_attempts = 3;
-  /// Seed for jitter and failure draws.
-  std::uint64_t seed = 0;
-  /// Hard wall on simulated time; guards against configuration errors.
-  double time_limit_seconds = 1e12;
   /// Observation sink (owned by the caller; must outlive the run).  When
   /// set, the runner reports workflow metrics into its registry (tasks
-  /// started/completed/retried, queue-wait and per-phase duration
-  /// histograms), the engine exports its self-metrics, and — unless
+  /// started/completed, queue-wait and per-phase duration histograms),
+  /// the engine exports its self-metrics, and — unless
   /// observe->sample_resources is off — the shared-resource time series
   /// is recorded into its probe.  Observation never changes the simulated
   /// schedule; results are identical with it on or off.

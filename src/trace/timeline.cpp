@@ -106,7 +106,6 @@ util::Json WorkflowTrace::to_json() const {
     t.set("nodes", util::Json(r.nodes));
     t.set("start", util::Json(r.start_seconds));
     t.set("end", util::Json(r.end_seconds));
-    if (r.attempts != 1) t.set("attempts", util::Json(r.attempts));
     util::JsonArray spans;
     for (const Span& s : r.spans) {
       util::JsonObject sp;
@@ -151,10 +150,11 @@ WorkflowTrace WorkflowTrace::from_json(const util::Json& json) {
     r.start_seconds = t.at("start").as_number();
     r.end_seconds = t.at("end").as_number();
     const util::Json* attempts = t.as_object().find("attempts");
-    r.attempts = attempts == nullptr
-                     ? 1
-                     : static_cast<int>(attempts->as_int_in(kIntMin, kIntMax,
-                                                            "attempts"));
+    if (attempts != nullptr &&
+        !(attempts->is_number() && attempts->as_number() == 1.0))
+      throw util::ParseError("task '" + r.name +
+                             "': attempts must be 1 or absent, got " +
+                             attempts->dump());
     for (const util::Json& sp : t.at("spans").as_array()) {
       Span s;
       s.phase = parse_phase(sp.at("phase").as_string());

@@ -44,8 +44,6 @@ struct TaskRecord {
   int nodes = 1;
   double start_seconds = 0.0;
   double end_seconds = 0.0;
-  /// Execution attempts (> 1 when failure injection restarted the task).
-  int attempts = 1;
   std::vector<Span> spans;
   ChannelCounters counters;
 
@@ -84,7 +82,10 @@ class WorkflowTrace {
   /// Maximum number of tasks running concurrently at any instant.
   int peak_concurrency() const;
 
-  /// Serialization for archival / external tooling.
+  /// Serialization for archival / external tooling.  from_json accepts
+  /// a task "attempts" key only when it is 1: the simulator runs each
+  /// task once, so a trace that records retries is rejected, not
+  /// narrowed.
   util::Json to_json() const;
   static WorkflowTrace from_json(const util::Json& json);
 

@@ -103,19 +103,6 @@ TEST(RandomDag, IsAcyclicAndSeeded) {
   EXPECT_TRUE(differs);
 }
 
-TEST(RandomDag, EdgeProbabilityExtremes) {
-  RandomDagParams chain;
-  chain.tasks = 10;
-  chain.edge_probability = 1.0;
-  const dag::WorkflowGraph dense = random_dag(chain);
-  EXPECT_EQ(dense.level_count(), 10);  // complete order -> a chain of levels
-  RandomDagParams loose;
-  loose.tasks = 10;
-  loose.edge_probability = 0.0;
-  const dag::WorkflowGraph parallel = random_dag(loose);
-  EXPECT_EQ(parallel.level_count(), 1);
-}
-
 TEST(Archetypes, AllCharacterizeCleanly) {
   for (const dag::WorkflowGraph& g :
        {ensemble(6), pipeline(4), fork_join(5), map_reduce(3, 2),
@@ -135,7 +122,7 @@ TEST(Archetypes, Validation) {
   bad.scale = 0.0;
   EXPECT_THROW(ensemble(1, bad), util::InvalidArgument);
   RandomDagParams bad_dag;
-  bad_dag.edge_probability = 1.5;
+  bad_dag.tasks = 0;
   EXPECT_THROW(random_dag(bad_dag), util::InvalidArgument);
 }
 

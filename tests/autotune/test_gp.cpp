@@ -115,58 +115,5 @@ TEST(Gp, DuplicatePointsAreHandledByNoise) {
   EXPECT_NEAR(gp.predict(std::vector<double>{0.5}).mean, 1.1, 0.05);
 }
 
-TEST(Gp, LogMarginalLikelihoodPrefersTrueNoise) {
-  // Data generated with moderate noise: a GP with far-too-small noise
-  // should not get a (much) higher likelihood.
-  math::Rng rng(11);
-  std::vector<std::vector<double>> xs;
-  std::vector<double> ys;
-  for (int i = 0; i < 25; ++i) {
-    const double x = i / 24.0;
-    xs.push_back({x});
-    ys.push_back(std::sin(2.0 * M_PI * x) + rng.normal(0.0, 0.1));
-  }
-  GaussianProcess right(GpParams{.length_scale = 0.25, .signal_variance = 1.0,
-                                 .noise_variance = 0.01});
-  right.fit(xs, ys);
-  GaussianProcess wrong(GpParams{.length_scale = 0.25, .signal_variance = 1.0,
-                                 .noise_variance = 1e-9});
-  wrong.fit(xs, ys);
-  EXPECT_GT(right.log_marginal_likelihood(), wrong.log_marginal_likelihood());
-}
-
-
-TEST(Gp, LengthScaleSelectionPicksAReasonableScale) {
-  // A fast-wiggling function prefers a short length scale.
-  std::vector<std::vector<double>> xs;
-  std::vector<double> ys;
-  for (int i = 0; i <= 40; ++i) {
-    const double x = i / 40.0;
-    xs.push_back({x});
-    ys.push_back(std::sin(8.0 * M_PI * x));
-  }
-  GaussianProcess gp(GpParams{.length_scale = 0.8, .signal_variance = 1.0,
-                              .noise_variance = 1e-6});
-  const std::vector<double> grid{0.05, 0.1, 0.3, 0.8};
-  const double chosen = gp.select_length_scale(xs, ys, grid);
-  EXPECT_LE(chosen, 0.1);
-  EXPECT_TRUE(gp.is_fitted());
-  EXPECT_DOUBLE_EQ(gp.params().length_scale, chosen);
-  // The refit model still interpolates well.
-  EXPECT_NEAR(gp.predict(std::vector<double>{0.5}).mean,
-              std::sin(4.0 * M_PI), 0.05);
-}
-
-TEST(Gp, LengthScaleSelectionValidation) {
-  GaussianProcess gp;
-  const std::vector<std::vector<double>> xs{{0.5}};
-  const std::vector<double> ys{1.0};
-  EXPECT_THROW(gp.select_length_scale(xs, ys, std::vector<double>{}),
-               util::InvalidArgument);
-  EXPECT_THROW(
-      gp.select_length_scale(xs, ys, std::vector<double>{0.5, -1.0}),
-      util::InvalidArgument);
-}
-
 }  // namespace
 }  // namespace wfr::autotune

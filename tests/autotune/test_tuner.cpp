@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "autotune/surface.hpp"
+#include "math/rng.hpp"
 #include "util/error.hpp"
 
 namespace wfr::autotune {
@@ -34,15 +35,21 @@ TEST(TunerConfig, Validation) {
   EXPECT_NO_THROW(c.validate());
   c.total_samples = 0;
   EXPECT_THROW(c.validate(), util::InvalidArgument);
-  c = TunerConfig{};
-  c.warmup_samples = c.total_samples + 1;
-  EXPECT_THROW(c.validate(), util::InvalidArgument);
+  // Fewer samples than the warm-up takes.
+  c.total_samples = kWarmupSamples - 1;
+  try {
+    c.validate();
+    FAIL() << "accepted total_samples below the warm-up";
+  } catch (const util::InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "warmup cannot exceed total samples");
+  }
+  c.total_samples = kWarmupSamples;
+  EXPECT_NO_THROW(c.validate());
 }
 
 TEST(Tuner, ProducesRequestedSampleCount) {
   TunerConfig cfg;
   cfg.total_samples = 15;
-  cfg.warmup_samples = 5;
   cfg.seed = 3;
   const History h = tune(
       [](std::span<const double> x) { return (x[0] - 0.5) * (x[0] - 0.5); },
@@ -73,7 +80,6 @@ TEST(Tuner, BeatsRandomSearchOnSuperluSurface) {
   SuperluSurface surface(4960);
   TunerConfig cfg;
   cfg.total_samples = 40;  // the paper's campaign size
-  cfg.warmup_samples = 8;
   cfg.seed = 1;
   const History bo = tune(
       [&surface](std::span<const double> x) { return surface.evaluate(x); },
@@ -110,49 +116,6 @@ TEST(Tuner, Validation) {
   EXPECT_THROW(
       tune([](std::span<const double>) { return 0.0; }, 0, cfg),
       util::InvalidArgument);
-}
-
-
-TEST(Tuner, AdaptiveLengthScaleStillConvergesAndIsDeterministic) {
-  SuperluSurface surface(4960);
-  TunerConfig cfg;
-  cfg.total_samples = 25;
-  cfg.seed = 4;
-  cfg.adapt_length_scale = true;
-  auto objective = [&surface](std::span<const double> x) {
-    return surface.evaluate(x);
-  };
-  const History a = tune(objective, surface.dim(), cfg);
-  const History b = tune(objective, surface.dim(), cfg);
-  ASSERT_EQ(a.samples.size(), 25u);
-  for (std::size_t i = 0; i < a.samples.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.samples[i].value, b.samples[i].value);
-  EXPECT_LT(a.best().value, surface.default_value());
-}
-
-TEST(Tuner, ParallelWarmupMatchesSerialBitForBit) {
-  // config.jobs only fans out the independent warm-up evaluations; the
-  // history — params and values — must be byte-identical to jobs=1
-  // because warm-up params are pre-drawn from the single rng stream and
-  // results land by sample index.
-  SuperluSurface surface(4960);
-  TunerConfig cfg;
-  cfg.total_samples = 20;
-  cfg.warmup_samples = 8;
-  cfg.seed = 11;
-  auto objective = [&surface](std::span<const double> x) {
-    return surface.evaluate(x);
-  };
-  const History serial = tune(objective, surface.dim(), cfg);
-  for (int jobs : {2, 8}) {
-    cfg.jobs = jobs;
-    const History parallel = tune(objective, surface.dim(), cfg);
-    ASSERT_EQ(parallel.samples.size(), serial.samples.size());
-    for (std::size_t i = 0; i < serial.samples.size(); ++i) {
-      EXPECT_EQ(parallel.samples[i].params, serial.samples[i].params);
-      EXPECT_EQ(parallel.samples[i].value, serial.samples[i].value);
-    }
-  }
 }
 
 }  // namespace

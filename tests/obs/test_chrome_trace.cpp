@@ -72,13 +72,6 @@ TEST(ChromeTrace, EventCountsMatchTraceContents) {
   EXPECT_EQ(count_phase(doc, "C"), 8);
 }
 
-TEST(ChromeTrace, TaskSlicesCanBeDisabled) {
-  ChromeTraceOptions options;
-  options.task_slices = false;
-  const util::Json doc = chrome_trace_json(sample_trace(), {}, options);
-  EXPECT_EQ(count_phase(doc, "X"), 5);  // spans only
-}
-
 TEST(ChromeTrace, EventsAreMonotonicallyOrdered) {
   const util::Json doc = chrome_trace_json(sample_trace(), sample_resources());
   double last_ts = -1e300;
@@ -121,22 +114,38 @@ TEST(ChromeTrace, CounterTracksLiveInResourceProcess) {
   }
 }
 
-TEST(ChromeTrace, LongSeriesAreDecimatedKeepingEndpoints) {
+// A series of `samples` one-second samples, each with a distinct flow
+// count so none coalesce.
+ResourceTimeSeries series_of(int samples) {
   ResourceTimeSeries fs("fs", 1e12);
-  for (int i = 0; i < 10; ++i)
+  for (int i = 0; i < samples; ++i)
     fs.record(static_cast<double>(i), 1.0, i + 1, 1, 1e9, 1e9);
-  ChromeTraceOptions options;
-  options.max_counter_events_per_resource = 4;
+  return fs;
+}
+
+TEST(ChromeTrace, LongSeriesAreDecimatedKeepingEndpoints) {
+  // Up to 8192 samples per track are kept as they are: 2 events each
+  // plus 2 closing events.
+  const util::Json full =
+      chrome_trace_json(trace::WorkflowTrace("wf"), {series_of(8192)});
+  EXPECT_EQ(count_phase(full, "C"), 2 * 8192 + 2);
+  // 10000 samples: stride ceil(10000/8192)=2 keeps the 5000 even samples
+  // and the last one, 9999 -> 5001x2 events + 2 closing.
   const util::Json doc =
-      chrome_trace_json(trace::WorkflowTrace("wf"), {fs}, options);
-  // stride ceil(10/4)=3 keeps samples 0,3,6,9 -> 4x2 events + 2 closing.
-  EXPECT_EQ(count_phase(doc, "C"), 10);
-  // The closing zero event sits at the series end.
+      chrome_trace_json(trace::WorkflowTrace("wf"), {series_of(10000)});
+  EXPECT_EQ(count_phase(doc, "C"), 5001 * 2 + 2);
+  // The last sample survives and the closing zero event sits at the
+  // series end.
+  bool last_kept = false;
   double max_ts = 0.0;
-  for (const util::Json& e : doc.at("traceEvents").as_array())
-    if (e.at("ph").as_string() == "C")
-      max_ts = std::max(max_ts, e.at("ts").as_number());
-  EXPECT_DOUBLE_EQ(max_ts, 10.0 * 1e6);
+  for (const util::Json& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "C") continue;
+    const double ts = e.at("ts").as_number();
+    last_kept = last_kept || ts == 9999.0 * 1e6;
+    max_ts = std::max(max_ts, ts);
+  }
+  EXPECT_TRUE(last_kept);
+  EXPECT_DOUBLE_EQ(max_ts, 10000.0 * 1e6);
 }
 
 TEST(ChromeTrace, WriteProducesParsableFile) {

@@ -38,23 +38,19 @@ TEST(AsciiRoofline, ListsCeilingLabelsAndDots) {
 }
 
 TEST(AsciiRoofline, RespectsCanvasSize) {
-  AsciiOptions opts;
-  opts.width = 40;
-  opts.height = 10;
-  const std::string art = ascii_roofline(bgw_model(), opts);
-  // Every canvas row should be gutter(10) + width(40) chars.
+  const std::string art = ascii_roofline(bgw_model());
+  // 22 canvas rows of gutter(10) + width(72) chars follow the title.
   std::size_t pos = art.find('\n') + 1;  // skip title
-  const std::size_t line_end = art.find('\n', pos);
-  EXPECT_EQ(line_end - pos, 50u);
+  for (int row = 0; row < 22; ++row) {
+    const std::size_t line_end = art.find('\n', pos);
+    ASSERT_NE(line_end, std::string::npos);
+    EXPECT_EQ(line_end - pos, 82u) << "row " << row;
+    pos = line_end + 1;
+  }
+  // Then the x axis: gutter plus 72 dashes.
+  EXPECT_EQ(art.substr(pos, 83), std::string(10, ' ') + std::string(72, '-') +
+                                     "\n");
 }
-
-TEST(AsciiRoofline, TooSmallCanvasThrows) {
-  AsciiOptions opts;
-  opts.width = 5;
-  opts.height = 5;
-  EXPECT_THROW(ascii_roofline(bgw_model(), opts), util::InvalidArgument);
-}
-
 
 TEST(AsciiRoofline, TargetsRenderAsTildes) {
   core::WorkflowCharacterization c;
@@ -101,13 +97,6 @@ TEST(AsciiGantt, BarsReflectOrderAndPhases) {
 TEST(AsciiGantt, Validation) {
   trace::WorkflowTrace empty("x");
   EXPECT_THROW(ascii_gantt(empty), util::InvalidArgument);
-  trace::WorkflowTrace t("w");
-  trace::TaskRecord r;
-  r.task = 0;
-  r.name = "t";
-  r.end_seconds = 1.0;
-  t.add_record(std::move(r));
-  EXPECT_THROW(ascii_gantt(t, 4), util::InvalidArgument);
 }
 
 }  // namespace

@@ -53,14 +53,6 @@ TEST(GanttPlot, CriticalPathOverlayDrawsPolyline) {
   EXPECT_NE(svg.find("<polyline"), std::string::npos);
 }
 
-TEST(GanttPlot, MonochromeMode) {
-  GanttPlotOptions opts;
-  opts.color_phases = false;
-  const std::string svg = render_gantt(bgw_trace(), opts);
-  EXPECT_NE(svg.find("<svg"), std::string::npos);
-  EXPECT_EQ(svg.find(">fs_read<"), std::string::npos);  // no legend
-}
-
 TEST(GanttPlot, EmptyTraceThrows) {
   trace::WorkflowTrace empty("x");
   EXPECT_THROW(render_gantt(empty), util::InvalidArgument);

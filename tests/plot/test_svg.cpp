@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "util/error.hpp"
 
 namespace wfr::plot {
@@ -87,24 +84,6 @@ TEST(Svg, CommentsAreSanitized) {
   SvgDocument svg(10, 10);
   svg.comment("a--b");
   EXPECT_NE(svg.str().find("<!-- a__b -->"), std::string::npos);
-}
-
-TEST(Svg, WriteFileRoundTrip) {
-  SvgDocument svg(10, 10);
-  svg.circle(5, 5, 2, Style{.fill = "#abc"});
-  const std::string path = "/tmp/wfr_test_svg_roundtrip.svg";
-  svg.write_file(path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, svg.str());
-  std::remove(path.c_str());
-}
-
-TEST(Svg, WriteFileToBadPathThrows) {
-  SvgDocument svg(10, 10);
-  EXPECT_THROW(svg.write_file("/nonexistent-dir/x.svg"), util::Error);
 }
 
 }  // namespace

@@ -57,9 +57,8 @@ std::int64_t load_trace(const std::string& field, const std::string& value) {
   doc.replace(doc.find(key), key.size(), "\"" + field + "\":" + value);
   const trace::TaskRecord record =
       trace::WorkflowTrace::from_json(util::Json::parse(doc)).record("a");
-  return field == "task"    ? static_cast<std::int64_t>(record.task)
-         : field == "nodes" ? record.nodes
-                            : record.attempts;
+  return field == "task" ? static_cast<std::int64_t>(record.task)
+                         : record.nodes;
 }
 
 std::int64_t load_served_shard(const std::string& field,
@@ -142,7 +141,6 @@ std::vector<IntField> int_fields() {
        }},
       {"task", 0, kU32Max, with(load_trace, "task")},
       {"nodes", kIntMin, kIntMax, with(load_trace, "nodes")},
-      {"attempts", kIntMin, kIntMax, with(load_trace, "attempts")},
       {"shard.count", 1, kIntMax, with(load_served_shard, "shard.count")},
       {"shard.index", 0, kIntMax, with(load_served_shard, "shard.index")},
       {"shard.count", 1, kIntMax, with(load_checkpoint_shard, "shard.count")},
@@ -172,6 +170,34 @@ TEST(LoaderProperties, IntegerFieldsNeverNarrowSilently) {
                   std::string::npos)
             << e.what();
       }
+    }
+  }
+}
+
+TEST(LoaderProperties, TraceAttemptsOtherThanOneAreRejected) {
+  // The simulator runs each task once: a trace may carry "attempts" only
+  // as 1 or not at all.  Any other value, the narrowing probes above
+  // included, fails with an error naming the field.
+  const std::string head =
+      R"({"name":"t","tasks":[{"task":0,"name":"a","nodes":1,"start":0,)"
+      R"("end":1,)";
+  const std::string tail = R"("spans":[],"counters":{}}]})";
+  for (const std::string accepted : {"", R"("attempts":1,)"}) {
+    SCOPED_TRACE(accepted);
+    EXPECT_NO_THROW(trace::WorkflowTrace::from_json(
+        util::Json::parse(head + accepted + tail)));
+  }
+  for (const char* value : {"0", "2", "-1", "1.5", "2147483648",
+                            "4294967298", "\"1\"", "null"}) {
+    SCOPED_TRACE(value);
+    try {
+      trace::WorkflowTrace::from_json(util::Json::parse(
+          head + "\"attempts\":" + value + "," + tail));
+      ADD_FAILURE() << "accepted a trace that recorded retries";
+    } catch (const util::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("attempts must be 1 or absent"),
+                std::string::npos)
+          << e.what();
     }
   }
 }

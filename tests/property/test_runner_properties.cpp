@@ -143,9 +143,9 @@ TEST_P(RunnerProperty, SmallerPoolCannotHelpMuch) {
   const dag::WorkflowGraph g = random_workflow(rng, m.total_nodes);
   const double base = run_workflow(g, m).makespan_seconds();
 
-  RunOptions cramped;
-  cramped.pool_nodes = std::max(8, m.total_nodes / 4);
-  const double slowed = run_workflow(g, m, cramped).makespan_seconds();
+  MachineConfig cramped = m;
+  cramped.total_nodes = std::max(8, m.total_nodes / 4);
+  const double slowed = run_workflow(g, cramped).makespan_seconds();
   EXPECT_GE(slowed, 0.9 * base);
 }
 
@@ -157,9 +157,9 @@ TEST_P(RunnerProperty, NodeUsageNeverExceedsThePool) {
   math::Rng rng(GetParam());
   const MachineConfig m = random_machine(rng);
   const dag::WorkflowGraph g = random_workflow(rng, m.total_nodes);
-  RunOptions opts;
-  opts.pool_nodes = std::max(8, m.total_nodes / 2);
-  const trace::WorkflowTrace t = run_workflow(g, m, opts);
+  MachineConfig pool = m;
+  pool.total_nodes = std::max(8, m.total_nodes / 2);
+  const trace::WorkflowTrace t = run_workflow(g, pool);
 
   std::vector<std::pair<double, int>> events;
   for (const trace::TaskRecord& r : t.records()) {
@@ -174,7 +174,7 @@ TEST_P(RunnerProperty, NodeUsageNeverExceedsThePool) {
   int in_use = 0;
   for (const auto& [time, delta] : events) {
     in_use += delta;
-    EXPECT_LE(in_use, opts.pool_nodes);
+    EXPECT_LE(in_use, pool.total_nodes);
     EXPECT_GE(in_use, 0);
   }
 }

@@ -172,9 +172,9 @@ TEST(Runner, PoolOptionLimitsNodes) {
   WorkflowGraph g("w");
   g.add_task(compute_task("a", 10e12, 10));
   g.add_task(compute_task("b", 10e12, 10));
-  RunOptions opts;
-  opts.pool_nodes = 10;
-  const trace::WorkflowTrace tr = run_workflow(g, test_machine(), opts);
+  MachineConfig small = test_machine();
+  small.total_nodes = 10;
+  const trace::WorkflowTrace tr = run_workflow(g, small);
   EXPECT_DOUBLE_EQ(tr.makespan_seconds(), 20.0);  // serialized
 }
 
@@ -247,20 +247,6 @@ TEST(Runner, CountersMatchDemands) {
   EXPECT_DOUBLE_EQ(c.fs_read_bytes, 8e9);
 }
 
-TEST(Runner, WorkJitterIsDeterministicPerSeed) {
-  WorkflowGraph g("w");
-  g.add_task(compute_task("t", 10e12));
-  RunOptions opts;
-  opts.work_jitter_sigma = 0.2;
-  opts.seed = 7;
-  const double m1 = run_workflow(g, test_machine(), opts).makespan_seconds();
-  const double m2 = run_workflow(g, test_machine(), opts).makespan_seconds();
-  EXPECT_DOUBLE_EQ(m1, m2);
-  opts.seed = 8;
-  const double m3 = run_workflow(g, test_machine(), opts).makespan_seconds();
-  EXPECT_NE(m1, m3);
-}
-
 TEST(Runner, ForkJoinTrace) {
   // LCLS-shaped: 5 parallel loads from external + merge.
   TaskSpec branch = compute_task("analysis", 1e12, 2);
@@ -327,164 +313,6 @@ TEST(RunnerDetailed, ConcurrentTasksSaturateTheSharedChannel) {
   EXPECT_NEAR(r.filesystem.utilization, 1.0, 1e-6);
 }
 
-
-TEST(FailureInjection, RetriesExtendTheMakespan) {
-  WorkflowGraph g("w");
-  g.add_task(compute_task("t", 10e12));  // 10 s per attempt
-  RunOptions opts;
-  opts.failure_probability = 0.6;
-  opts.max_attempts = 50;
-  // Scan a few seeds for one that triggers at least one retry (the draw
-  // is deterministic per seed, so the found seed stays stable).
-  trace::WorkflowTrace tr;
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    opts.seed = seed;
-    tr = run_workflow(g, test_machine(), opts);
-    if (tr.record("t").attempts >= 2) break;
-  }
-  const trace::TaskRecord& r = tr.record("t");
-  EXPECT_GE(r.attempts, 2);
-  // Each attempt costs one 10 s work phase.
-  EXPECT_NEAR(tr.makespan_seconds(), 10.0 * r.attempts, 1e-6);
-  EXPECT_EQ(static_cast<int>(r.spans.size()), r.attempts);
-}
-
-TEST(FailureInjection, ZeroProbabilityIsAlwaysOneAttempt) {
-  WorkflowGraph g("w");
-  g.add_task(compute_task("t", 1e12));
-  const trace::WorkflowTrace tr = run_workflow(g, test_machine());
-  EXPECT_EQ(tr.record("t").attempts, 1);
-}
-
-TEST(FailureInjection, ExhaustedAttemptsAbortTheWorkflow) {
-  WorkflowGraph g("w");
-  g.add_task(compute_task("t", 1e12));
-  RunOptions opts;
-  opts.failure_probability = 0.999;  // practically always fails
-  opts.max_attempts = 2;
-  opts.seed = 1;
-  EXPECT_THROW(run_workflow(g, test_machine(), opts), util::Error);
-}
-
-TEST(FailureInjection, DeterministicPerSeed) {
-  WorkflowGraph g("w");
-  for (int i = 0; i < 4; ++i)
-    g.add_task(compute_task("t" + std::to_string(i), 5e12));
-  RunOptions opts;
-  opts.failure_probability = 0.4;
-  opts.max_attempts = 50;
-  opts.seed = 11;
-  const double a = run_workflow(g, test_machine(), opts).makespan_seconds();
-  const double b = run_workflow(g, test_machine(), opts).makespan_seconds();
-  EXPECT_DOUBLE_EQ(a, b);
-}
-
-TEST(FailureInjection, OptionValidation) {
-  WorkflowGraph g("w");
-  g.add_task(compute_task("t", 1e12));
-  RunOptions opts;
-  opts.failure_probability = 1.0;
-  EXPECT_THROW(run_workflow(g, test_machine(), opts), util::InvalidArgument);
-  opts.failure_probability = 0.5;
-  opts.max_attempts = 0;
-  EXPECT_THROW(run_workflow(g, test_machine(), opts), util::InvalidArgument);
-}
-
-TEST(FailureInjection, ExactlyMaxAttemptsBeforeAbort) {
-  // max_attempts = N allows exactly N work-phase attempts; the Nth
-  // failure aborts the run, naming the attempt count.
-  WorkflowGraph g("w");
-  g.add_task(compute_task("t", 1e12));
-  RunOptions opts;
-  opts.failure_probability = 0.999;  // practically always fails
-  opts.max_attempts = 3;
-  opts.seed = 1;
-  try {
-    run_workflow(g, test_machine(), opts);
-    FAIL() << "expected util::Error after exhausting attempts";
-  } catch (const util::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("failed 3 times"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(FailureInjection, RetryRestartsFromOverheadPhase) {
-  // A failed attempt restarts from the overhead phase; every attempt's
-  // spans (the lost time) stay in the trace record.
-  WorkflowGraph g("w");
-  TaskSpec t = compute_task("t", 10e12);  // 10 s work per attempt
-  t.demand.overhead_seconds = 1.0;
-  g.add_task(t);
-  RunOptions opts;
-  opts.failure_probability = 0.6;
-  opts.max_attempts = 50;
-  trace::WorkflowTrace tr;
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    opts.seed = seed;
-    tr = run_workflow(g, test_machine(), opts);
-    if (tr.record("t").attempts >= 2) break;
-  }
-  const trace::TaskRecord& r = tr.record("t");
-  ASSERT_GE(r.attempts, 2);
-  int overhead_spans = 0;
-  int work_spans = 0;
-  for (const trace::Span& s : r.spans) {
-    if (s.phase == trace::Phase::kOverhead) ++overhead_spans;
-    if (s.phase == trace::Phase::kWork) ++work_spans;
-  }
-  EXPECT_EQ(overhead_spans, r.attempts);
-  EXPECT_EQ(work_spans, r.attempts);
-  EXPECT_DOUBLE_EQ(r.time_in_phase(trace::Phase::kOverhead),
-                   1.0 * r.attempts);
-  EXPECT_DOUBLE_EQ(r.time_in_phase(trace::Phase::kWork), 10.0 * r.attempts);
-  EXPECT_DOUBLE_EQ(tr.makespan_seconds(), 11.0 * r.attempts);
-}
-
-TEST(FailureInjection, RetriesHoldTheNodeAllocation) {
-  // Task 'a' occupies the whole pool.  If a retry released and reacquired
-  // its nodes, the queued 1-node task 'b' would backfill into the gap and
-  // start before 'a' finished; instead 'b' must wait for 'a' to complete
-  // all its attempts.
-  WorkflowGraph g("w");
-  TaskSpec a = compute_task("a", 10e12, 100);
-  a.demand.overhead_seconds = 1.0;
-  g.add_task(a);
-  g.add_task(compute_task("b", 1e12, 1));
-  RunOptions opts;
-  opts.failure_probability = 0.6;
-  opts.max_attempts = 50;
-  RunResult rr;
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    opts.seed = seed;
-    rr = run_workflow_detailed(g, test_machine(), opts);
-    if (rr.trace.record("a").attempts >= 2) break;
-  }
-  ASSERT_GE(rr.trace.record("a").attempts, 2);
-  EXPECT_DOUBLE_EQ(rr.trace.record("b").start_seconds,
-                   rr.trace.record("a").end_seconds);
-  EXPECT_EQ(rr.peak_nodes_used, 100);
-}
-
-TEST(FailureInjection, AttemptsSurviveJsonRoundTrip) {
-  WorkflowGraph g("w");
-  g.add_task(compute_task("t", 10e12));
-  RunOptions opts;
-  opts.failure_probability = 0.6;
-  opts.max_attempts = 50;
-  trace::WorkflowTrace tr;
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    opts.seed = seed;
-    tr = run_workflow(g, test_machine(), opts);
-    if (tr.record("t").attempts >= 2) break;
-  }
-  const trace::WorkflowTrace back =
-      trace::WorkflowTrace::from_json(tr.to_json());
-  EXPECT_EQ(back.record("t").attempts, tr.record("t").attempts);
-  EXPECT_GE(back.record("t").attempts, 2);
-}
-
-
 // A fork-join pushing volume through both shared channels, used by the
 // observation tests below.
 WorkflowGraph observed_workflow() {
@@ -538,8 +366,6 @@ TEST(Observation, RunnerReportsWorkflowMetrics) {
   ASSERT_NE(reg.find_counter("runner.tasks_started"), nullptr);
   EXPECT_EQ(reg.find_counter("runner.tasks_started")->value(), 4u);
   EXPECT_EQ(reg.find_counter("runner.tasks_completed")->value(), 4u);
-  ASSERT_NE(reg.find_counter("runner.tasks_retried"), nullptr);
-  EXPECT_EQ(reg.find_counter("runner.tasks_retried")->value(), 0u);
   ASSERT_NE(reg.find_histogram("runner.queue_wait_seconds"), nullptr);
   EXPECT_EQ(reg.find_histogram("runner.queue_wait_seconds")->count(), 4u);
   // The three stages had a work phase; merge (0 flops) produced none.
