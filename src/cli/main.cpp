@@ -82,6 +82,8 @@
 //                 [--nodes <n>] [--seed <n>]
 //       Generate a workflow description for a NERSC-10-style archetype
 //       and print it as JSON (pipe to a file to feed analyze/simulate).
+//       --seed is read by --kind random only, --nodes by every other
+//       kind.
 //   wfr presets
 //       List the built-in system presets.
 //
@@ -240,6 +242,7 @@ void print_usage() {
       "usage:\n"
       "  wfr analyze  --system <spec|preset> --workflow <wf.json>\n"
       "               [--target <seconds>] [--svg <out.svg>] [--ascii]\n"
+      "               [--node-roofline <out.svg>]\n"
       "  wfr model    --system <spec|preset> --characterization <c.json>\n"
       "               [--svg <out.svg>] [--ascii]\n"
       "  wfr simulate --system <spec|preset> --workflow <wf.json>\n"
@@ -278,6 +281,8 @@ void print_usage() {
       "  --workflow -); wfr import reads - as stdin too\n"
       "sweep axes: nodes_per_task (factor), efficiency, parallel_tasks,\n"
       "  total_tasks, total_nodes, fs_gbs, external_gbs, nic_gbs, peak_flops\n"
+      "archetype: --seed is read by --kind random only, --nodes by every\n"
+      "  other kind\n"
       "jobs resolution: --jobs > WFR_JOBS > hardware concurrency\n";
 }
 
@@ -1153,6 +1158,12 @@ int cmd_archetype(const Args& args) {
   } else {
     throw util::InvalidArgument("unknown archetype kind '" + kind + "'");
   }
+  // random_dag draws 1 to 8 nodes per task, and no other generator is
+  // seeded: an option the kind does not read fails before any output.
+  const char* unread = kind == "random" ? "nodes" : "seed";
+  if (args.flag(unread))
+    throw util::InvalidArgument(std::string("unknown option --") + unread +
+                                " for wfr archetype --kind " + kind);
   std::cout << dag::save_workflow_text(graph) << "\n";
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "exec/sweep.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <condition_variable>
@@ -309,12 +310,16 @@ namespace {
 
 constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 
+/// Rows a streaming worker claims, evaluates and deposits per lock round
+/// trip (fewer when the grid's end or the window's edge comes first).
+constexpr std::size_t kClaimBatch = 16;
+
 /// Shared state of one streaming fan-out: a claim frontier throttled
 /// against the emit frontier (bounded reorder window), a ring of
 /// completed-but-unemitted lines, and first-by-index error capture.
-/// Lines circulate by swap — worker scratch into the ring, ring slot into
-/// the emit scratch — so their buffers are recycled instead of
-/// reallocated every row.
+/// Workers format each row straight into its ring slot, and the emitter
+/// swaps the slot with the emit scratch, so line buffers are recycled
+/// instead of reallocated every row.
 struct StreamState {
   std::mutex mutex;
   std::condition_variable can_claim;
@@ -333,22 +338,12 @@ struct StreamState {
   std::size_t error_index = kNoError;
 };
 
-void record_stream_error(StreamState& state, std::size_t index,
-                         std::exception_ptr error) {
-  std::unique_lock<std::mutex> lock(state.mutex);
-  if (index < state.error_index) {
-    state.error_index = index;
-    state.error = std::move(error);
-  }
-  state.can_claim.notify_all();
-}
-
 /// The streaming engine behind stream_lines: claim rows [start, end)
-/// against the emit frontier, evaluate out of order, emit strictly in
-/// order with a single emitter and no end-of-stream barrier.
-/// `make_eval()` runs once per worker and returns that worker's
-/// eval(row, std::string& line) — per-worker scratch (reused scenario and
-/// ceilings) lives in the returned closure.
+/// against the emit frontier in batches of up to kClaimBatch, evaluate out
+/// of order, emit strictly in order with a single emitter and no
+/// end-of-stream barrier.  `make_eval()` runs once per worker and returns
+/// that worker's eval(row, std::string& line) — per-worker scratch (reused
+/// scenario and ceilings) lives in the returned closure.
 template <typename MakeEval>
 void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
                        std::size_t window, const MakeEval& make_eval,
@@ -378,30 +373,50 @@ void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
 
   auto worker = [&] {
     auto eval = make_eval();
-    std::string scratch;
+    std::unique_lock<std::mutex> lock(state.mutex);
     for (;;) {
-      std::size_t row;
-      {
-        std::unique_lock<std::mutex> lock(state.mutex);
-        state.can_claim.wait(lock, [&] {
-          return state.next_claim >= state.end ||
-                 state.next_claim < state.emit_next + state.window ||
-                 state.error_index != kNoError;
-        });
-        if (state.next_claim >= state.end || state.error_index != kNoError)
+      state.can_claim.wait(lock, [&] {
+        return state.next_claim >= state.end ||
+               state.next_claim < state.emit_next + state.window ||
+               state.error_index != kNoError;
+      });
+      if (state.next_claim >= state.end || state.error_index != kNoError)
+        break;
+      // A batch never reaches past the window's edge, so the window stays
+      // a hard bound on rows claimed but not yet emitted.
+      const std::size_t first = state.next_claim;
+      const std::size_t count =
+          std::min({kClaimBatch, state.end - first,
+                    state.emit_next + state.window - first});
+      state.next_claim += count;
+      lock.unlock();
+
+      // The slot of each claimed row last held a row already emitted, so
+      // until the rows are marked ready this worker alone touches those
+      // slots and formats into them unlocked.  In row order, up to the
+      // first row that throws: every row below a recorded error is
+      // already claimed and so still evaluated, so the error kept under
+      // the min-index rule is the lowest failing row's.
+      std::size_t evaluated = 0;
+      std::exception_ptr error;
+      for (; evaluated < count; ++evaluated) {
+        const std::size_t row = first + evaluated;
+        try {
+          eval(row, state.ring[row % state.window]);
+        } catch (...) {
+          error = std::current_exception();
           break;
-        row = state.next_claim++;
+        }
       }
-      try {
-        eval(row, scratch);
-      } catch (...) {
-        record_stream_error(state, row, std::current_exception());
-        continue;
+
+      lock.lock();
+      for (std::size_t i = 0; i < evaluated; ++i)
+        state.ready[(first + i) % state.window] = 1;
+      if (error && first + evaluated < state.error_index) {
+        state.error_index = first + evaluated;
+        state.error = std::move(error);
+        state.can_claim.notify_all();
       }
-      std::unique_lock<std::mutex> lock(state.mutex);
-      using std::swap;
-      swap(state.ring[row % state.window], scratch);
-      state.ready[row % state.window] = 1;
       // Drain the contiguous head.  Only one worker emits at a time and
       // rows leave in strictly increasing order; the sink runs unlocked
       // so evaluation continues behind it.
@@ -410,7 +425,7 @@ void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
              state.ready[state.emit_next % state.window]) {
         state.emitting = true;
         const std::size_t emit_row = state.emit_next;
-        swap(state.ring[emit_row % state.window], state.emit_line);
+        state.ring[emit_row % state.window].swap(state.emit_line);
         state.ready[emit_row % state.window] = 0;
         lock.unlock();
         std::exception_ptr sink_error;
@@ -433,7 +448,6 @@ void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
         state.can_claim.notify_all();
       }
     }
-    std::unique_lock<std::mutex> lock(state.mutex);
     if (--state.live_runners == 0) state.done.notify_all();
   };
 

@@ -21,8 +21,12 @@
 //   * stream_lines() emits NDJSON rows in deterministic scenario order *as
 //     slots complete*: a bounded reorder window holds out-of-order
 //     completions, claims are throttled against the emit frontier, and
-//     there is no end-of-grid barrier.  Peak resident state is
-//     O(reorder_window + jobs), independent of grid size.
+//     there is no end-of-grid barrier.  A worker claims and deposits up to
+//     16 consecutive rows per lock, never past the window's edge, so rows
+//     claimed but not yet emitted stay <= reorder_window.  Rows are
+//     formatted straight into the window's ring of line buffers, so peak
+//     resident state is O(reorder_window + jobs), independent of grid
+//     size.
 
 #include <atomic>
 #include <functional>
@@ -165,10 +169,11 @@ struct SweepOptions {
 /// Streaming evaluation options (SweepRunner::stream_lines).
 struct StreamOptions {
   /// Maximum completed-but-unemitted rows held while an earlier row is
-  /// still evaluating.  Claims are throttled to
-  /// [emit frontier, emit frontier + window), bounding buffered results;
-  /// larger windows tolerate more completion skew, smaller ones bound
-  /// memory tighter.  Must be >= 1.
+  /// still evaluating.  Claims, in batches of up to 16 rows, are throttled
+  /// to [emit frontier, emit frontier + window), bounding buffered
+  /// results; larger windows tolerate more completion skew, smaller ones
+  /// bound memory tighter (a window of 1 claims one row at a time).  Must
+  /// be >= 1.
   std::size_t reorder_window = 1024;
   /// First row to evaluate and emit; rows below are assumed already
   /// emitted by a previous run (checkpoint resume).  Shard-local when

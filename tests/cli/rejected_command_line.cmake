@@ -1,10 +1,13 @@
 # Asserts that wfr rejects a command line it cannot honour: exit status
-# 1, a message naming the problem, and no output file written.
+# 1, a message naming the problem, nothing on stdout, and no output file
+# written.
 #   sweep_unknown_option_fails         the removed --shard-mode on a
 #                                      sharded streaming sweep
 #   model_unknown_option_fails         sweep's --stream passed to wfr model
 #   sweep_reorder_window_needs_stream  --reorder-window without --stream
 #   model_stray_word_fails             a word after the value-less --ascii
+#   archetype_random_nodes_fails       --nodes, which random_dag never reads
+#   archetype_seed_fails               --seed on a kind that is not seeded
 # Usage: cmake -DWFR=<wfr-binary> -DDATA=<data-dir> -DOUT_DIR=<dir>
 #              -DCASE=<one of the cases above> -P this-file
 foreach(variable WFR DATA OUT_DIR CASE)
@@ -39,6 +42,12 @@ elseif(CASE STREQUAL model_stray_word_fails)
     model --system perlmutter-gpu --characterization ${characterization}
     --svg ${OUT_DIR}/model.svg --ascii stray-word)
   set(expected "unexpected argument 'stray-word'")
+elseif(CASE STREQUAL archetype_random_nodes_fails)
+  set(command archetype --kind random --size 6 --seed 1 --nodes 3)
+  set(expected "unknown option --nodes for wfr archetype --kind random")
+elseif(CASE STREQUAL archetype_seed_fails)
+  set(command archetype --kind fork-join --size 4 --seed 7)
+  set(expected "unknown option --seed for wfr archetype --kind fork-join")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()
@@ -52,6 +61,9 @@ if(NOT status EQUAL 1)
 endif()
 if(NOT stderr MATCHES "${expected}")
   message(FATAL_ERROR "wfr ${CASE} did not print '${expected}':\n${stderr}")
+endif()
+if(NOT stdout STREQUAL "")
+  message(FATAL_ERROR "wfr ${CASE} printed before failing:\n${stdout}")
 endif()
 file(GLOB written ${OUT_DIR}/*)
 if(written)

@@ -2,12 +2,16 @@
 // streaming protocol for model rows: deterministic in-order emission with
 // a bounded reorder window, byte-identity against the buffering
 // run_models path at any job count / window / resume split, and error
-// propagation from both the evaluator and the sink.  StreamLinesTest
-// covers the summary fast path against the full-model path, the shard
-// split, and a runner shared by concurrent callers.
+// propagation from both the evaluator and the sink, also across the
+// workers' claim batches.  StreamLinesTest covers the summary fast path
+// against the full-model path, the shard split, and a runner shared by
+// concurrent callers.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <string_view>
@@ -18,6 +22,7 @@
 
 #include "exec/shard.hpp"
 #include "exec/sweep.hpp"
+#include "obs/tracer.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -53,6 +58,18 @@ SweepGrid test_grid() {
   return SweepGrid(test_system(), test_workflow(),
                    {{"efficiency", {1.0, 0.8, 0.6}},
                     {"nodes_per_task", {0.5, 1.0, 2.0, 4.0, 8.0}}});
+}
+
+/// A 64-row grid over the total_tasks axis, to span several claim
+/// batches; `bad_rows` get a non-integer value, which the integer-axis
+/// validation rejects when a worker materializes that row.
+SweepGrid total_tasks_grid(std::initializer_list<std::size_t> bad_rows) {
+  std::vector<double> values;
+  for (std::size_t i = 0; i < 64; ++i)
+    values.push_back(100.0 + static_cast<double>(i));
+  for (const std::size_t row : bad_rows) values[row] += 0.5;
+  return SweepGrid(test_system(), test_workflow(),
+                   {{"total_tasks", std::move(values)}});
 }
 
 /// The reference bytes: the buffering path at --jobs 1.
@@ -142,20 +159,35 @@ TEST(StreamModelsTest, StartRowAtEndEmitsNothing) {
   EXPECT_EQ(stream_ndjson(grid, 2, 4, grid.size()), "");
 }
 
+// A throwing sink stops the stream after the current row, whether that
+// row is in the first claim batch or a later one, at any job count and
+// window.
 TEST(StreamModelsTest, SinkExceptionStopsAfterCurrentRow) {
-  const SweepGrid grid = test_grid();
-  SweepRunner runner({4});
-  std::vector<std::size_t> rows;
-  EXPECT_THROW(
-      runner.stream_lines(grid, {/*reorder_window=*/8},
-                          [&rows](std::size_t row, std::string_view) {
-                            rows.push_back(row);
-                            if (row == 3) throw util::Error("sink failed");
-                          }),
-      util::Error);
-  // Rows before the failure stayed emitted, in order, exactly once.
-  ASSERT_EQ(rows.size(), 4u);
-  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], i);
+  const SweepGrid grid = total_tasks_grid({});
+  for (const std::size_t failing_row : {std::size_t{3}, std::size_t{20}}) {
+    for (const int jobs : {2, 4, 8}) {
+      SweepRunner runner({jobs});
+      for (const std::size_t window : {std::size_t{1}, std::size_t{4},
+                                       std::size_t{8}, std::size_t{1024}}) {
+        StreamOptions stream;
+        stream.reorder_window = window;
+        std::vector<std::size_t> rows;
+        EXPECT_THROW(
+            runner.stream_lines(grid, stream,
+                                [&](std::size_t row, std::string_view) {
+                                  rows.push_back(row);
+                                  if (row == failing_row)
+                                    throw util::Error("sink failed");
+                                }),
+            util::Error);
+        // Rows up to the failure stayed emitted, in order, exactly once.
+        ASSERT_EQ(rows.size(), failing_row + 1)
+            << "jobs=" << jobs << " window=" << window;
+        for (std::size_t i = 0; i < rows.size(); ++i)
+          EXPECT_EQ(rows[i], i) << "jobs=" << jobs << " window=" << window;
+      }
+    }
+  }
 }
 
 TEST(StreamModelsTest, EvaluatorErrorPropagatesAndEarlierRowsEmit) {
@@ -196,6 +228,89 @@ TEST(StreamModelsTest, EvaluatorErrorPropagatesAndEarlierRowsEmit) {
                                    }),
                util::InvalidArgument);
   EXPECT_EQ(emitted, reference_rows);
+}
+
+// Two rows fail, in different claim batches.  The worker that claimed the
+// lower one evaluates it whatever the other worker recorded, so the
+// stream always reports the lower row and emits no row at or past it.
+// Which error is recorded first depends on the interleaving: rows 31 and
+// 32 end and start adjacent batches, so 32 usually fails first; row 40
+// fails mid-batch while row 63's batch is usually already claimed, so 40
+// usually fails first.
+TEST(StreamModelsTest, LowestFailingRowWinsAcrossClaimBatches) {
+  struct Case {
+    SweepGrid grid;
+    std::size_t lowest;
+    const char* message;
+  };
+  const Case cases[] = {
+      {total_tasks_grid({5, 37}), 5,
+       "sweep row 5 (total_tasks=105.5): sweep axis 'total_tasks' needs "
+       "positive integers, got 105.5"},
+      {total_tasks_grid({31, 32}), 31,
+       "sweep row 31 (total_tasks=131.5): sweep axis 'total_tasks' needs "
+       "positive integers, got 131.5"},
+      {total_tasks_grid({40, 63}), 40,
+       "sweep row 40 (total_tasks=140.5): sweep axis 'total_tasks' needs "
+       "positive integers, got 140.5"},
+  };
+  for (const int jobs : {2, 4, 8}) {
+    SweepRunner runner({jobs});
+    for (int round = 0; round < 20; ++round) {
+      for (const Case& c : cases) {
+        for (const std::size_t window :
+             {std::size_t{1}, std::size_t{3}, std::size_t{1024}}) {
+          const std::string where = "jobs=" + std::to_string(jobs) +
+                                    " window=" + std::to_string(window) +
+                                    " lowest=" + std::to_string(c.lowest);
+          StreamOptions stream;
+          stream.reorder_window = window;
+          std::vector<std::size_t> rows;
+          try {
+            runner.stream_lines(c.grid, stream,
+                                [&rows](std::size_t row, std::string_view) {
+                                  rows.push_back(row);
+                                });
+            ADD_FAILURE() << where << ": the bad rows did not throw";
+          } catch (const util::InvalidArgument& e) {
+            EXPECT_EQ(std::string(e.what()), c.message) << where;
+          }
+          EXPECT_LE(rows.size(), c.lowest) << where;
+          for (std::size_t i = 0; i < rows.size(); ++i)
+            EXPECT_EQ(rows[i], i) << where;
+        }
+      }
+    }
+  }
+}
+
+// The window is a hard bound on rows claimed but not yet emitted.  Each
+// row's "evaluate" span opens a root scope on a pool thread, so the
+// tracer's traces_started counts rows whose evaluation has started; while
+// the sink holds row 0, no claim batch may reach past row window - 1.
+TEST(StreamModelsTest, WindowBoundsRowsStartedWhileTheSinkBlocks) {
+  const SweepGrid grid = total_tasks_grid({});
+  for (const std::size_t window :
+       {std::size_t{1}, std::size_t{5}, std::size_t{16}, std::size_t{40}}) {
+    obs::Tracer tracer;
+    SweepRunner runner({8});
+    runner.set_tracer(&tracer);
+    StreamOptions stream;
+    stream.reorder_window = window;
+    std::uint64_t started_while_blocked = 0;
+    runner.stream_lines(grid, stream,
+                        [&](std::size_t row, std::string_view) {
+                          if (row != 0) return;
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(50));
+                          started_while_blocked =
+                              tracer.stats().traces_started;
+                        });
+    EXPECT_GE(started_while_blocked, 1u) << "window=" << window;
+    EXPECT_LE(started_while_blocked, window) << "window=" << window;
+    EXPECT_EQ(tracer.stats().traces_started, grid.size())
+        << "window=" << window;
+  }
 }
 
 TEST(StreamModelsTest, RunnerIsReusableAfterAnError) {
