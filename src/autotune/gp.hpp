@@ -43,8 +43,6 @@ class GaussianProcess {
            std::span<const double> targets);
 
   bool is_fitted() const { return fitted_; }
-  std::size_t observation_count() const { return inputs_.size(); }
-  const GpParams& params() const { return params_; }
 
   /// Posterior mean and variance at `x`.  Requires a fitted model and
   /// matching dimensionality.

@@ -15,17 +15,6 @@ const Sample& History::best() const {
                            });
 }
 
-std::vector<double> History::best_trajectory() const {
-  std::vector<double> out;
-  out.reserve(samples.size());
-  double best = 0.0;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    best = i == 0 ? samples[i].value : std::min(best, samples[i].value);
-    out.push_back(best);
-  }
-  return out;
-}
-
 void TunerConfig::validate() const {
   util::require(total_samples >= 1, "total_samples must be >= 1");
   util::require(kWarmupSamples <= total_samples,

@@ -24,8 +24,6 @@ struct History {
   bool empty() const { return samples.empty(); }
   /// Best (minimum) value observed so far; throws when empty.
   const Sample& best() const;
-  /// best-so-far trajectory (one entry per sample).
-  std::vector<double> best_trajectory() const;
 };
 
 /// The first kWarmupSamples samples are uniform random; after them a GP

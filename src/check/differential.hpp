@@ -100,8 +100,6 @@ class DifferentialRunner {
  public:
   explicit DifferentialRunner(CheckOptions options);
 
-  const CheckOptions& options() const { return options_; }
-
   /// Fans generate+compare over an exec::ThreadPool; byte-identical
   /// results at any job count.
   CheckReport run() const;

@@ -179,9 +179,6 @@ class ScenarioGen {
                        GenMode mode = GenMode::kRectangular)
       : base_seed_(base_seed), mode_(mode) {}
 
-  std::uint64_t base_seed() const { return base_seed_; }
-  GenMode mode() const { return mode_; }
-
   GenScenario generate(std::size_t index) const;
 
  private:

@@ -165,9 +165,8 @@ std::string read_workflow_text(const std::string& arg) {
 }
 
 core::SystemSpec load_system(const std::string& arg) {
-  if (arg == "perlmutter-gpu") return core::SystemSpec::perlmutter_gpu();
-  if (arg == "perlmutter-cpu") return core::SystemSpec::perlmutter_cpu();
-  if (arg == "cori-haswell") return core::SystemSpec::cori_haswell();
+  if (std::optional<core::SystemSpec> preset = core::SystemSpec::preset(arg))
+    return *std::move(preset);
   return core::SystemSpec::from_json(util::Json::parse(read_file(arg)));
 }
 
@@ -1169,9 +1168,8 @@ int cmd_archetype(const Args& args) {
 }
 
 int cmd_presets(const Args& /*args*/) {
-  for (const core::SystemSpec& s :
-       {core::SystemSpec::perlmutter_gpu(), core::SystemSpec::perlmutter_cpu(),
-        core::SystemSpec::cori_haswell()}) {
+  for (const core::SystemPreset& preset : core::kSystemPresets) {
+    const core::SystemSpec s = preset.make();
     std::cout << util::format(
         "%-16s %5d nodes  %s/node  fs %s  external %s\n", s.name.c_str(),
         s.total_nodes, util::format_flops_rate(s.node.peak_flops).c_str(),

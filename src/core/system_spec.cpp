@@ -119,4 +119,20 @@ SystemSpec SystemSpec::cori_haswell() {
   return from_machine(sim::cori_haswell());
 }
 
+namespace {
+constexpr SystemPreset kPresets[] = {
+    {"perlmutter-gpu", &SystemSpec::perlmutter_gpu},
+    {"perlmutter-cpu", &SystemSpec::perlmutter_cpu},
+    {"cori-haswell", &SystemSpec::cori_haswell},
+};
+}  // namespace
+
+const std::span<const SystemPreset> kSystemPresets(kPresets);
+
+std::optional<SystemSpec> SystemSpec::preset(std::string_view name) {
+  for (const SystemPreset& p : kPresets)
+    if (p.name == name) return p.make();
+  return std::nullopt;
+}
+
 }  // namespace wfr::core

@@ -4,7 +4,10 @@
 // The same description converts to sim::MachineConfig so the analytical
 // model and the simulator always agree on the machine.
 
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "sim/machine.hpp"
 #include "util/json.hpp"
@@ -51,6 +54,19 @@ struct SystemSpec {
   static SystemSpec perlmutter_gpu();
   static SystemSpec perlmutter_cpu();
   static SystemSpec cori_haswell();
+
+  /// The preset named `name`; nullopt when no preset has that name.
+  static std::optional<SystemSpec> preset(std::string_view name);
 };
+
+/// A built-in system: the name `--system` and the /v1 "system" field
+/// accept, and the factory that builds it.
+struct SystemPreset {
+  std::string_view name;
+  SystemSpec (*make)();
+};
+
+/// Every preset, in the order `wfr presets` lists them.
+extern const std::span<const SystemPreset> kSystemPresets;
 
 }  // namespace wfr::core

@@ -33,12 +33,6 @@ void TaskView::add(TaskViewEntry entry) {
   entries_.push_back(std::move(entry));
 }
 
-const TaskViewEntry& TaskView::entry(const std::string& label) const {
-  for (const TaskViewEntry& e : entries_)
-    if (e.label == label) return e;
-  throw util::NotFound("no task view entry '" + label + "'");
-}
-
 const TaskViewEntry& TaskView::dominant() const {
   util::require(!entries_.empty(), "task view is empty");
   return *std::max_element(entries_.begin(), entries_.end(),

@@ -40,9 +40,6 @@ class TaskView {
   const std::vector<TaskViewEntry>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
 
-  /// Entry lookup by label; throws NotFound when absent.
-  const TaskViewEntry& entry(const std::string& label) const;
-
   /// The task that dominates the makespan (largest measured time, i.e. the
   /// lowest dot).  Throws when empty.
   const TaskViewEntry& dominant() const;

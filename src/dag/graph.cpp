@@ -178,19 +178,4 @@ WorkflowGraph make_fork_join(std::string name, const TaskSpec& parallel_task,
   return g;
 }
 
-WorkflowGraph make_chain(std::string name, const TaskSpec& stage_task,
-                         int count) {
-  util::require(count >= 1, "make_chain count must be >= 1");
-  WorkflowGraph g(std::move(name));
-  TaskId prev = kInvalidTask;
-  for (int i = 0; i < count; ++i) {
-    TaskSpec spec = stage_task;
-    spec.name = util::format("%s_%d", stage_task.name.c_str(), i);
-    const TaskId id = g.add_task(std::move(spec));
-    if (prev != kInvalidTask) g.add_dependency(prev, id);
-    prev = id;
-  }
-  return g;
-}
-
 }  // namespace wfr::dag

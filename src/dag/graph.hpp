@@ -31,7 +31,6 @@ class WorkflowGraph {
   explicit WorkflowGraph(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   /// Adds a task and returns its id.  Throws when `spec` is invalid or a
   /// task with the same name already exists.
@@ -42,7 +41,6 @@ class WorkflowGraph {
   void add_dependency(TaskId producer, TaskId consumer);
 
   std::size_t task_count() const { return tasks_.size(); }
-  bool empty() const { return tasks_.empty(); }
 
   const TaskSpec& task(TaskId id) const;
   TaskSpec& task(TaskId id);
@@ -102,10 +100,5 @@ class WorkflowGraph {
 /// skeletons and tests.
 WorkflowGraph make_fork_join(std::string name, const TaskSpec& parallel_task,
                              int width, const TaskSpec& join_task);
-
-/// Builds a linear chain of `count` tasks from `stage_task`, renaming each
-/// stage with an index suffix.
-WorkflowGraph make_chain(std::string name, const TaskSpec& stage_task,
-                         int count);
 
 }  // namespace wfr::dag

@@ -28,20 +28,6 @@ ResourceDemand ResourceDemand::operator+(const ResourceDemand& other) const {
   return out;
 }
 
-ResourceDemand ResourceDemand::scaled(double factor) const {
-  ResourceDemand out = *this;
-  out.external_in_bytes *= factor;
-  out.fs_read_bytes *= factor;
-  out.fs_write_bytes *= factor;
-  out.network_bytes *= factor;
-  out.flops_per_node *= factor;
-  out.dram_bytes_per_node *= factor;
-  out.hbm_bytes_per_node *= factor;
-  out.pcie_bytes_per_node *= factor;
-  out.overhead_seconds *= factor;
-  return out;
-}
-
 void TaskSpec::validate() const {
   util::require(!name.empty(), "task name must be non-empty");
   util::require(nodes >= 1,

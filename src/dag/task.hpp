@@ -45,17 +45,11 @@ struct ResourceDemand {
   /// (bash, srun launch, python library loading, ...).
   double overhead_seconds = 0.0;
 
-  /// Sum of the two filesystem directions.
-  double fs_bytes() const { return fs_read_bytes + fs_write_bytes; }
-
   /// True when every volume and the overhead is zero.
   bool is_zero() const;
 
   /// Element-wise sum of demands.
   ResourceDemand operator+(const ResourceDemand& other) const;
-
-  /// Scales every volume (and the overhead) by `factor`.
-  ResourceDemand scaled(double factor) const;
 };
 
 /// Specification of one workflow task.

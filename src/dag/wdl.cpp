@@ -61,6 +61,17 @@ WorkflowGraph load_workflow_json(const util::Json& json) {
   for (const util::Json& t : tasks.as_array()) {
     TaskSpec spec;
     spec.name = t.at("name").as_string();
+    // Reject unknown keys: a misspelled "depends_on" would otherwise load
+    // as a task without dependencies.
+    static constexpr std::string_view kKnown[] = {
+        "name", "kind", "nodes", "demand", "fixed_duration", "depends_on"};
+    for (const auto& [key, value] : t.as_object().members()) {
+      bool known = false;
+      for (std::string_view k : kKnown) known = known || key == k;
+      if (!known)
+        throw util::ParseError("unknown task member '" + key + "' in task '" +
+                               spec.name + "'");
+    }
     spec.kind = t.string_or("kind", "");
     spec.nodes = t.as_object().contains("nodes")
                      ? static_cast<int>(t.at("nodes").as_int_in(

@@ -40,13 +40,6 @@ std::size_t CompletionQueue::drain_into(
   return taken;
 }
 
-std::size_t CompletionQueue::drain() {
-  std::vector<std::function<void()>> batch;
-  drain_into(batch);
-  for (std::function<void()>& completion : batch) completion();
-  return batch.size();
-}
-
 std::size_t CompletionQueue::depth() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return pending_.size();

@@ -11,7 +11,7 @@
 // completions are pending.  Posting when the queue is already non-empty
 // skips the hook — one wake per batch, not per completion.
 //
-// Thread-safety: post() from any thread; drain()/drain_into() only from
+// Thread-safety: post() from any thread; drain_into() only from
 // the consumer thread.  The wake hook runs on the posting thread and
 // must itself be thread-safe (an eventfd write is).
 
@@ -43,12 +43,6 @@ class CompletionQueue {
   /// running under the lock keeps completions free to post further
   /// completions without deadlocking.
   std::size_t drain_into(std::vector<std::function<void()>>& out);
-
-  /// Drains and runs every pending completion; returns how many ran.
-  /// Completions posted while running are NOT picked up (call again) —
-  /// this bounds one drain to a finite batch so an event loop can
-  /// interleave I/O fairly.
-  std::size_t drain();
 
   /// Pending completions (may be stale the moment it returns; exposed on
   /// /metrics as the per-loop queue-depth gauge).

@@ -25,15 +25,9 @@ std::size_t ShardSpec::global_row(std::size_t local) const {
          local * static_cast<std::size_t>(count);
 }
 
-int ShardSpec::shard_of(std::size_t global) const {
-  return static_cast<int>(global % static_cast<std::size_t>(count));
-}
-
 void merge_shard_outputs(const std::vector<std::string>& paths,
                          std::size_t total_rows, std::ostream& out) {
   util::require(!paths.empty(), "shard merge needs at least one part file");
-  ShardSpec spec;
-  spec.count = static_cast<int>(paths.size());
 
   std::vector<std::ifstream> parts;
   parts.reserve(paths.size());
@@ -47,19 +41,19 @@ void merge_shard_outputs(const std::vector<std::string>& paths,
   // part in global order.  The line buffer is reused across rows.
   std::string line;
   for (std::size_t global = 0; global < total_rows; ++global) {
-    const int shard = spec.shard_of(global);
-    std::ifstream& in = parts[static_cast<std::size_t>(shard)];
+    const std::size_t shard = global % parts.size();
+    std::ifstream& in = parts[shard];
     if (!std::getline(in, line))
       throw util::InvalidArgument(util::format(
           "shard part '%s': unexpected end of file at global row %zu",
-          paths[static_cast<std::size_t>(shard)].c_str(), global));
+          paths[shard].c_str(), global));
     // getline that ran into EOF before the delimiter still succeeds; a
     // part whose last row lost its newline is a truncated write, not a
     // mergeable stream.
     if (in.eof())
       throw util::InvalidArgument(util::format(
           "shard part '%s': missing trailing newline at global row %zu",
-          paths[static_cast<std::size_t>(shard)].c_str(), global));
+          paths[shard].c_str(), global));
     out << line << '\n';
   }
   for (std::size_t i = 0; i < parts.size(); ++i) {

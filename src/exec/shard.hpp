@@ -42,10 +42,6 @@ struct ShardSpec {
   /// increasing in `local`, so a shard's emission order is a prefix
   /// range in shard-local coordinates.
   std::size_t global_row(std::size_t local) const;
-
-  /// The shard owning global row `global` (the inverse of global_row;
-  /// depends only on count).
-  int shard_of(std::size_t global) const;
 };
 
 /// Re-interleaves per-shard NDJSON part files into `out` in global row

@@ -209,12 +209,6 @@ SweepGrid::SweepGrid(core::SystemSpec base_system,
   }
 }
 
-Scenario SweepGrid::at(std::size_t flat) const {
-  Scenario scenario;
-  at_into(flat, scenario);
-  return scenario;
-}
-
 void SweepGrid::at_into(std::size_t flat, Scenario& out) const {
   if (flat >= points_)
     throw util::InvalidArgument(

@@ -112,8 +112,9 @@ struct ParamAxis {
 ///   parallel_tasks, total_tasks, total_nodes — absolute integers;
 ///   fs_gbs, external_gbs, nic_gbs, peak_flops — absolute rates.
 /// The constructor throws InvalidArgument on an unknown name or an empty
-/// axis.  at(flat) is a pure function of (grid definition, flat), so
-/// streaming workers can materialize rows independently in any order.
+/// axis.  at_into(flat, out) is a pure function of (grid definition,
+/// flat), so streaming workers can materialize rows independently in any
+/// order.
 class SweepGrid {
  public:
   SweepGrid(core::SystemSpec base_system,
@@ -123,16 +124,13 @@ class SweepGrid {
   /// Number of points (product of the axis lengths; 1 for no axes).
   std::size_t size() const { return points_; }
 
-  /// Materializes the scenario at `flat` (row-major).  Throws
+  /// Materializes the scenario at `flat` (row-major) into a caller-owned
+  /// scenario, reusing its string/vector capacity (zero steady-state
+  /// allocations for grids without intra-task-scaling axes).  Throws
   /// InvalidArgument when out of range or when an integer axis lands on a
-  /// non-integral value.
-  Scenario at(std::size_t flat) const;
-
-  /// at(flat) into a caller-owned scenario, reusing its string/vector
-  /// capacity — the streaming hot path's variant (zero steady-state
-  /// allocations for grids without intra-task-scaling axes).  The row's
-  /// coordinates land in out.params before any value is validated, so a
-  /// row that fails still carries them for its error message.
+  /// non-integral value.  The row's coordinates land in out.params before
+  /// any value is validated, so a row that fails still carries them for
+  /// its error message.
   void at_into(std::size_t flat, Scenario& out) const;
 
   /// Fingerprint of the grid definition (base system + base workflow +
@@ -193,8 +191,6 @@ struct StreamOptions {
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
-
-  int jobs() const { return pool_.jobs(); }
 
   /// The buffering sweep: evaluate_model_summary of each scenario, in
   /// scenario order.  A scenario that fails stops the sweep at the lowest

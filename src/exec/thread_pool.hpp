@@ -128,8 +128,7 @@ template <typename R>
 std::vector<R> parallel_map(ThreadPool& pool, std::size_t count,
                             const std::function<R(std::size_t)>& fn) {
   std::vector<R> results(count);
-  detail::run_parallel_for(pool, count,
-                           [&](std::size_t i) { results[i] = fn(i); });
+  parallel_for(pool, count, [&](std::size_t i) { results[i] = fn(i); });
   return results;
 }
 

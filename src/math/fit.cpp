@@ -47,8 +47,4 @@ LinearFit fit_power_law(std::span<const double> xs, std::span<const double> ys) 
   return fit_linear(lx, ly);
 }
 
-double eval_power_law(const LinearFit& fit, double x) {
-  return std::exp(fit.intercept) * std::pow(x, fit.slope);
-}
-
 }  // namespace wfr::math

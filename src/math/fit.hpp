@@ -23,7 +23,4 @@ LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys);
 /// inputs strictly positive.  Returns {slope=p, intercept=log(c), r^2}.
 LinearFit fit_power_law(std::span<const double> xs, std::span<const double> ys);
 
-/// Evaluates a fitted power law at x: exp(intercept) * x^slope.
-double eval_power_law(const LinearFit& fit, double x);
-
 }  // namespace wfr::math

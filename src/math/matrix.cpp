@@ -10,24 +10,6 @@ namespace wfr::math {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
-  if (rows.empty()) return Matrix();
-  const std::size_t cols = rows[0].size();
-  Matrix m(rows.size(), cols);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    util::require(rows[r].size() == cols,
-                  "Matrix::from_rows requires equal-length rows");
-    for (std::size_t c = 0; c < cols; ++c) m(r, c) = rows[r][c];
-  }
-  return m;
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 double& Matrix::operator()(std::size_t r, std::size_t c) {
   return data_[r * cols_ + c];
 }
@@ -36,64 +18,9 @@ double Matrix::operator()(std::size_t r, std::size_t c) const {
   return data_[r * cols_ + c];
 }
 
-Matrix Matrix::multiply(const Matrix& other) const {
-  util::require(cols_ == other.rows_, "matrix multiply shape mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out(i, j) += aik * other(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) out(j, i) = (*this)(i, j);
-  return out;
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> x) const {
-  util::require(x.size() == cols_, "matrix-vector shape mismatch");
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) s += (*this)(i, j) * x[j];
-    out[i] = s;
-  }
-  return out;
-}
-
-Matrix Matrix::add(const Matrix& other) const {
-  util::require(rows_ == other.rows_ && cols_ == other.cols_,
-                "matrix add shape mismatch");
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    out.data_[i] = data_[i] + other.data_[i];
-  return out;
-}
-
 void Matrix::add_diagonal(double value) {
   const std::size_t n = std::min(rows_, cols_);
   for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += value;
-}
-
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
-bool Matrix::approx_equal(const Matrix& other, double tol) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) return false;
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    if (std::fabs(data_[i] - other.data_[i]) > tol) return false;
-  return true;
 }
 
 Matrix cholesky(const Matrix& a) {

@@ -17,40 +17,14 @@ class Matrix {
   /// Creates a rows x cols matrix filled with `fill`.
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  /// Creates from nested initializer data (each inner vector is a row).
-  /// Requires all rows the same length.
-  static Matrix from_rows(const std::vector<std::vector<double>>& rows);
-
-  /// The n x n identity.
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
-  bool empty() const { return data_.empty(); }
 
   double& operator()(std::size_t r, std::size_t c);
   double operator()(std::size_t r, std::size_t c) const;
 
-  /// Matrix product; requires cols() == other.rows().
-  Matrix multiply(const Matrix& other) const;
-
-  /// Transpose.
-  Matrix transposed() const;
-
-  /// Matrix-vector product; requires x.size() == cols().
-  std::vector<double> multiply(std::span<const double> x) const;
-
-  /// Element-wise addition; requires matching shapes.
-  Matrix add(const Matrix& other) const;
-
   /// Adds `value` to each diagonal element (jitter / ridge).
   void add_diagonal(double value);
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
-  /// True when shapes match and all elements are within `tol`.
-  bool approx_equal(const Matrix& other, double tol = 1e-9) const;
 
  private:
   std::size_t rows_ = 0;

@@ -1,7 +1,5 @@
 #include "math/rng.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace wfr::math {
@@ -60,42 +58,10 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(v % span);
 }
 
-double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 1.0 - uniform();
-  double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return r * std::cos(theta);
-}
-
-double Rng::normal(double mean, double stddev) {
-  util::require(stddev >= 0.0, "normal stddev must be >= 0");
-  return mean + stddev * normal();
-}
-
-double Rng::lognormal(double mu, double sigma) {
-  util::require(sigma >= 0.0, "lognormal sigma must be >= 0");
-  return std::exp(normal(mu, sigma));
-}
-
-double Rng::exponential(double rate) {
-  util::require(rate > 0.0, "exponential rate must be > 0");
-  return -std::log(1.0 - uniform()) / rate;
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
 }
-
-Rng Rng::split() { return Rng(next_u64()); }
 
 }  // namespace wfr::math

@@ -4,7 +4,6 @@
 // take an explicit Rng so results are reproducible given a seed.
 
 #include <cstdint>
-#include <vector>
 
 namespace wfr::math {
 
@@ -27,38 +26,11 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Standard normal via Box-Muller (cached pair).
-  double normal();
-
-  /// Normal with the given mean and standard deviation (stddev >= 0).
-  double normal(double mean, double stddev);
-
-  /// Log-normal: exp(Normal(mu, sigma)).  Used for task-time jitter.
-  double lognormal(double mu, double sigma);
-
-  /// Exponential with the given rate (> 0).  Used for arrival processes.
-  double exponential(double rate);
-
   /// Returns true with probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
-  /// Fisher-Yates shuffles `values` in place.
-  template <typename T>
-  void shuffle(std::vector<T>& values) {
-    for (std::size_t i = values.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(values[i - 1], values[j]);
-    }
-  }
-
-  /// Splits off an independent generator (for parallel reproducibility).
-  Rng split();
-
  private:
   std::uint64_t state_[4];
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
 };
 
 }  // namespace wfr::math

@@ -73,11 +73,6 @@ double LogHistogram::sum() const {
   return sum_.load(std::memory_order_relaxed);
 }
 
-double LogHistogram::mean() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
 double LogHistogram::min() const {
   return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
 }

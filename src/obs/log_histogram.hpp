@@ -60,7 +60,6 @@ class LogHistogram {
 
   std::uint64_t count() const;
   double sum() const;
-  double mean() const;
   /// Exact smallest/largest observed sample; 0 when empty.
   double min() const;
   double max() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "math/stats.hpp"
 #include "util/error.hpp"
 
 namespace wfr::obs {
@@ -12,9 +11,8 @@ namespace {
 
 /// Time-weighted percentile of (value, weight) pairs, p in [0, 100]:
 /// the smallest value v such that intervals with value <= v cover at
-/// least p% of the total weight.  The classic percentile in math::stats
-/// is per-observation; samples here are *intervals* of very different
-/// lengths, so each must count by its duration.
+/// least p% of the total weight.  Samples are *intervals* of very
+/// different lengths, so each counts by its duration.
 double weighted_percentile(std::vector<std::pair<double, double>> pairs,
                            double p) {
   if (pairs.empty()) return 0.0;
@@ -86,8 +84,6 @@ void ResourceTimeSeries::clear() {
   samples_.clear();
 }
 
-double ResourceTimeSeries::delivered_bytes() const { return cumulative_; }
-
 ResourceSummary ResourceTimeSeries::summarize() const {
   ResourceSummary summary;
   summary.name = name_;
@@ -95,7 +91,8 @@ ResourceSummary ResourceTimeSeries::summarize() const {
   summary.delivered_bytes = cumulative_;
   std::vector<std::pair<double, double>> weighted;
   weighted.reserve(samples_.size());
-  math::Accumulator acc;
+  double mean = 0.0;  // Welford: the fallback when no sample has duration
+  double max = 0.0;   // utilizations are >= 0
   double utilization_seconds = 0.0;
   for (const ResourceSample& s : samples_) {
     summary.active_seconds += s.duration_seconds;
@@ -107,37 +104,19 @@ ResourceSummary ResourceTimeSeries::summarize() const {
     const double u = s.utilization();
     weighted.emplace_back(u, s.duration_seconds);
     utilization_seconds += u * s.duration_seconds;
-    acc.add(u);
+    max = std::max(max, u);
+    mean += (u - mean) / static_cast<double>(weighted.size());
   }
   if (!weighted.empty()) {
     summary.p50_utilization = weighted_percentile(weighted, 50.0);
     summary.p95_utilization = weighted_percentile(std::move(weighted), 95.0);
-    summary.max_utilization = acc.max();
+    summary.max_utilization = max;
     summary.mean_utilization = summary.active_seconds > 0.0
                                    ? utilization_seconds /
                                          summary.active_seconds
-                                   : acc.mean();
+                                   : mean;
   }
   return summary;
-}
-
-util::Json ResourceTimeSeries::to_json() const {
-  util::JsonObject o;
-  o.set("name", name_);
-  o.set("capacity_bytes_per_s", capacity_);
-  util::JsonArray samples;
-  for (const ResourceSample& s : samples_) {
-    util::JsonObject entry;
-    entry.set("t", s.start_seconds);
-    entry.set("dur", s.duration_seconds);
-    entry.set("active_flows", s.active_flows);
-    entry.set("finite_flows", s.finite_flows);
-    entry.set("per_flow_rate", s.per_flow_rate);
-    entry.set("delivered_bytes", s.delivered_bytes);
-    samples.push_back(util::Json(std::move(entry)));
-  }
-  o.set("samples", util::Json(std::move(samples)));
-  return util::Json(std::move(o));
 }
 
 void ResourceProbe::register_resource(std::uint32_t id, std::string name,
@@ -150,22 +129,11 @@ void ResourceProbe::register_resource(std::uint32_t id, std::string name,
   }
 }
 
-void ResourceProbe::set_capacity(std::uint32_t id, double capacity) {
-  util::require(id < series_.size(), "probe: unregistered resource id");
-  series_[id].set_capacity(capacity);
-}
-
 void ResourceProbe::record(std::uint32_t id, double start, double dt,
                            int active, int finite, double per_flow_rate,
                            double delivered) {
   util::require(id < series_.size(), "probe: unregistered resource id");
   series_[id].record(start, dt, active, finite, per_flow_rate, delivered);
-}
-
-const ResourceTimeSeries* ResourceProbe::find(std::string_view name) const {
-  for (const ResourceTimeSeries& s : series_)
-    if (s.name() == name) return &s;
-  return nullptr;
 }
 
 void ResourceProbe::reset() {

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -79,11 +78,9 @@ class ResourceTimeSeries {
       : name_(std::move(name)), capacity_(capacity) {}
 
   const std::string& name() const { return name_; }
-  double capacity() const { return capacity_; }
   void set_capacity(double capacity) { capacity_ = capacity; }
 
   const std::vector<ResourceSample>& samples() const { return samples_; }
-  bool empty() const { return samples_.empty(); }
 
   /// Appends an interval; contiguous intervals with the same flow
   /// population merge into the previous sample.
@@ -94,15 +91,8 @@ class ResourceTimeSeries {
   /// reuse across runs).
   void clear();
 
-  /// Total volume delivered to finite flows (== last sample's cumulative).
-  double delivered_bytes() const;
-
   /// Time-weighted p50/p95/max/mean utilization and peaks.
   ResourceSummary summarize() const;
-
-  /// {"name", "capacity", "samples": [{t, dur, active, finite,
-  ///  per_flow_rate, delivered}, ...]}
-  util::Json to_json() const;
 
  private:
   std::string name_;
@@ -121,17 +111,12 @@ class ResourceProbe {
   /// and capacity but keeps recorded samples).
   void register_resource(std::uint32_t id, std::string name,
                          double capacity);
-  void set_capacity(std::uint32_t id, double capacity);
 
   /// Records one advance interval for resource `id`.
   void record(std::uint32_t id, double start, double dt, int active,
               int finite, double per_flow_rate, double delivered);
 
-  const std::vector<ResourceTimeSeries>& series() const { return series_; }
   std::vector<ResourceTimeSeries>& series() { return series_; }
-
-  /// Series for the resource named `name`; nullptr when absent.
-  const ResourceTimeSeries* find(std::string_view name) const;
 
   /// Summaries of every registered resource, in registration order.
   std::vector<ResourceSummary> summaries() const;

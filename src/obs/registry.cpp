@@ -34,12 +34,6 @@ std::string sample_block(const std::string& metric, const char* type,
 constexpr std::pair<const char*, double> kQuantileGauges[] = {
     {"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}, {"_p999", 0.999}};
 
-template <typename Map>
-auto* find_in(const Map& map, std::string_view name) {
-  const auto it = map.find(name);
-  return it == map.end() ? nullptr : &it->second;
-}
-
 }  // namespace
 
 void MetricsRegistry::check_unique(std::string_view name,
@@ -75,23 +69,8 @@ LogHistogram& MetricsRegistry::histogram(std::string_view name) {
 
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return find_in(counters_, name);
-}
-
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return find_in(gauges_, name);
-}
-
-const LogHistogram* MetricsRegistry::find_histogram(
-    std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return find_in(histograms_, name);
-}
-
-std::size_t MetricsRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size();
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? nullptr : &it->second;
 }
 
 std::string MetricsRegistry::prometheus_text() const {

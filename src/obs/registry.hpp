@@ -77,11 +77,6 @@ class MetricsRegistry {
 
   /// Lookup without creation; nullptr when absent.
   const Counter* find_counter(std::string_view name) const;
-  const Gauge* find_gauge(std::string_view name) const;
-  const LogHistogram* find_histogram(std::string_view name) const;
-
-  std::size_t size() const;
-  bool empty() const { return size() == 0; }
 
   /// Deterministic snapshot: instruments sorted by name within kind.
   /// {"counters": {...}, "gauges": {...},

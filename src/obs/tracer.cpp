@@ -213,10 +213,4 @@ util::Json Tracer::trace_events_json(std::size_t last) const {
   return trace_events_envelope(std::move(events));
 }
 
-void Tracer::clear() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ring_.clear();
-  head_ = 0;
-}
-
 }  // namespace wfr::obs

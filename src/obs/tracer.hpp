@@ -111,12 +111,6 @@ class SpanScope {
 
   /// True when this scope is actually recording.
   bool active() const { return tracer_ != nullptr; }
-  /// The trace this scope belongs to; 0 when inactive (the access-log
-  /// correlation id).
-  std::uint64_t trace_id() const { return span_.trace_id; }
-  /// A handle to this span for cross-thread parenting ({0,0} when
-  /// inactive).
-  TraceRef ref() const { return {span_.trace_id, span_.span_id}; }
 
  private:
   Tracer* tracer_ = nullptr;
@@ -130,7 +124,6 @@ class Tracer {
   explicit Tracer(TracerOptions options = {});
 
   bool enabled() const { return options_.enabled; }
-  std::size_t capacity() const { return options_.capacity; }
 
   /// Nanoseconds on the monotonic clock (the span timestamp domain).
   static std::uint64_t now_ns();
@@ -173,9 +166,6 @@ class Tracer {
   /// Trace Event JSON of snapshot(last): "M" process/thread metadata plus
   /// one "X" event per span with args {trace, span, parent, ...}.
   util::Json trace_events_json(std::size_t last = 0) const;
-
-  /// Drops every retained span (tests; stats are preserved).
-  void clear();
 
  private:
   friend class SpanScope;

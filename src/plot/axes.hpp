@@ -13,9 +13,6 @@ class LogScale {
   LogScale(double domain_lo, double domain_hi, double range_lo,
            double range_hi);
 
-  double domain_lo() const { return domain_lo_; }
-  double domain_hi() const { return domain_hi_; }
-
   /// Pixel position of `value` (values are clamped into the domain).
   double operator()(double value) const;
 

@@ -102,10 +102,6 @@ void SvgDocument::text(double x, double y, std::string_view content,
                                    util::xml_escape(content).c_str()));
 }
 
-void SvgDocument::raw(std::string_view svg_fragment) {
-  elements_.emplace_back(svg_fragment);
-}
-
 void SvgDocument::comment(std::string_view text) {
   elements_.push_back(
       util::format("<!-- %s -->",

@@ -39,9 +39,6 @@ class SvgDocument {
  public:
   SvgDocument(double width, double height);
 
-  double width() const { return width_; }
-  double height() const { return height_; }
-
   void line(double x1, double y1, double x2, double y2, const Style& style);
   void polyline(const std::vector<std::pair<double, double>>& points,
                 const Style& style);
@@ -53,8 +50,6 @@ class SvgDocument {
   void circle(double cx, double cy, double r, const Style& style);
   void text(double x, double y, std::string_view content,
             const TextStyle& style);
-  /// Raw SVG element injection for anything not covered above.
-  void raw(std::string_view svg_fragment);
   /// A comment in the output (useful for marking sections).
   void comment(std::string_view text);
 

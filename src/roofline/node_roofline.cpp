@@ -73,15 +73,6 @@ double NodeRoofline::attainable_flops(double ai) const {
   return std::min(peak_flops_, top_bandwidth().bytes_per_second * ai);
 }
 
-double NodeRoofline::attainable_flops(double ai,
-                                      const std::string& level) const {
-  util::require(ai > 0.0, "arithmetic intensity must be > 0");
-  for (const BandwidthCeiling& b : bandwidths_)
-    if (b.label == level)
-      return std::min(peak_flops_, b.bytes_per_second * ai);
-  throw util::NotFound("no bandwidth level '" + level + "'");
-}
-
 double NodeRoofline::ridge_point(const std::string& level) const {
   for (const BandwidthCeiling& b : bandwidths_)
     if (b.label == level) return peak_flops_ / b.bytes_per_second;
@@ -127,7 +118,8 @@ std::string NodeRoofline::report() const {
   return out;
 }
 
-std::string NodeRoofline::render_svg(double width, double height) const {
+std::string NodeRoofline::render_svg() const {
+  constexpr double width = 720.0, height = 520.0;
   const plot::Palette& p = plot::default_palette();
   plot::SvgDocument svg(width, height);
   svg.rect(0, 0, width, height, plot::Style{.fill = p.surface});

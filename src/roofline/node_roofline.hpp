@@ -48,13 +48,7 @@ class NodeRoofline {
   /// (DRAM, HBM, PCIe, NIC).  Throws when the node has no channels.
   static NodeRoofline from_system(const core::SystemSpec& system);
 
-  const std::string& name() const { return name_; }
-  double peak_flops() const { return peak_flops_; }
-
   void add_bandwidth(std::string label, double bytes_per_second);
-  const std::vector<BandwidthCeiling>& bandwidths() const {
-    return bandwidths_;
-  }
 
   /// The highest bandwidth ceiling (the one that defines the knee).
   const BandwidthCeiling& top_bandwidth() const;
@@ -62,9 +56,6 @@ class NodeRoofline {
   /// Attainable FLOP/s at arithmetic intensity `ai` against the top
   /// bandwidth: min(peak, top_bw * ai).
   double attainable_flops(double ai) const;
-
-  /// Attainable against a specific named level; throws on unknown label.
-  double attainable_flops(double ai, const std::string& level) const;
 
   /// The machine-balance point (FLOP/byte) of a level: peak / bandwidth.
   double ridge_point(const std::string& level) const;
@@ -83,8 +74,9 @@ class NodeRoofline {
   /// Multi-line report: ceilings, ridge points, kernels with verdicts.
   std::string report() const;
 
-  /// Renders the classic log-log roofline (GFLOP/s vs AI) as SVG.
-  std::string render_svg(double width = 720.0, double height = 520.0) const;
+  /// Renders the classic log-log roofline (GFLOP/s vs AI) as a 720x520
+  /// SVG.
+  std::string render_svg() const;
   /// Writes render_svg() to `path`; throws util::Error naming the path
   /// when the write fails.
   void write_svg(const std::string& path) const;

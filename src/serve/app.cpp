@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -30,9 +31,8 @@ namespace {
 core::SystemSpec parse_system(const util::Json& json) {
   if (json.is_string()) {
     const std::string& name = json.as_string();
-    if (name == "perlmutter-gpu") return core::SystemSpec::perlmutter_gpu();
-    if (name == "perlmutter-cpu") return core::SystemSpec::perlmutter_cpu();
-    if (name == "cori-haswell") return core::SystemSpec::cori_haswell();
+    if (std::optional<core::SystemSpec> preset = core::SystemSpec::preset(name))
+      return *std::move(preset);
     throw util::InvalidArgument("unknown system preset '" + name + "'");
   }
   return core::SystemSpec::from_json(json);
@@ -239,15 +239,6 @@ util::HttpResponse App::roofline_from_bytes(std::string_view body) {
   request.version = "HTTP/1.1";
   request.body.assign(body);
   return observed(roofline_metrics_, &App::handle_roofline, request);
-}
-
-util::HttpResponse App::import_from_bytes(std::string_view body) {
-  util::HttpRequest request;
-  request.method = "POST";
-  request.target = "/v1/import";
-  request.version = "HTTP/1.1";
-  request.body.assign(body);
-  return observed(import_metrics_, &App::handle_import, request);
 }
 
 util::HttpResponse App::sweep_from_bytes(std::string_view body,

@@ -82,7 +82,6 @@ class App {
   /// and corpus replay exercise exactly the production code — including
   /// the domain-error-to-400 mapping.
   util::HttpResponse roofline_from_bytes(std::string_view body);
-  util::HttpResponse import_from_bytes(std::string_view body);
   util::HttpResponse sweep_from_bytes(std::string_view body,
                                       std::string_view query = {});
 
@@ -94,10 +93,6 @@ class App {
   util::HttpResponse handle_healthz(const util::HttpRequest& request);
   util::HttpResponse handle_metrics(const util::HttpRequest& request);
   util::HttpResponse handle_trace(const util::HttpRequest& request);
-
-  /// The app's span sink (request lifecycle + sweep evaluations).
-  obs::Tracer& tracer() { return tracer_; }
-  const obs::Tracer& tracer() const { return tracer_; }
 
   /// Writes the newest `last` retained spans (0 = all) as Trace Event
   /// JSON to `path` — the `wfr serve --trace-out` dump.

@@ -18,8 +18,8 @@
 
 namespace wfr::serve {
 
-EventLoop::EventLoop(Server& server, int index)
-    : server_(server), index_(index), listen_fd_(server.listen_fd_) {
+EventLoop::EventLoop(Server& server)
+    : server_(server), listen_fd_(server.listen_fd_) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0)
     throw util::Error("epoll_create1: " + std::string(std::strerror(errno)));

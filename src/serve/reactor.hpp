@@ -50,7 +50,7 @@ struct LoopStats {
 
 class EventLoop {
  public:
-  EventLoop(Server& server, int index);
+  explicit EventLoop(Server& server);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -75,7 +75,6 @@ class EventLoop {
   void request_drain();
 
   LoopStats stats() const;
-  int index() const { return index_; }
   Server& server() { return server_; }
 
   /// True once request_drain() was observed (loop thread reads this to
@@ -106,7 +105,6 @@ class EventLoop {
   void note_completion() { inflight_.fetch_sub(1, std::memory_order_relaxed); }
 
   Server& server_;
-  const int index_;
   /// The server's listen socket, shared by every loop; the Server closes
   /// it only after all loops have joined.
   const int listen_fd_;

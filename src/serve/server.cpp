@@ -134,12 +134,10 @@ int Server::start() {
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
                     &length) != 0)
     throw util::Error("getsockname: " + std::string(std::strerror(errno)));
-  port_ = static_cast<int>(ntohs(bound.sin_port));
-
   loops_.reserve(static_cast<std::size_t>(options_.io_threads));
   for (int i = 0; i < options_.io_threads; ++i)
-    loops_.push_back(std::make_unique<EventLoop>(*this, i));
-  return port_;
+    loops_.push_back(std::make_unique<EventLoop>(*this));
+  return static_cast<int>(ntohs(bound.sin_port));
 }
 
 void Server::request_stop() {

@@ -52,7 +52,7 @@ namespace wfr::serve {
 struct ServerOptions {
   /// Bind address.  The default stays loopback-only; expose deliberately.
   std::string host = "127.0.0.1";
-  /// TCP port; 0 asks the kernel for an ephemeral port (see port()).
+  /// TCP port; 0 asks the kernel for an ephemeral port (see start()).
   int port = 8080;
   /// Worker threads for handler dispatch; 0 = exec::resolve_jobs()
   /// (WFR_JOBS, then hardware).
@@ -116,8 +116,6 @@ class Server {
   /// handlers).
   void install_signal_handlers();
 
-  /// The bound port; valid after start().
-  int port() const { return port_; }
   int jobs() const { return pool_.jobs(); }
   int io_threads() const { return static_cast<int>(loops_.size()); }
 
@@ -151,9 +149,6 @@ class Server {
   /// loop-index order.  Valid after start().
   std::vector<LoopStats> loop_stats() const;
 
-  /// True once request_stop() was called (handlers may consult it).
-  bool stopping() const { return stop_.load(std::memory_order_acquire); }
-
  private:
   friend class Connection;
   friend class EventLoop;
@@ -166,7 +161,6 @@ class Server {
   std::vector<std::unique_ptr<EventLoop>> loops_;
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
-  int port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<obs::Tracer*> tracer_{nullptr};
   Stats stats_;

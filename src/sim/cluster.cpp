@@ -10,10 +10,6 @@ Cluster::Cluster(int total_nodes) : total_nodes_(total_nodes) {
   util::require(total_nodes >= 1, "cluster must have >= 1 node");
 }
 
-bool Cluster::can_fit(int count) const {
-  return count >= 1 && count <= total_nodes_;
-}
-
 bool Cluster::try_allocate(int count) {
   util::require(count >= 1, "allocation must request >= 1 node");
   util::require(count <= total_nodes_,

@@ -15,10 +15,6 @@ class Cluster {
 
   int total_nodes() const { return total_nodes_; }
   int free_nodes() const { return total_nodes_ - used_nodes_; }
-  int used_nodes() const { return used_nodes_; }
-
-  /// True when `count` nodes could ever be allocated (count <= total).
-  bool can_fit(int count) const;
 
   /// Attempts to reserve `count` nodes now.  Returns false when not enough
   /// are free.  Throws when count exceeds the cluster size or is < 1.

@@ -43,12 +43,6 @@ ResourceId Simulator::add_resource(std::string name, double capacity) {
   return id;
 }
 
-void Simulator::set_capacity(ResourceId resource, double capacity) {
-  util::require(capacity > 0.0, "resource capacity must be > 0");
-  resource_ref(resource).capacity = capacity;
-  if (probe_ != nullptr) probe_->set_capacity(resource, capacity);
-}
-
 void Simulator::attach_probe(obs::ResourceProbe* probe) {
   probe_ = probe;
   if (probe_ == nullptr) return;
@@ -74,18 +68,6 @@ void Simulator::export_metrics(obs::MetricsRegistry& registry) const {
   registry.gauge("engine.live_flows")
       .set(static_cast<double>(live_flows()));
   registry.gauge("engine.now_seconds").set(now_);
-}
-
-double Simulator::capacity(ResourceId resource) const {
-  return resource_ref(resource).capacity;
-}
-
-const std::string& Simulator::resource_name(ResourceId resource) const {
-  return resource_ref(resource).name;
-}
-
-int Simulator::active_flows(ResourceId resource) const {
-  return resource_ref(resource).flow_count;
 }
 
 void Simulator::schedule_at(double time, Callback callback) {

@@ -85,16 +85,6 @@ class Simulator {
   /// (> 0).  Returns its id.
   ResourceId add_resource(std::string name, double capacity);
 
-  /// Changes a resource's capacity from the current time onward.  Active
-  /// flows' remaining volumes are preserved; their rates change.
-  void set_capacity(ResourceId resource, double capacity);
-
-  double capacity(ResourceId resource) const;
-  const std::string& resource_name(ResourceId resource) const;
-
-  /// Number of flows (finite + background) currently on `resource`.
-  int active_flows(ResourceId resource) const;
-
   /// Schedules `callback` at absolute time `time`.  `time` may lag `now()`
   /// by at most a relative rounding tolerance (the event then fires at
   /// `now()`); anything further in the past throws InvalidArgument.
@@ -155,12 +145,9 @@ class Simulator {
   }
 
   // --- Observation ------------------------------------------------------------
-  /// Engine self-metric counters (always collected).
-  const EngineStats& stats() const { return stats_; }
-
   /// Attaches a shared-resource sampler: existing resources are
-  /// registered with it immediately, later add_resource()/set_capacity()
-  /// calls keep it in sync, and every advance records one interval per
+  /// registered with it immediately, later add_resource() calls keep it
+  /// in sync, and every advance records one interval per
   /// resource that had flows.  The probe observes state the engine has
   /// already computed, so event order and results are identical with or
   /// without it.  Pass nullptr to detach.  The probe must outlive the

@@ -17,18 +17,6 @@ ChannelCounters& ChannelCounters::operator+=(const ChannelCounters& other) {
   return *this;
 }
 
-ChannelCounters ChannelCounters::operator+(const ChannelCounters& other) const {
-  ChannelCounters out = *this;
-  out += other;
-  return out;
-}
-
-bool ChannelCounters::is_zero() const {
-  return external_in_bytes == 0.0 && fs_read_bytes == 0.0 &&
-         fs_write_bytes == 0.0 && network_bytes == 0.0 && flops == 0.0 &&
-         dram_bytes == 0.0 && hbm_bytes == 0.0 && pcie_bytes == 0.0;
-}
-
 ChannelCounters counters_from_demand(const dag::ResourceDemand& demand,
                                      int nodes) {
   ChannelCounters c;

@@ -24,10 +24,8 @@ struct ChannelCounters {
   double pcie_bytes = 0.0;
 
   ChannelCounters& operator+=(const ChannelCounters& other);
-  ChannelCounters operator+(const ChannelCounters& other) const;
 
   double fs_bytes() const { return fs_read_bytes + fs_write_bytes; }
-  bool is_zero() const;
 };
 
 /// Expands a per-task demand into absolute totals given the task's node

@@ -77,12 +77,6 @@ double IoChannelReport::achieved_bandwidth() const {
   return busy_seconds > 0.0 ? bytes / busy_seconds : 0.0;
 }
 
-const IoChannelReport& IoReport::channel(const std::string& name) const {
-  for (const IoChannelReport& c : channels)
-    if (c.channel == name) return c;
-  throw util::NotFound("no I/O channel '" + name + "'");
-}
-
 IoReport io_report(const WorkflowTrace& trace) {
   IoReport report;
   struct ChannelSpec {

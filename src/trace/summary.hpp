@@ -49,7 +49,6 @@ struct IoChannelReport {
 /// Full I/O report for a trace.
 struct IoReport {
   std::vector<IoChannelReport> channels;
-  const IoChannelReport& channel(const std::string& name) const;
 };
 
 /// Builds the I/O report (external_in, fs_read, fs_write channels).

@@ -43,12 +43,6 @@ void WorkflowTrace::add_record(TaskRecord record) {
   records_.push_back(std::move(record));
 }
 
-const TaskRecord& WorkflowTrace::record(const std::string& name) const {
-  for (const TaskRecord& r : records_)
-    if (r.name == name) return r;
-  throw util::NotFound("no task record named '" + name + "'");
-}
-
 double WorkflowTrace::makespan_seconds() const {
   if (records_.empty()) return 0.0;
   double first = records_.front().start_seconds;

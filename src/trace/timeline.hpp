@@ -67,9 +67,6 @@ class WorkflowTrace {
   const std::vector<TaskRecord>& records() const { return records_; }
   bool empty() const { return records_.empty(); }
 
-  /// Finds the record for the task named `name`; throws NotFound if absent.
-  const TaskRecord& record(const std::string& name) const;
-
   /// End of the last task minus start of the first (0 when empty).
   double makespan_seconds() const;
 

@@ -48,10 +48,6 @@ void HashStream::u64(std::uint64_t value) {
   bytes(buffer, sizeof(buffer));
 }
 
-void HashStream::i64(std::int64_t value) {
-  u64(static_cast<std::uint64_t>(value));
-}
-
 void HashStream::f64(double value) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(value));

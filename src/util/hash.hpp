@@ -33,9 +33,6 @@ struct Hash128 {
   friend bool operator!=(const Hash128& a, const Hash128& b) {
     return !(a == b);
   }
-  friend bool operator<(const Hash128& a, const Hash128& b) {
-    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-  }
 };
 
 /// Incremental hasher.  Feed typed values; digest() may be called at any
@@ -48,7 +45,6 @@ class HashStream {
   void bytes(const void* data, std::size_t size);
   /// Little-endian 64-bit value.
   void u64(std::uint64_t value);
-  void i64(std::int64_t value);
   /// The IEEE-754 bit pattern (so the identity matches bit-for-bit input
   /// equality, the same notion the canonical JSON serialization has).
   void f64(double value);

@@ -59,11 +59,6 @@ const char* type_name(Json::Type t) {
 }
 }  // namespace
 
-bool Json::as_bool() const {
-  if (type_ != Type::kBool) type_error(type_, "bool");
-  return bool_;
-}
-
 double Json::as_number() const {
   if (type_ != Type::kNumber) type_error(type_, "number");
   return number_;
@@ -113,25 +108,7 @@ const JsonObject& Json::as_object() const {
   return object_;
 }
 
-JsonArray& Json::as_array() {
-  if (type_ != Type::kArray) type_error(type_, "array");
-  return array_;
-}
-
-JsonObject& Json::as_object() {
-  if (type_ != Type::kObject) type_error(type_, "object");
-  return object_;
-}
-
 const Json& Json::at(std::string_view key) const { return as_object().at(key); }
-
-const Json& Json::at(std::size_t index) const {
-  const JsonArray& a = as_array();
-  if (index >= a.size())
-    throw NotFound(format("JSON array index %zu out of range (size %zu)",
-                          index, a.size()));
-  return a[index];
-}
 
 double Json::number_or(std::string_view key, double fallback) const {
   const Json* v = as_object().find(key);
@@ -141,11 +118,6 @@ double Json::number_or(std::string_view key, double fallback) const {
 std::string Json::string_or(std::string_view key, std::string fallback) const {
   const Json* v = as_object().find(key);
   return v == nullptr ? fallback : v->as_string();
-}
-
-bool Json::bool_or(std::string_view key, bool fallback) const {
-  const Json* v = as_object().find(key);
-  return v == nullptr ? fallback : v->as_bool();
 }
 
 // --- Parser ------------------------------------------------------------------

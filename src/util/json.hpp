@@ -65,8 +65,6 @@ class Json {
   Json(JsonArray a) : type_(Type::kArray), array_(std::move(a)) {}
   Json(JsonObject o) : type_(Type::kObject), object_(std::move(o)) {}
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
@@ -74,7 +72,6 @@ class Json {
   bool is_object() const { return type_ == Type::kObject; }
 
   /// Typed accessors; throw ParseError when the value has a different type.
-  bool as_bool() const;
   double as_number() const;
   /// as_number() narrowed and checked to be integral.
   std::int64_t as_int() const;
@@ -87,20 +84,14 @@ class Json {
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;
-  JsonArray& as_array();
-  JsonObject& as_object();
 
   /// Object member access; throws when not an object / key absent.
   const Json& at(std::string_view key) const;
-  /// Array element access; throws when not an array / out of range.
-  const Json& at(std::size_t index) const;
 
   /// Returns object member `key` as a double, or `fallback` when absent.
   double number_or(std::string_view key, double fallback) const;
   /// Returns object member `key` as a string, or `fallback` when absent.
   std::string string_or(std::string_view key, std::string fallback) const;
-  /// Returns object member `key` as a bool, or `fallback` when absent.
-  bool bool_or(std::string_view key, bool fallback) const;
 
   /// Parses JSON text.  Throws ParseError with a line/column message.
   /// Hardened against hostile input: containers nested deeper than 128

@@ -86,8 +86,6 @@ void log(LogLevel level, const std::string& message) {
 }
 
 void log_debug(const std::string& message) { log(LogLevel::kDebug, message); }
-void log_info(const std::string& message) { log(LogLevel::kInfo, message); }
 void log_warn(const std::string& message) { log(LogLevel::kWarn, message); }
-void log_error(const std::string& message) { log(LogLevel::kError, message); }
 
 }  // namespace wfr::util

@@ -38,8 +38,6 @@ double log_uptime_seconds();
 void log(LogLevel level, const std::string& message);
 
 void log_debug(const std::string& message);
-void log_info(const std::string& message);
 void log_warn(const std::string& message);
-void log_error(const std::string& message);
 
 }  // namespace wfr::util

@@ -34,18 +34,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
   return out;
 }
 
-std::vector<std::string> split_whitespace(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && is_space(s[i])) ++i;
-    std::size_t start = i;
-    while (i < s.size() && !is_space(s[i])) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -66,13 +54,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
     if (i > 0) out += sep;
     out += parts[i];
   }
-  return out;
-}
-
-std::string repeat(std::string_view s, std::size_t count) {
-  std::string out;
-  out.reserve(s.size() * count);
-  for (std::size_t i = 0; i < count; ++i) out += s;
   return out;
 }
 

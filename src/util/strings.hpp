@@ -14,9 +14,6 @@ std::string trim(std::string_view s);
 /// Splits `s` on `delim`, keeping empty fields.
 std::vector<std::string> split(std::string_view s, char delim);
 
-/// Splits `s` on runs of ASCII whitespace, dropping empty fields.
-std::vector<std::string> split_whitespace(std::string_view s);
-
 /// ASCII lower-cases `s`.
 std::string to_lower(std::string_view s);
 
@@ -28,9 +25,6 @@ bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Joins `parts` with `sep` between consecutive elements.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// Repeats `s` `count` times.
-std::string repeat(std::string_view s, std::size_t count);
 
 /// Pads `s` with spaces on the right (left-aligned) to width `w`.
 std::string pad_right(std::string_view s, std::size_t w);

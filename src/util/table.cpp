@@ -15,14 +15,12 @@ void TextTable::set_align(std::size_t index, Align align) {
 }
 
 void TextTable::add_row(std::vector<std::string> row) {
-  rows_.push_back(Row{std::move(row), /*is_rule=*/false});
+  rows_.push_back(std::move(row));
 }
-
-void TextTable::add_rule() { rows_.push_back(Row{{}, /*is_rule=*/true}); }
 
 std::string TextTable::str() const {
   std::size_t columns = header_.size();
-  for (const Row& r : rows_) columns = std::max(columns, r.cells.size());
+  for (const auto& r : rows_) columns = std::max(columns, r.size());
 
   std::vector<std::size_t> widths(columns, 0);
   auto measure = [&](const std::vector<std::string>& cells) {
@@ -30,8 +28,7 @@ std::string TextTable::str() const {
       widths[i] = std::max(widths[i], cells[i].size());
   };
   measure(header_);
-  for (const Row& r : rows_)
-    if (!r.is_rule) measure(r.cells);
+  for (const auto& r : rows_) measure(r);
 
   auto render_row = [&](const std::vector<std::string>& cells) {
     std::string line;
@@ -56,7 +53,7 @@ std::string TextTable::str() const {
 
   std::string out = render_row(header_);
   out += rule;
-  for (const Row& r : rows_) out += r.is_rule ? rule : render_row(r.cells);
+  for (const auto& r : rows_) out += render_row(r);
   return out;
 }
 

@@ -29,23 +29,13 @@ class TextTable {
   /// empty cells; longer rows extend the column count.
   void add_row(std::vector<std::string> row);
 
-  /// Appends a horizontal rule row.
-  void add_rule();
-
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders the table, including a rule under the header.
   std::string str() const;
 
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool is_rule = false;
-  };
-
   std::vector<std::string> header_;
   std::vector<Align> aligns_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace wfr::util

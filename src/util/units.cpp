@@ -113,10 +113,6 @@ std::string format_seconds(double seconds) {
   return with_unit(seconds / kHour, "", "h");
 }
 
-std::string format_si(double value, std::string_view unit) {
-  return format_with_prefix(value, unit);
-}
-
 namespace {
 
 // `number` in base units, rejecting a product that overflowed, e.g.

@@ -70,9 +70,6 @@ std::string format_flops_rate(double flops_per_second);
 /// Formats a duration: "85 ms", "17.2 s", "12.5 min", "3.4 h".
 std::string format_seconds(double seconds);
 
-/// Formats a generic value with an SI prefix and unit suffix.
-std::string format_si(double value, std::string_view unit);
-
 // --- Parsing -------------------------------------------------------------
 
 /// Parses a byte volume such as "5 TB", "45MB", "1.5e3 GB", or "1024"

@@ -14,7 +14,6 @@
 #include "math/fit.hpp"       // IWYU pragma: export
 #include "math/matrix.hpp"    // IWYU pragma: export
 #include "math/rng.hpp"       // IWYU pragma: export
-#include "math/stats.hpp"     // IWYU pragma: export
 
 // Workflow structure and execution.
 #include "dag/graph.hpp"      // IWYU pragma: export

@@ -17,17 +17,12 @@ TEST(History, BestAndTrajectory) {
   h.samples.push_back(Sample{{0.2}, 3.0});
   h.samples.push_back(Sample{{0.3}, 4.0});
   EXPECT_DOUBLE_EQ(h.best().value, 3.0);
-  const auto traj = h.best_trajectory();
-  ASSERT_EQ(traj.size(), 3u);
-  EXPECT_DOUBLE_EQ(traj[0], 5.0);
-  EXPECT_DOUBLE_EQ(traj[1], 3.0);
-  EXPECT_DOUBLE_EQ(traj[2], 3.0);
+  EXPECT_DOUBLE_EQ(h.best().params[0], 0.2);
 }
 
 TEST(History, EmptyThrows) {
   History h;
   EXPECT_THROW(h.best(), util::InvalidArgument);
-  EXPECT_TRUE(h.best_trajectory().empty());
 }
 
 TEST(TunerConfig, Validation) {
@@ -95,19 +90,6 @@ TEST(Tuner, BeatsRandomSearchOnSuperluSurface) {
   EXPECT_LE(bo.best().value, random_best * 1.02);
   // And the tuner should get close to the global optimum.
   EXPECT_LT(bo.best().value, surface.optimum_value() * 1.25);
-}
-
-TEST(Tuner, TrajectoryIsMonotoneNonIncreasing) {
-  SuperluSurface surface(4960);
-  TunerConfig cfg;
-  cfg.total_samples = 25;
-  cfg.seed = 5;
-  const History h = tune(
-      [&surface](std::span<const double> x) { return surface.evaluate(x); },
-      surface.dim(), cfg);
-  const auto traj = h.best_trajectory();
-  for (std::size_t i = 1; i < traj.size(); ++i)
-    EXPECT_LE(traj[i], traj[i - 1]);
 }
 
 TEST(Tuner, Validation) {

@@ -26,7 +26,7 @@ TEST(DifferentialTest, ThirtySeedsAgreeAtDefaultTolerance) {
   const ScenarioGen gen;
   for (const CaseResult& result : report.results) {
     EXPECT_TRUE(result.passed()) << "index " << result.scenario.index;
-    EXPECT_LE(result.relative_error, runner.options().tolerance);
+    EXPECT_LE(result.relative_error, small_options().tolerance);
     const GenScenario scenario = gen.generate(result.scenario.index);
     EXPECT_EQ(result.model_wall, scenario.expected_wall);
     EXPECT_EQ(result.sim_peak_parallel, scenario.width);
@@ -156,7 +156,7 @@ TEST(IrregularDifferentialTest, RooflineIsAnUpperBoundAcrossSeeds) {
     EXPECT_TRUE(result.passed()) << "index " << result.scenario.index;
     // The upper-bound assertion itself, restated independently.
     EXPECT_LE(result.simulated_tps,
-              result.predicted_tps * (1.0 + runner.options().tolerance));
+              result.predicted_tps * (1.0 + irregular_options().tolerance));
     EXPECT_GE(result.gap, 0.0);
     EXPECT_LE(result.gap, topology_gap_ceiling(result.scenario.topology));
     const int expected_wall = gen.generate(result.scenario.index).expected_wall;

@@ -144,7 +144,10 @@ TEST(CharacterizeGraph, ChainSumsNodeVolumesAlongPath) {
   stage.name = "stage";
   stage.nodes = 64;
   stage.demand.flops_per_node = 10e15;
-  WorkflowGraph g = dag::make_chain("bgw", stage, 2);
+  WorkflowGraph g("bgw");
+  const dag::TaskId first = g.add_task(stage);
+  stage.name = "stage_1";
+  g.add_dependency(first, g.add_task(stage));
   const WorkflowCharacterization c = characterize_graph(g);
   EXPECT_EQ(c.total_tasks, 2);
   EXPECT_EQ(c.parallel_tasks, 1);

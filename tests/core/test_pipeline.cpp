@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/runner.hpp"
 #include "util/error.hpp"
 
@@ -27,8 +29,20 @@ dag::TaskSpec compute(const std::string& name, double seconds,
   return t;
 }
 
+// `count` copies of `stage` named s_0, s_1, ..., each depending on the last.
+dag::WorkflowGraph chain(const dag::TaskSpec& stage, int count) {
+  dag::WorkflowGraph g("chain");
+  for (int i = 0; i < count; ++i) {
+    dag::TaskSpec spec = stage;
+    spec.name += "_" + std::to_string(i);
+    const dag::TaskId id = g.add_task(std::move(spec));
+    if (i > 0) g.add_dependency(id - 1, id);
+  }
+  return g;
+}
+
 TEST(PipelineReport, PureChainIsCriticalPathLimited) {
-  dag::WorkflowGraph g = dag::make_chain("chain", compute("s", 10.0), 3);
+  dag::WorkflowGraph g = chain(compute("s", 10.0), 3);
   const trace::WorkflowTrace t = sim::run_workflow(g, toy_machine());
   const PipelineReport r = pipeline_report(g, t);
   EXPECT_EQ(r.total_tasks, 3);
@@ -66,7 +80,7 @@ TEST(PipelineReport, ResourceStallIsDetected) {
 }
 
 TEST(PipelineReport, ToStringMentionsEverything) {
-  dag::WorkflowGraph g = dag::make_chain("chain", compute("s", 5.0), 2);
+  dag::WorkflowGraph g = chain(compute("s", 5.0), 2);
   const trace::WorkflowTrace t = sim::run_workflow(g, toy_machine());
   const std::string s = pipeline_report(g, t).to_string();
   EXPECT_NE(s.find("critical path 2 tasks"), std::string::npos);
@@ -74,7 +88,7 @@ TEST(PipelineReport, ToStringMentionsEverything) {
 }
 
 TEST(PipelineReport, Validation) {
-  dag::WorkflowGraph g = dag::make_chain("chain", compute("s", 5.0), 2);
+  dag::WorkflowGraph g = chain(compute("s", 5.0), 2);
   trace::WorkflowTrace empty;
   EXPECT_THROW(pipeline_report(g, empty), util::InvalidArgument);
 }

@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/runner.hpp"
 #include "util/error.hpp"
 
 namespace wfr::core {
 namespace {
+
+// The task view entry labelled `label`.
+const TaskViewEntry& entry_of(const TaskView& view,
+                              const std::string& label) {
+  for (const TaskViewEntry& e : view.entries())
+    if (e.label == label) return e;
+  throw std::out_of_range("no task view entry " + label);
+}
 
 TaskViewEntry entry(const std::string& label, double ceiling, double measured,
                     int nodes = 64) {
@@ -45,13 +56,6 @@ TEST(TaskView, LeastEfficientIsTheTuningCandidate) {
   v.add(entry("epsilon", 469.0, 1300.0));  // 36%
   v.add(entry("sigma", 1299.0, 2885.0));   // 45%
   EXPECT_EQ(v.least_efficient().label, "epsilon");
-}
-
-TEST(TaskView, LookupAndValidation) {
-  TaskView v;
-  v.add(entry("a", 1.0, 2.0));
-  EXPECT_NO_THROW(v.entry("a"));
-  EXPECT_THROW(v.entry("b"), util::NotFound);
 }
 
 TEST(TaskView, EmptyViewThrows) {
@@ -105,11 +109,11 @@ TEST(TaskViewFromTrace, BuildsCeilingsFromDemands) {
   SystemSpec spec = SystemSpec::from_machine(m);
   const TaskView v = task_view_from_trace(g, tr, spec);
   ASSERT_EQ(v.entries().size(), 2u);
-  const TaskViewEntry& eps = v.entry("epsilon @ 4 nodes");
+  const TaskViewEntry& eps = entry_of(v, "epsilon @ 4 nodes");
   EXPECT_DOUBLE_EQ(eps.ceiling_seconds, 10.0);
   EXPECT_DOUBLE_EQ(eps.measured_seconds, 25.0);
   EXPECT_EQ(eps.level, 0);
-  const TaskViewEntry& sig = v.entry("sigma @ 4 nodes");
+  const TaskViewEntry& sig = entry_of(v, "sigma @ 4 nodes");
   EXPECT_EQ(sig.level, 1);
   EXPECT_EQ(v.dominant().label, "sigma @ 4 nodes");
   EXPECT_EQ(v.least_efficient().label, "epsilon @ 4 nodes");

@@ -121,7 +121,9 @@ TEST(WorkflowGraph, LclsSkeletonLevels) {
 }
 
 TEST(WorkflowGraph, ChainLevels) {
-  WorkflowGraph g = make_chain("bgw", simple_task("stage", 64), 2);
+  WorkflowGraph g("bgw");
+  const TaskId epsilon = g.add_task(simple_task("epsilon", 64));
+  g.add_dependency(epsilon, g.add_task(simple_task("sigma", 64)));
   EXPECT_EQ(g.level_count(), 2);
   EXPECT_EQ(g.max_parallel_tasks(), 1);  // BGW: one task per level
 }
@@ -193,12 +195,6 @@ TEST(MakeForkJoin, ValidatesWidth) {
   EXPECT_THROW(
       make_fork_join("x", simple_task("p"), 0, simple_task("j")),
       util::InvalidArgument);
-}
-
-TEST(MakeChain, NamesStagesWithIndices) {
-  WorkflowGraph g = make_chain("c", simple_task("s"), 3);
-  EXPECT_NO_THROW(g.find_task("s_0"));
-  EXPECT_NO_THROW(g.find_task("s_2"));
 }
 
 }  // namespace

@@ -42,28 +42,6 @@ TEST(ResourceDemand, AdditionSumsAllChannels) {
   EXPECT_DOUBLE_EQ(c.overhead_seconds, 0.5);
 }
 
-TEST(ResourceDemand, FsBytesSumsDirections) {
-  ResourceDemand d;
-  d.fs_read_bytes = 70.0 * util::kGB;
-  d.fs_write_bytes = 1.0 * util::kGB;
-  EXPECT_DOUBLE_EQ(d.fs_bytes(), 71.0 * util::kGB);
-}
-
-TEST(ResourceDemand, ScaledMultipliesEverything) {
-  ResourceDemand d;
-  d.external_in_bytes = 2.0;
-  d.hbm_bytes_per_node = 3.0;
-  d.pcie_bytes_per_node = 4.0;
-  d.dram_bytes_per_node = 5.0;
-  d.overhead_seconds = 1.0;
-  const ResourceDemand s = d.scaled(2.5);
-  EXPECT_DOUBLE_EQ(s.external_in_bytes, 5.0);
-  EXPECT_DOUBLE_EQ(s.hbm_bytes_per_node, 7.5);
-  EXPECT_DOUBLE_EQ(s.pcie_bytes_per_node, 10.0);
-  EXPECT_DOUBLE_EQ(s.dram_bytes_per_node, 12.5);
-  EXPECT_DOUBLE_EQ(s.overhead_seconds, 2.5);
-}
-
 TEST(TaskSpec, ValidationAcceptsReasonableTask) {
   TaskSpec t;
   t.name = "analysis";

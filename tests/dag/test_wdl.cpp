@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -39,7 +41,8 @@ TEST(Wdl, ParsesUnitStringsAndNumbers) {
   EXPECT_EQ(a0.kind, "analysis");
   const TaskSpec& merge = g.task(g.find_task("merge"));
   EXPECT_DOUBLE_EQ(merge.fixed_duration_seconds, 120.0);
-  EXPECT_DOUBLE_EQ(merge.demand.fs_bytes(), 3e9);
+  EXPECT_DOUBLE_EQ(
+      merge.demand.fs_read_bytes + merge.demand.fs_write_bytes, 3e9);
 }
 
 TEST(Wdl, NumericDemandValuesAreBaseUnits) {
@@ -77,6 +80,23 @@ TEST(Wdl, UnknownDemandKeyThrows) {
     "tasks": [{"name": "a", "demand": {"flopz_per_node": 1}}]
   })"),
                util::ParseError);
+}
+
+TEST(Wdl, UnknownTaskKeyThrowsNamingKeyAndTask) {
+  // A misspelled depends_on must not load as a graph without the edge.
+  for (const char* key : {"deps", "dependson"}) {
+    const std::string doc =
+        std::string(R"({"tasks": [{"name": "a"}, {"name": "b", ")") + key +
+        R"(": ["a"]}]})";
+    try {
+      load_workflow(doc);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("unknown task member '") + key +
+                    "' in task 'b'");
+    }
+  }
 }
 
 TEST(Wdl, NonFiniteDemandQuantityThrows) {

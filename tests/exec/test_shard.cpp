@@ -1,6 +1,6 @@
 // Tests for deterministic grid sharding (exec/shard.hpp): the partition
 // properties the stride split guarantees (disjoint cover of every row,
-// strictly increasing per-shard emission order, shard_of as the exact
+// strictly increasing per-shard emission order, g % count as the exact
 // inverse of global_row) and the merge protocol, which must re-assemble
 // per-shard NDJSON part files byte-identical to a single stream and fail
 // loudly — naming the offending path — on every malformed part.
@@ -38,8 +38,6 @@ TEST(ShardSpecTest, StrideInterleaves) {
   EXPECT_EQ(stride.rows(10), 3u);  // global rows 1, 4, 7
   EXPECT_EQ(stride.global_row(0), 1u);
   EXPECT_EQ(stride.global_row(2), 7u);
-  EXPECT_EQ(stride.shard_of(7), 1);
-  EXPECT_EQ(stride.shard_of(9), 0);
   // Shard 2 of 3 owns rows 2, 5 and 8 of a 10-row grid, none of a 2-row one.
   EXPECT_EQ((ShardSpec{3, 2}).rows(10), 3u);
   EXPECT_EQ((ShardSpec{3, 2}).rows(2), 0u);
@@ -48,8 +46,8 @@ TEST(ShardSpecTest, StrideInterleaves) {
 // The load-bearing property behind per-shard prefix checkpoints and the
 // merge protocol: for any (total, count), the shards partition
 // [0, total) — every global row is owned exactly once, each shard's
-// global_row is strictly increasing in the local index, and shard_of
-// inverts it.
+// global_row is strictly increasing in the local index, and g % count
+// (the owner the merge reads row g from) inverts it.
 TEST(ShardSpecTest, PartitionCoversEveryRowExactlyOnce) {
   for (const std::size_t total :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
@@ -70,7 +68,8 @@ TEST(ShardSpecTest, PartitionCoversEveryRowExactlyOnce) {
             EXPECT_GT(global, previous);
           }
           previous = global;
-          EXPECT_EQ(shard.shard_of(global), i);
+          EXPECT_EQ(global % static_cast<std::size_t>(count),
+                    static_cast<std::size_t>(i));
           ++covered;
         }
       }
@@ -84,7 +83,6 @@ TEST(ShardSpecTest, CountOneIsTheIdentity) {
   EXPECT_EQ(whole.rows(17), 17u);
   for (std::size_t g = 0; g < 17; ++g) {
     EXPECT_EQ(whole.global_row(g), g);
-    EXPECT_EQ(whole.shard_of(g), 0);
   }
 }
 

@@ -29,6 +29,13 @@
 namespace wfr::exec {
 namespace {
 
+// The scenario at row `flat` of `grid`.
+Scenario row_at(const SweepGrid& grid, std::size_t flat) {
+  Scenario scenario;
+  grid.at_into(flat, scenario);
+  return scenario;
+}
+
 core::SystemSpec test_system() {
   core::SystemSpec system;
   system.name = "stream-test-system";
@@ -313,6 +320,56 @@ TEST(StreamModelsTest, WindowBoundsRowsStartedWhileTheSinkBlocks) {
   }
 }
 
+// A worker claims up to 16 rows, so while the owner of rows 0-15 sits in
+// the sink at row 0, a row past the first claim batch can only start on
+// another worker: the sink waits (at most 10 s) until more than 16 rows
+// have started, which proves the stream ran concurrently.  The variant
+// that throws at row 20 after the same hold must still emit rows 0-20
+// once each, in order.
+TEST(StreamModelsTest, SecondWorkerStartsRowsWhileTheSinkHoldsRowZero) {
+  const SweepGrid grid = total_tasks_grid({});
+  const std::string reference = batch_ndjson(grid);
+  constexpr std::size_t kClaimBatch = 16;
+  for (const int jobs : {2, 4, 8}) {
+    for (const bool fail : {false, true}) {
+      obs::Tracer tracer;
+      SweepRunner runner({jobs});
+      runner.set_tracer(&tracer);
+      StreamOptions stream;
+      stream.reorder_window = 1024;
+      std::string ndjson;
+      std::vector<std::size_t> rows;
+      std::uint64_t started_while_held = 0;
+      const auto sink = [&](std::size_t row, std::string_view line) {
+        rows.push_back(row);
+        ndjson += line;
+        if (row == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (tracer.stats().traces_started <= kClaimBatch &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          started_while_held = tracer.stats().traces_started;
+        }
+        if (fail && row == 20) throw util::Error("sink failed");
+      };
+      const std::string where =
+          "jobs=" + std::to_string(jobs) + (fail ? " failing" : "");
+      if (fail) {
+        EXPECT_THROW(runner.stream_lines(grid, stream, sink), util::Error)
+            << where;
+        ASSERT_EQ(rows.size(), 21u) << where;
+        for (std::size_t i = 0; i < rows.size(); ++i)
+          EXPECT_EQ(rows[i], i) << where;
+      } else {
+        runner.stream_lines(grid, stream, sink);
+        EXPECT_EQ(ndjson, reference) << where;
+      }
+      EXPECT_GT(started_while_held, kClaimBatch) << where;
+    }
+  }
+}
+
 TEST(StreamModelsTest, RunnerIsReusableAfterAnError) {
   const SweepGrid grid = test_grid();
   SweepRunner runner({4});
@@ -366,7 +423,7 @@ TEST(StreamLinesTest, MatchesStreamModelsBytesAtAnyJobsAndWindow) {
   std::string reference;
   std::set<std::string> channels;
   for (std::size_t flat = 0; flat < grid.size(); ++flat) {
-    const Scenario scenario = grid.at(flat);
+    const Scenario scenario = row_at(grid, flat);
     const core::RooflineModel model =
         core::build_model(scenario.system, scenario.workflow);
     const int wall = model.parallelism_wall();

@@ -23,6 +23,13 @@
 namespace wfr::exec {
 namespace {
 
+// The scenario at row `flat` of `grid`.
+Scenario row_at(const SweepGrid& grid, std::size_t flat) {
+  Scenario scenario;
+  grid.at_into(flat, scenario);
+  return scenario;
+}
+
 core::SystemSpec test_system() {
   core::SystemSpec system;
   system.name = "sweep-test-system";
@@ -183,13 +190,13 @@ TEST(SweepGridTest, LazyAtMatchesExpandGrid) {
       expand_grid(test_system(), test_workflow(), axes);
   ASSERT_EQ(grid.size(), expanded.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    const Scenario lazy = grid.at(i);
+    const Scenario lazy = row_at(grid, i);
     EXPECT_EQ(lazy.label, expanded[i].label);
     EXPECT_EQ(lazy.params, expanded[i].params);
     EXPECT_EQ(lazy.system.to_json(), expanded[i].system.to_json());
     EXPECT_EQ(lazy.workflow.to_json(), expanded[i].workflow.to_json());
   }
-  EXPECT_THROW(grid.at(grid.size()), util::InvalidArgument);
+  EXPECT_THROW(row_at(grid, grid.size()), util::InvalidArgument);
 }
 
 TEST(SweepGridTest, LabelValuesArePrintfG) {
@@ -210,7 +217,7 @@ TEST(SweepGridTest, LabelValuesArePrintfG) {
   char expected[32];
   for (std::size_t i = 0; i < grid.size(); ++i) {
     std::snprintf(expected, sizeof(expected), "%g", values[i]);
-    EXPECT_EQ(grid.at(i).label, std::string("fs_gbs=") + expected);
+    EXPECT_EQ(row_at(grid, i).label, std::string("fs_gbs=") + expected);
   }
 }
 
@@ -230,7 +237,7 @@ TEST(SweepGridTest, RejectsDuplicateAxis) {
 }
 
 // Property test for the lazy grid: on randomized multi-axis grids,
-// at(flat) must decode the flat index row-major (first axis slowest)
+// at_into(flat) must decode the flat index row-major (first axis slowest)
 // into exactly the per-axis values whose indices re-compose to `flat` —
 // the round trip the sharded workers rely on when they materialize
 // arbitrary rows with no neighbor context.
@@ -258,7 +265,7 @@ TEST(SweepGridTest, AtFlatRoundTripsOnRandomizedGrids) {
     ASSERT_EQ(grid.size(), expected_size);
 
     for (std::size_t flat = 0; flat < grid.size(); ++flat) {
-      const Scenario scenario = grid.at(flat);
+      const Scenario scenario = row_at(grid, flat);
       ASSERT_EQ(scenario.params.size(), axes.size());
       // Decode row-major: the first axis varies slowest.
       std::size_t stride = grid.size();
@@ -276,10 +283,10 @@ TEST(SweepGridTest, AtFlatRoundTripsOnRandomizedGrids) {
       EXPECT_EQ(recomposed, flat);
     }
     // First and last rows pin the corners; one past the end fails loudly.
-    EXPECT_DOUBLE_EQ(grid.at(0).params[0].second, axes[0].values[0]);
-    EXPECT_DOUBLE_EQ(grid.at(grid.size() - 1).params[0].second,
+    EXPECT_DOUBLE_EQ(row_at(grid, 0).params[0].second, axes[0].values[0]);
+    EXPECT_DOUBLE_EQ(row_at(grid, grid.size() - 1).params[0].second,
                      axes[0].values.back());
-    EXPECT_THROW(grid.at(grid.size()), util::InvalidArgument);
+    EXPECT_THROW(row_at(grid, grid.size()), util::InvalidArgument);
   }
 }
 

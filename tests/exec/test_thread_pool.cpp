@@ -161,7 +161,8 @@ TEST(ParallelForTest, FixedOrderReductionMatchesSerial) {
   auto reduce = [](int jobs) {
     ThreadPool pool(jobs);
     const std::vector<double> parts = parallel_map<double>(
-        pool, 1000, [](std::size_t i) { return 1.0 / (1.0 + i); });
+        pool, 1000,
+        [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i)); });
     return std::accumulate(parts.begin(), parts.end(), 0.0);
   };
   const double serial = reduce(1);

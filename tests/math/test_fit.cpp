@@ -27,7 +27,7 @@ TEST(FitLinear, NoisyLineHasHighR2) {
   for (int i = 0; i < 200; ++i) {
     const double x = static_cast<double>(i);
     xs.push_back(x);
-    ys.push_back(2.0 * x + 1.0 + rng.normal(0.0, 0.5));
+    ys.push_back(2.0 * x + 1.0 + rng.uniform(-0.5, 0.5));
   }
   const LinearFit f = fit_linear(xs, ys);
   EXPECT_NEAR(f.slope, 2.0, 0.01);
@@ -54,7 +54,7 @@ TEST(FitPowerLaw, RecoversExponent) {
   }
   const LinearFit f = fit_power_law(xs, ys);
   EXPECT_NEAR(f.slope, 1.5, 1e-12);
-  EXPECT_NEAR(eval_power_law(f, 32.0), 4.0 * std::pow(32.0, 1.5), 1e-6);
+  EXPECT_NEAR(f.intercept, std::log(4.0), 1e-12);
 }
 
 TEST(FitPowerLaw, LinearThroughputScalingHasSlopeOne) {

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "math/stats.hpp"
 #include "util/error.hpp"
 
 namespace wfr::math {
@@ -34,9 +31,9 @@ TEST(Rng, UniformInUnitInterval) {
 
 TEST(Rng, UniformMeanIsHalf) {
   Rng rng(11);
-  Accumulator acc;
-  for (int i = 0; i < 50000; ++i) acc.add(rng.uniform());
-  EXPECT_NEAR(acc.mean(), 0.5, 0.01);
+  double sum = 0.0;
+  for (int i = 0; i < 50000; ++i) sum += rng.uniform();
+  EXPECT_NEAR(sum / 50000.0, 0.5, 0.01);
 }
 
 TEST(Rng, UniformRange) {
@@ -72,44 +69,6 @@ TEST(Rng, UniformIntSingleton) {
   EXPECT_EQ(rng.uniform_int(4, 4), 4);
 }
 
-TEST(Rng, NormalMoments) {
-  Rng rng(13);
-  Accumulator acc;
-  for (int i = 0; i < 100000; ++i) acc.add(rng.normal());
-  EXPECT_NEAR(acc.mean(), 0.0, 0.02);
-  EXPECT_NEAR(acc.stddev(), 1.0, 0.02);
-}
-
-TEST(Rng, NormalWithParams) {
-  Rng rng(17);
-  Accumulator acc;
-  for (int i = 0; i < 50000; ++i) acc.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(acc.mean(), 10.0, 0.1);
-  EXPECT_NEAR(acc.stddev(), 2.0, 0.1);
-}
-
-TEST(Rng, NormalRejectsNegativeStddev) {
-  Rng rng(1);
-  EXPECT_THROW(rng.normal(0.0, -1.0), util::InvalidArgument);
-}
-
-TEST(Rng, LognormalIsPositive) {
-  Rng rng(19);
-  for (int i = 0; i < 1000; ++i) EXPECT_GT(rng.lognormal(0.0, 0.5), 0.0);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng rng(23);
-  Accumulator acc;
-  for (int i = 0; i < 50000; ++i) acc.add(rng.exponential(2.0));
-  EXPECT_NEAR(acc.mean(), 0.5, 0.02);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveRate) {
-  Rng rng(1);
-  EXPECT_THROW(rng.exponential(0.0), util::InvalidArgument);
-}
-
 TEST(Rng, BernoulliExtremes) {
   Rng rng(29);
   for (int i = 0; i < 100; ++i) {
@@ -124,25 +83,6 @@ TEST(Rng, BernoulliFrequency) {
   for (int i = 0; i < 50000; ++i)
     if (rng.bernoulli(0.3)) ++hits;
   EXPECT_NEAR(hits / 50000.0, 0.3, 0.02);
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(37);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto sorted = v;
-  rng.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
-}
-
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng parent(41);
-  Rng child = parent.split();
-  // The child stream should differ from the parent's continued stream.
-  int equal = 0;
-  for (int i = 0; i < 100; ++i)
-    if (parent.next_u64() == child.next_u64()) ++equal;
-  EXPECT_LT(equal, 3);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@ TEST(LogHistogramTest, EmptySnapshotIsAllZeros) {
   LogHistogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
   EXPECT_EQ(h.min(), 0.0);
   EXPECT_EQ(h.max(), 0.0);
   EXPECT_EQ(h.quantile(0.5), 0.0);
@@ -39,7 +38,6 @@ TEST(LogHistogramTest, SingleSampleReportsItselfAtEveryQuantile) {
   EXPECT_EQ(h.count(), 1u);
   EXPECT_DOUBLE_EQ(h.min(), 0.0125);
   EXPECT_DOUBLE_EQ(h.max(), 0.0125);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0125);
   // With one sample, clamping to [min, max] pins every quantile exactly.
   for (const double q : {0.0, 0.5, 0.99, 1.0})
     EXPECT_DOUBLE_EQ(h.quantile(q), 0.0125) << q;
@@ -51,8 +49,8 @@ TEST(LogHistogramTest, QuantileErrorIsBoundedByBucketWidth) {
   for (int i = 1; i <= 1000; ++i) samples.push_back(i * 1e-4);  // 0.1..100ms
   for (const double x : samples) h.observe(x);
   for (const double q : {0.50, 0.95, 0.99}) {
-    const double exact = samples[static_cast<std::size_t>(
-                             std::ceil(q * samples.size())) - 1];
+    const double rank = std::ceil(q * static_cast<double>(samples.size()));
+    const double exact = samples[static_cast<std::size_t>(rank) - 1];
     EXPECT_NEAR(h.quantile(q), exact, exact * 0.05) << q;
   }
 }

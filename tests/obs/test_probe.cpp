@@ -15,7 +15,7 @@ TEST(TimeSeries, RecordsIntervalsAndCumulativeVolume) {
   EXPECT_DOUBLE_EQ(ts.samples()[0].end_seconds(), 2.0);
   EXPECT_DOUBLE_EQ(ts.samples()[0].cumulative_bytes, 4e9);
   EXPECT_DOUBLE_EQ(ts.samples()[1].cumulative_bytes, 5.5e9);
-  EXPECT_DOUBLE_EQ(ts.delivered_bytes(), 5.5e9);
+  EXPECT_DOUBLE_EQ(ts.summarize().delivered_bytes, 5.5e9);
 }
 
 TEST(TimeSeries, CoalescesContiguousSamePopulationIntervals) {
@@ -25,7 +25,7 @@ TEST(TimeSeries, CoalescesContiguousSamePopulationIntervals) {
   ASSERT_EQ(ts.samples().size(), 1u);
   EXPECT_DOUBLE_EQ(ts.samples()[0].duration_seconds, 2.0);
   EXPECT_DOUBLE_EQ(ts.samples()[0].delivered_bytes, 2e12);
-  EXPECT_DOUBLE_EQ(ts.delivered_bytes(), 2e12);
+  EXPECT_DOUBLE_EQ(ts.summarize().delivered_bytes, 2e12);
 }
 
 TEST(TimeSeries, PopulationChangeBreaksCoalescing) {
@@ -72,6 +72,18 @@ TEST(TimeSeries, SummaryIsTimeWeighted) {
   EXPECT_EQ(s.peak_finite_flows, 1);
 }
 
+TEST(TimeSeries, ZeroDurationSummaryUsesSampleMean) {
+  // With no duration to weight by, the mean falls back to the plain mean
+  // of the samples' utilizations.
+  ResourceTimeSeries ts("fs", 1e12);
+  ts.record(0.0, 0.0, 2, 1, 5e11, 0.0);    // u = 0.5
+  ts.record(1.0, 0.0, 4, 1, 2.5e11, 0.0);  // u = 0.25, not contiguous
+  ts.record(2.0, 0.0, 1, 1, 1e12, 0.0);    // u = 1
+  const ResourceSummary s = ts.summarize();
+  EXPECT_DOUBLE_EQ(s.mean_utilization, (0.5 + 0.25 + 1.0) / 3.0);
+  EXPECT_DOUBLE_EQ(s.max_utilization, 1.0);
+}
+
 TEST(TimeSeries, PercentileRespectsDurationNotSampleCount) {
   ResourceTimeSeries ts("fs", 1e12);
   // Many short low-utilization samples must not outweigh one long
@@ -87,12 +99,12 @@ TEST(TimeSeries, ClearKeepsIdentityDropsSamples) {
   ResourceTimeSeries ts("fs", 1e12);
   ts.record(0.0, 1.0, 1, 1, 1e9, 1e9);
   ts.clear();
-  EXPECT_TRUE(ts.empty());
+  EXPECT_TRUE(ts.samples().empty());
   EXPECT_EQ(ts.name(), "fs");
-  EXPECT_DOUBLE_EQ(ts.delivered_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(ts.summarize().delivered_bytes, 0.0);
   // Cumulative restarts from zero after clear.
   ts.record(0.0, 1.0, 1, 1, 2e9, 2e9);
-  EXPECT_DOUBLE_EQ(ts.delivered_bytes(), 2e9);
+  EXPECT_DOUBLE_EQ(ts.summarize().delivered_bytes, 2e9);
 }
 
 TEST(Probe, RegistersAndRoutesById) {
@@ -102,8 +114,8 @@ TEST(Probe, RegistersAndRoutesById) {
   probe.record(0, 0.0, 1.0, 1, 1, 1e12, 1e12);
   probe.record(1, 0.0, 2.0, 3, 3, 3e9, 1.8e10);
   ASSERT_EQ(probe.series().size(), 2u);
-  EXPECT_DOUBLE_EQ(probe.series()[0].delivered_bytes(), 1e12);
-  EXPECT_DOUBLE_EQ(probe.series()[1].delivered_bytes(), 1.8e10);
+  EXPECT_DOUBLE_EQ(probe.series()[0].summarize().delivered_bytes, 1e12);
+  EXPECT_DOUBLE_EQ(probe.series()[1].summarize().delivered_bytes, 1.8e10);
 }
 
 TEST(Probe, RecordingUnregisteredIdThrows) {
@@ -118,14 +130,7 @@ TEST(Probe, ReRegistrationKeepsSamplesUpdatesCapacity) {
   probe.record(0, 0.0, 1.0, 1, 1, 1e12, 1e12);
   probe.register_resource(0, "fs", 2e12);
   EXPECT_EQ(probe.series()[0].samples().size(), 1u);
-  EXPECT_DOUBLE_EQ(probe.series()[0].capacity(), 2e12);
-}
-
-TEST(Probe, FindByName) {
-  ResourceProbe probe;
-  probe.register_resource(0, "fs", 1e12);
-  ASSERT_NE(probe.find("fs"), nullptr);
-  EXPECT_EQ(probe.find("nope"), nullptr);
+  EXPECT_DOUBLE_EQ(probe.series()[0].summarize().capacity, 2e12);
 }
 
 TEST(Probe, ResetClearsEverySeries) {
@@ -135,8 +140,8 @@ TEST(Probe, ResetClearsEverySeries) {
   probe.record(0, 0.0, 1.0, 1, 1, 1e12, 1e12);
   probe.record(1, 0.0, 1.0, 1, 1, 1e10, 1e10);
   probe.reset();
-  EXPECT_TRUE(probe.series()[0].empty());
-  EXPECT_TRUE(probe.series()[1].empty());
+  EXPECT_TRUE(probe.series()[0].samples().empty());
+  EXPECT_TRUE(probe.series()[1].samples().empty());
   EXPECT_EQ(probe.series()[0].name(), "fs");  // registrations survive
 }
 
@@ -148,17 +153,6 @@ TEST(Probe, SummariesFollowRegistrationOrder) {
   ASSERT_EQ(s.size(), 2u);
   EXPECT_EQ(s[0].name, "fs");
   EXPECT_EQ(s[1].name, "external");
-}
-
-TEST(TimeSeries, JsonCarriesSamples) {
-  ResourceTimeSeries ts("fs", 1e12);
-  ts.record(0.0, 2.0, 2, 1, 5e11, 1e12);
-  const util::Json j = ts.to_json();
-  EXPECT_EQ(j.at("name").as_string(), "fs");
-  const util::JsonArray& samples = j.at("samples").as_array();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_DOUBLE_EQ(samples[0].at("dur").as_number(), 2.0);
-  EXPECT_EQ(samples[0].at("active_flows").as_int(), 2);
 }
 
 }  // namespace

@@ -12,6 +12,14 @@
 namespace wfr::obs {
 namespace {
 
+// Instruments of every kind, counted from the snapshot.
+std::size_t instrument_count(const MetricsRegistry& r) {
+  const util::Json s = r.snapshot();
+  return s.at("counters").as_object().size() +
+         s.at("gauges").as_object().size() +
+         s.at("histograms").as_object().size();
+}
+
 TEST(Counter, StartsAtZeroAndAccumulates) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
@@ -34,7 +42,7 @@ TEST(Gauge, HoldsLastWrittenValue) {
 
 TEST(Registry, CreatesOnFirstAccessAndReturnsSameInstrument) {
   MetricsRegistry r;
-  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(instrument_count(r), 0u);
   Counter& a = r.counter("x");
   a.increment(3);
   EXPECT_EQ(&r.counter("x"), &a);
@@ -43,7 +51,7 @@ TEST(Registry, CreatesOnFirstAccessAndReturnsSameInstrument) {
   h.observe(0.5);
   EXPECT_EQ(&r.histogram("lat"), &h);
   EXPECT_EQ(r.histogram("lat").count(), 1u);
-  EXPECT_EQ(r.size(), 2u);
+  EXPECT_EQ(instrument_count(r), 2u);
 }
 
 TEST(Registry, NameBoundToOneKind) {
@@ -56,18 +64,16 @@ TEST(Registry, NameBoundToOneKind) {
   r.histogram("h");
   EXPECT_THROW(r.counter("h"), util::InvalidArgument);
   EXPECT_THROW(r.gauge("h"), util::InvalidArgument);
-  EXPECT_EQ(r.size(), 3u);
+  EXPECT_EQ(instrument_count(r), 3u);
 }
 
 TEST(Registry, FindDoesNotCreate) {
   MetricsRegistry r;
   EXPECT_EQ(r.find_counter("missing"), nullptr);
-  EXPECT_EQ(r.find_gauge("missing"), nullptr);
-  EXPECT_EQ(r.find_histogram("missing"), nullptr);
   r.counter("present").increment();
   ASSERT_NE(r.find_counter("present"), nullptr);
   EXPECT_EQ(r.find_counter("present")->value(), 1u);
-  EXPECT_TRUE(r.empty() == false && r.size() == 1u);
+  EXPECT_EQ(instrument_count(r), 1u);
 }
 
 TEST(Registry, SnapshotIsDeterministicAcrossInsertionOrder) {

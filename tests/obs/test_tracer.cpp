@@ -28,12 +28,9 @@ TEST(TracerTest, NestedScopesShareOneTraceWithParentLinks) {
   {
     SpanScope root(&tracer, "request", "serve");
     EXPECT_TRUE(root.active());
-    EXPECT_NE(root.trace_id(), 0u);
     {
       SpanScope child(&tracer, "handle", "serve");
-      EXPECT_EQ(child.trace_id(), root.trace_id());
       SpanScope grandchild(&tracer, "evaluate", "sweep");
-      EXPECT_EQ(grandchild.trace_id(), root.trace_id());
     }
     // Nothing is visible until the root scope closes and flushes.
     EXPECT_TRUE(tracer.snapshot().empty());
@@ -48,7 +45,9 @@ TEST(TracerTest, NestedScopesShareOneTraceWithParentLinks) {
   EXPECT_EQ(root.parent_id, 0u);
   EXPECT_EQ(child.parent_id, root.span_id);
   EXPECT_EQ(grandchild.parent_id, child.span_id);
+  EXPECT_NE(root.trace_id, 0u);
   EXPECT_EQ(child.trace_id, root.trace_id);
+  EXPECT_EQ(grandchild.trace_id, root.trace_id);
   EXPECT_GE(child.begin_ns, root.begin_ns);
   EXPECT_LE(child.end_ns, root.end_ns);
   EXPECT_EQ(tracer.stats().spans_recorded, 3u);
@@ -70,7 +69,6 @@ TEST(TracerTest, DisabledAndNullTracersAreInertScopes) {
   {
     SpanScope scope(&disabled, "request", "serve");
     EXPECT_FALSE(scope.active());
-    EXPECT_EQ(scope.trace_id(), 0u);
     scope.arg("k", "v");  // must be a no-op, not a crash
   }
   EXPECT_TRUE(disabled.snapshot().empty());
@@ -180,44 +178,6 @@ TEST(TracerTest, ConcurrentThreadsFlushWithoutLossOrCrosstalk) {
             static_cast<std::uint64_t>(kThreads) * kTraces);
 }
 
-TEST(TracerTest, ClearDropsSpansButKeepsStats) {
-  Tracer tracer(TracerOptions{/*enabled=*/true, /*capacity=*/4});
-  const auto record = [&tracer](const std::string& name) {
-    SpanScope scope(&tracer, name, "test");
-  };
-  const auto names = [&tracer] {
-    std::vector<std::string> out;
-    for (const TraceSpan& span : tracer.snapshot()) out.push_back(span.name);
-    return out;
-  };
-  using Names = std::vector<std::string>;
-
-  { SpanScope scope(&tracer, "request", "serve"); }
-  tracer.clear();
-  EXPECT_TRUE(tracer.snapshot().empty());
-  EXPECT_EQ(tracer.stats().spans_recorded, 1u);
-
-  // After a partial fill, new spans follow only what was recorded since.
-  record("a");
-  record("b");
-  tracer.clear();
-  record("c");
-  EXPECT_EQ(names(), Names({"c"}));
-
-  // After a wrap (head moved off slot 0), likewise.
-  for (const char* name : {"d", "e", "f", "g", "h"}) record(name);
-  EXPECT_EQ(names(), Names({"e", "f", "g", "h"}));
-  tracer.clear();
-  EXPECT_TRUE(tracer.snapshot().empty());
-  record("i");
-  record("j");
-  EXPECT_EQ(names(), Names({"i", "j"}));
-  for (const char* name : {"k", "l", "m"}) record(name);
-  EXPECT_EQ(names(), Names({"j", "k", "l", "m"}));
-  EXPECT_EQ(tracer.stats().spans_recorded, 14u);
-  EXPECT_EQ(tracer.stats().spans_evicted, 3u);
-}
-
 TEST(TracerTest, BeginTraceAllocatesIdsAndCountsTheTrace) {
   Tracer tracer;
   const TraceRef ref = tracer.begin_trace();
@@ -287,9 +247,7 @@ TEST(TracerTest, RemoteParentScopeContinuesATraceAcrossThreads) {
   std::thread pool_thread([&tracer, ref] {
     SpanScope handle(&tracer, "handle", "serve", ref);
     EXPECT_TRUE(handle.active());
-    EXPECT_EQ(handle.trace_id(), ref.trace_id);
     SpanScope endpoint(&tracer, "v1_roofline", "app");
-    EXPECT_EQ(endpoint.trace_id(), ref.trace_id);
   });
   pool_thread.join();
 
@@ -299,6 +257,7 @@ TEST(TracerTest, RemoteParentScopeContinuesATraceAcrossThreads) {
   const TraceSpan& handle = spans[1];
   EXPECT_EQ(handle.name, "handle");
   EXPECT_EQ(handle.trace_id, ref.trace_id);
+  EXPECT_EQ(endpoint.trace_id, ref.trace_id);
   EXPECT_EQ(handle.parent_id, ref.span_id);
   EXPECT_EQ(endpoint.parent_id, handle.span_id);
   // No extra trace was started by the continuation.

@@ -56,7 +56,7 @@ std::int64_t load_trace(const std::string& field, const std::string& value) {
   const std::string key = "\"" + field + "\":" + (field == "task" ? "0" : "1");
   doc.replace(doc.find(key), key.size(), "\"" + field + "\":" + value);
   const trace::TaskRecord record =
-      trace::WorkflowTrace::from_json(util::Json::parse(doc)).record("a");
+      trace::WorkflowTrace::from_json(util::Json::parse(doc)).records().at(0);
   return field == "task" ? static_cast<std::int64_t>(record.task)
                          : record.nodes;
 }

@@ -26,8 +26,9 @@ TEST(KernelSample, Validation) {
 
 TEST(NodeRoofline, FromSystemPicksUpChannels) {
   const NodeRoofline r = pm_gpu_node();
-  EXPECT_DOUBLE_EQ(r.peak_flops(), 38.8e12);
-  EXPECT_EQ(r.bandwidths().size(), 4u);  // HBM, DRAM, PCIe, NIC
+  EXPECT_DOUBLE_EQ(r.attainable_flops(1e6), 38.8e12);  // compute-bound
+  for (const char* level : {"HBM", "DRAM", "PCIe", "NIC"})
+    EXPECT_NO_THROW(r.ridge_point(level)) << level;
   EXPECT_EQ(r.top_bandwidth().label, "HBM");
 }
 
@@ -52,8 +53,6 @@ TEST(NodeRoofline, AttainableFollowsMinRule) {
   EXPECT_NEAR(r.attainable_flops(ridge / 2.0), 38.8e12 / 2.0, 1e0);
   // Above: compute-limited.
   EXPECT_DOUBLE_EQ(r.attainable_flops(ridge * 10.0), 38.8e12);
-  // Specific levels.
-  EXPECT_NEAR(r.attainable_flops(1.0, "DRAM"), 204.8e9, 1e-3);
   EXPECT_THROW(r.attainable_flops(0.0), util::InvalidArgument);
 }
 

@@ -125,6 +125,21 @@ TEST(ServeTest, UnknownSystemPresetIs400) {
   EXPECT_NE(response.body.find("unknown system preset"), std::string::npos);
 }
 
+TEST(ServeTest, UnknownWorkflowTaskKeyIs400) {
+  // "deps" is not "depends_on": the task list is rejected, not loaded as
+  // a chain without edges.
+  AppServer server;
+  LoopbackClient client(server.port());
+  const ClientResponse response = client.request(
+      "POST", "/v1/roofline",
+      R"({"system": "perlmutter-cpu", "workflow": {"tasks": [)"
+      R"({"name": "a"}, {"name": "b", "deps": ["a"]}]}})");
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("unknown task member 'deps' in task 'b'"),
+            std::string::npos)
+      << response.body;
+}
+
 TEST(ServeTest, OversizedBodyIs413AndCloses) {
   ServerOptions options = AppServer::ephemeral();
   options.max_body_bytes = 128;
@@ -853,9 +868,17 @@ TEST(ServeTest, TracerRingEvictsOldestBeyondCapacity) {
   AppServer server(options, app_options);
   LoopbackClient client(server.port());
   for (int i = 0; i < 10; ++i) client.request("GET", "/healthz");
-  const obs::Tracer::Stats stats = server.app().tracer().stats();
-  EXPECT_GT(stats.spans_evicted, 0u);
-  EXPECT_GE(stats.spans_recorded, stats.spans_evicted + 8);
+  const std::string text = client.request("GET", "/metrics").body;
+  const auto gauge = [&text](const std::string& name) {
+    const std::size_t at = text.find("\n" + name + " ");
+    EXPECT_NE(at, std::string::npos) << name;
+    return at == std::string::npos
+               ? 0.0
+               : std::stod(text.substr(at + name.size() + 2));
+  };
+  const double evicted = gauge("serve_trace_spans_evicted");
+  EXPECT_GT(evicted, 0.0);
+  EXPECT_GE(gauge("serve_trace_spans_recorded"), evicted + 8);
   const util::Json doc =
       util::Json::parse(client.request("GET", "/debug/trace").body);
   std::size_t complete = 0;

@@ -11,7 +11,6 @@ TEST(Cluster, StartsAllFree) {
   Cluster c(100);
   EXPECT_EQ(c.total_nodes(), 100);
   EXPECT_EQ(c.free_nodes(), 100);
-  EXPECT_EQ(c.used_nodes(), 0);
 }
 
 TEST(Cluster, RejectsEmptyCluster) {
@@ -40,15 +39,6 @@ TEST(Cluster, OverReleaseThrows) {
   c.try_allocate(3);
   EXPECT_THROW(c.release(4), util::InvalidArgument);
   EXPECT_THROW(c.release(0), util::InvalidArgument);
-}
-
-TEST(Cluster, CanFit) {
-  Cluster c(10);
-  EXPECT_TRUE(c.can_fit(10));
-  EXPECT_FALSE(c.can_fit(11));
-  EXPECT_FALSE(c.can_fit(0));
-  c.try_allocate(10);
-  EXPECT_TRUE(c.can_fit(10));  // could ever fit, not currently free
 }
 
 TEST(Cluster, PeakUsageTracksHighWater) {

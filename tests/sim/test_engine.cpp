@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "util/error.hpp"
 
 namespace wfr::sim {
@@ -147,28 +148,15 @@ TEST(Engine, ZeroVolumeFlowCompletesImmediately) {
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
 }
 
-TEST(Engine, SetCapacityMidFlight) {
-  Simulator sim;
-  const ResourceId r = sim.add_resource("ext", 10.0);
-  double done = -1.0;
-  sim.start_flow(r, 100.0, [&] { done = sim.now(); });
-  // Contention halves the capacity at t=5 (the paper's "bad day" shift).
-  sim.schedule_at(5.0, [&] { sim.set_capacity(r, 2.0); });
-  sim.run();
-  // 50 moved by t=5, remaining 50 at 2/s -> 25 s more -> t=30.
-  EXPECT_DOUBLE_EQ(done, 30.0);
-}
-
 TEST(Engine, CapacityMustBePositive) {
   Simulator sim;
   EXPECT_THROW(sim.add_resource("x", 0.0), util::InvalidArgument);
-  const ResourceId r = sim.add_resource("x", 1.0);
-  EXPECT_THROW(sim.set_capacity(r, -1.0), util::InvalidArgument);
+  EXPECT_THROW(sim.add_resource("x", -1.0), util::InvalidArgument);
 }
 
 TEST(Engine, UnknownResourceThrows) {
   Simulator sim;
-  EXPECT_THROW(sim.capacity(42), util::NotFound);
+  EXPECT_THROW(sim.completed_volume(42), util::NotFound);
   EXPECT_THROW(sim.start_flow(7, 1.0, [] {}), util::NotFound);
 }
 
@@ -205,7 +193,7 @@ TEST(Engine, CancelFiresCancellationCallbackWithRemainingVolume) {
   EXPECT_FALSE(completed);
   // 40 units moved at 10/s by t=4; 60 were still pending.
   EXPECT_DOUBLE_EQ(cancelled_remaining, 60.0);
-  EXPECT_EQ(sim.active_flows(r), 0);
+  EXPECT_EQ(sim.live_flows(), 0u);
 }
 
 TEST(Engine, CancelCreditsPartialVolume) {
@@ -280,7 +268,6 @@ TEST(Engine, MassCancellationIsCleanAndReusesSlots) {
   for (int i = 0; i < 2000; ++i)
     ids.push_back(sim.start_flow(r, 1e6 + i, [] {}));
   for (FlowId id : ids) sim.cancel_flow(id);
-  EXPECT_EQ(sim.active_flows(r), 0);
   EXPECT_EQ(sim.live_flows(), 0u);
   sim.run();
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
@@ -315,7 +302,6 @@ TEST(Engine, StaleFlowIdLeavesTheSlotsNextFlowAlone) {
   // match a cancel of kInvalidFlow.
   sim.cancel_flow(kInvalidFlow);
   EXPECT_EQ(sim.live_flows(), 0u);
-  EXPECT_EQ(sim.active_flows(r), 0);
   bool b_done = false;
   const FlowId b = sim.start_flow(r, 10.0, [&] { b_done = true; });
   ASSERT_EQ(slot_of(b), slot_of(a));
@@ -324,11 +310,12 @@ TEST(Engine, StaleFlowIdLeavesTheSlotsNextFlowAlone) {
   sim.cancel_flow(a);
   sim.cancel_flow(b + (std::uint64_t{1} << 32));
   EXPECT_EQ(sim.live_flows(), 1u);
-  EXPECT_EQ(sim.active_flows(r), 1);
   sim.run();
   EXPECT_TRUE(b_done);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-  EXPECT_EQ(sim.stats().flows_cancelled, 0u);
+  obs::MetricsRegistry registry;
+  sim.export_metrics(registry);
+  EXPECT_EQ(registry.find_counter("engine.flows_cancelled")->value(), 0u);
 }
 
 TEST(Engine, SimultaneousCompletionsFireInCreationOrderAcrossReusedSlots) {
@@ -375,9 +362,9 @@ TEST(Engine, ActiveFlowCountTracksArrivalsAndDepartures) {
   const ResourceId r = sim.add_resource("fs", 10.0);
   sim.start_flow(r, 100.0, [] {});
   sim.start_background_flow(r);
-  EXPECT_EQ(sim.active_flows(r), 2);
+  EXPECT_EQ(sim.live_flows(), 2u);
   sim.run();
-  EXPECT_EQ(sim.active_flows(r), 1);  // background remains
+  EXPECT_EQ(sim.live_flows(), 1u);  // background remains
 }
 
 TEST(Engine, TimeLimitGuard) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "obs/registry.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -61,7 +62,9 @@ TEST(EngineAlloc, WarmSimulatorRunsFlowsWithoutAllocating) {
   EXPECT_EQ(warm, 0u) << "cold batch made " << cold;
   EXPECT_EQ(sum, 64 * 65);
   EXPECT_EQ(sim.live_flows(), 0u);
-  EXPECT_EQ(sim.stats().flows_completed, 128u);
+  obs::MetricsRegistry registry;
+  sim.export_metrics(registry);
+  EXPECT_EQ(registry.find_counter("engine.flows_completed")->value(), 128u);
 }
 
 }  // namespace

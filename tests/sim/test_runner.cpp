@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "trace/summary.hpp"
 #include "util/error.hpp"
@@ -13,6 +15,14 @@ namespace {
 
 using dag::TaskSpec;
 using dag::WorkflowGraph;
+
+// The trace record of the task named `name`.
+const trace::TaskRecord& record_of(const trace::WorkflowTrace& trace,
+                                   const std::string& name) {
+  for (const trace::TaskRecord& r : trace.records())
+    if (r.name == name) return r;
+  throw std::out_of_range("no task record named " + name);
+}
 
 MachineConfig test_machine() {
   MachineConfig m;
@@ -83,7 +93,7 @@ TEST(Runner, SingleComputeTask) {
   g.add_task(compute_task("t", 10e12));
   const trace::WorkflowTrace tr = run_workflow(g, test_machine());
   EXPECT_DOUBLE_EQ(tr.makespan_seconds(), 10.0);
-  EXPECT_DOUBLE_EQ(tr.record("t").time_in_phase(trace::Phase::kWork), 10.0);
+  EXPECT_DOUBLE_EQ(record_of(tr, "t").time_in_phase(trace::Phase::kWork), 10.0);
 }
 
 TEST(Runner, PhasesExecuteInOrder) {
@@ -95,7 +105,7 @@ TEST(Runner, PhasesExecuteInOrder) {
   t.demand.fs_write_bytes = 2e12;
   g.add_task(t);
   const trace::WorkflowTrace tr = run_workflow(g, test_machine());
-  const trace::TaskRecord& r = tr.record("t");
+  const trace::TaskRecord& r = record_of(tr, "t");
   EXPECT_DOUBLE_EQ(r.duration(), 16.0);
   ASSERT_EQ(r.spans.size(), 5u);
   EXPECT_EQ(r.spans[0].phase, trace::Phase::kOverhead);
@@ -111,8 +121,8 @@ TEST(Runner, ZeroDemandPhasesProduceNoSpans) {
   WorkflowGraph g("w");
   g.add_task(compute_task("t", 10e12));
   const trace::WorkflowTrace tr = run_workflow(g, test_machine());
-  ASSERT_EQ(tr.record("t").spans.size(), 1u);
-  EXPECT_EQ(tr.record("t").spans[0].phase, trace::Phase::kWork);
+  ASSERT_EQ(record_of(tr, "t").spans.size(), 1u);
+  EXPECT_EQ(record_of(tr, "t").spans[0].phase, trace::Phase::kWork);
 }
 
 TEST(Runner, DependenciesSerializeTasks) {
@@ -121,7 +131,7 @@ TEST(Runner, DependenciesSerializeTasks) {
   const auto b = g.add_task(compute_task("b", 3e12));
   g.add_dependency(a, b);
   const trace::WorkflowTrace tr = run_workflow(g, test_machine());
-  EXPECT_DOUBLE_EQ(tr.record("b").start_seconds, 5.0);
+  EXPECT_DOUBLE_EQ(record_of(tr, "b").start_seconds, 5.0);
   EXPECT_DOUBLE_EQ(tr.makespan_seconds(), 8.0);
 }
 
@@ -136,7 +146,8 @@ TEST(Runner, SharedFilesystemContention) {
     g.add_task(t);
   }
   const trace::WorkflowTrace tr = run_workflow(g, test_machine());
-  EXPECT_DOUBLE_EQ(tr.record("t0").time_in_phase(trace::Phase::kFsRead), 2.0);
+  EXPECT_DOUBLE_EQ(
+      record_of(tr, "t0").time_in_phase(trace::Phase::kFsRead), 2.0);
   EXPECT_DOUBLE_EQ(tr.makespan_seconds(), 3.0);
 }
 
@@ -164,8 +175,8 @@ TEST(Runner, BackfillSkipsBlockedHead) {
   (void)blocked;
   (void)small;
   const trace::WorkflowTrace tr = run_workflow(g, test_machine());
-  EXPECT_DOUBLE_EQ(tr.record("small").start_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(tr.record("blocked").start_seconds, 10.0);
+  EXPECT_DOUBLE_EQ(record_of(tr, "small").start_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(record_of(tr, "blocked").start_seconds, 10.0);
 }
 
 TEST(Runner, PoolOptionLimitsNodes) {
@@ -256,10 +267,10 @@ TEST(Runner, ForkJoinTrace) {
   WorkflowGraph g = dag::make_fork_join("lcls", branch, 5, join);
   const trace::WorkflowTrace tr = run_workflow(g, test_machine());
   // 5 concurrent external loads at 1 GB/s each: 10 s; + 1 s work.
-  EXPECT_DOUBLE_EQ(tr.record("analysis_0").duration(), 11.0);
+  EXPECT_DOUBLE_EQ(record_of(tr, "analysis_0").duration(), 11.0);
   EXPECT_EQ(tr.peak_concurrency(), 5);
   // Merge starts when all branches are done.
-  EXPECT_DOUBLE_EQ(tr.record("merge").start_seconds, 11.0);
+  EXPECT_DOUBLE_EQ(record_of(tr, "merge").start_seconds, 11.0);
 }
 
 TEST(Runner, EmptyWorkflow) {
@@ -340,14 +351,20 @@ TEST(Observation, ResourceSeriesConservesDeliveredVolume) {
 
   // The probe accumulates the exact `delivered` term the engine adds to
   // completed_volume each advance, so the totals agree bit for bit.
-  const obs::ResourceTimeSeries* fs = observation.probe.find("fs");
-  const obs::ResourceTimeSeries* external = observation.probe.find("external");
+  const obs::ResourceTimeSeries* fs = nullptr;
+  const obs::ResourceTimeSeries* external = nullptr;
+  for (const obs::ResourceTimeSeries& s : observation.probe.series()) {
+    if (s.name() == "fs") fs = &s;
+    if (s.name() == "external") external = &s;
+  }
   ASSERT_NE(fs, nullptr);
   ASSERT_NE(external, nullptr);
-  EXPECT_DOUBLE_EQ(fs->delivered_bytes(), r.filesystem.volume_bytes);
-  EXPECT_DOUBLE_EQ(external->delivered_bytes(), r.external.volume_bytes);
-  EXPECT_NEAR(fs->delivered_bytes(), 6e12, 1e-3);   // 3 writes + merge read
-  EXPECT_NEAR(external->delivered_bytes(), 30e9, 1e-3);
+  const double fs_bytes = fs->summarize().delivered_bytes;
+  const double external_bytes = external->summarize().delivered_bytes;
+  EXPECT_DOUBLE_EQ(fs_bytes, r.filesystem.volume_bytes);
+  EXPECT_DOUBLE_EQ(external_bytes, r.external.volume_bytes);
+  EXPECT_NEAR(fs_bytes, 6e12, 1e-3);  // 3 writes + merge read
+  EXPECT_NEAR(external_bytes, 30e9, 1e-3);
 
   // Busy time integrates to the channel stats as well.
   double fs_busy = 0.0;
@@ -366,19 +383,24 @@ TEST(Observation, RunnerReportsWorkflowMetrics) {
   ASSERT_NE(reg.find_counter("runner.tasks_started"), nullptr);
   EXPECT_EQ(reg.find_counter("runner.tasks_started")->value(), 4u);
   EXPECT_EQ(reg.find_counter("runner.tasks_completed")->value(), 4u);
-  ASSERT_NE(reg.find_histogram("runner.queue_wait_seconds"), nullptr);
-  EXPECT_EQ(reg.find_histogram("runner.queue_wait_seconds")->count(), 4u);
+  // Snapshot lookups throw NotFound for an instrument that was never made.
+  const util::Json snapshot = reg.snapshot();
+  const util::Json& histograms = snapshot.at("histograms");
+  EXPECT_EQ(histograms.at("runner.queue_wait_seconds").at("count").as_int(),
+            4);
   // The three stages had a work phase; merge (0 flops) produced none.
-  ASSERT_NE(reg.find_histogram("runner.phase_seconds.work"), nullptr);
-  EXPECT_EQ(reg.find_histogram("runner.phase_seconds.work")->count(), 3u);
-  EXPECT_EQ(reg.find_histogram("runner.phase_seconds.external_in")->count(),
-            3u);
-  EXPECT_EQ(reg.find_histogram("runner.phase_seconds.fs_read")->count(), 1u);
+  EXPECT_EQ(histograms.at("runner.phase_seconds.work").at("count").as_int(),
+            3);
+  EXPECT_EQ(
+      histograms.at("runner.phase_seconds.external_in").at("count").as_int(),
+      3);
+  EXPECT_EQ(histograms.at("runner.phase_seconds.fs_read").at("count").as_int(),
+            1);
   // Engine self-metrics arrive through the same registry.
   ASSERT_NE(reg.find_counter("engine.events_processed"), nullptr);
   EXPECT_GT(reg.find_counter("engine.events_processed")->value(), 0u);
-  ASSERT_NE(reg.find_gauge("runner.makespan_seconds"), nullptr);
-  EXPECT_GT(reg.find_gauge("runner.makespan_seconds")->value(), 0.0);
+  EXPECT_GT(snapshot.at("gauges").at("runner.makespan_seconds").as_number(),
+            0.0);
 }
 
 TEST(Observation, PhasesBeyondOneHundredSecondsResolve) {
@@ -399,14 +421,13 @@ TEST(Observation, PhasesBeyondOneHundredSecondsResolve) {
   opts.observe = &observation;
   run_workflow_detailed(g, test_machine(), opts);
 
-  const obs::LogHistogram* ingest =
-      observation.registry.find_histogram("runner.phase_seconds.external_in");
-  ASSERT_NE(ingest, nullptr);
-  ASSERT_EQ(ingest->count(), 3u);
-  for (const obs::LogHistogram::Bucket& bucket : ingest->nonzero_buckets())
+  const obs::LogHistogram& ingest =
+      observation.registry.histogram("runner.phase_seconds.external_in");
+  ASSERT_EQ(ingest.count(), 3u);
+  for (const obs::LogHistogram::Bucket& bucket : ingest.nonzero_buckets())
     EXPECT_FALSE(std::isinf(bucket.upper_bound)) << bucket.upper_bound;
-  EXPECT_NEAR(ingest->quantile(0.5), 210.0, 210.0 * 0.025);
-  EXPECT_NEAR(ingest->max(), 220.0, 1e-6);
+  EXPECT_NEAR(ingest.quantile(0.5), 210.0, 210.0 * 0.025);
+  EXPECT_NEAR(ingest.max(), 220.0, 1e-6);
 }
 
 TEST(Observation, DoesNotPerturbTheSchedule) {

@@ -71,7 +71,8 @@ TEST(BreakdownByPhase, OmitsZeroPhases) {
 
 TEST(IoReport, ComputesAchievedBandwidth) {
   const IoReport r = io_report(two_task_trace());
-  const IoChannelReport& ext = r.channel("external_in");
+  const IoChannelReport& ext = r.channels.at(0);
+  EXPECT_EQ(ext.channel, "external_in");
   EXPECT_DOUBLE_EQ(ext.bytes, 2e12);
   EXPECT_DOUBLE_EQ(ext.busy_seconds, 1000.0);  // concurrent -> union
   EXPECT_DOUBLE_EQ(ext.achieved_bandwidth(), 2e9);
@@ -80,10 +81,10 @@ TEST(IoReport, ComputesAchievedBandwidth) {
 
 TEST(IoReport, IdleChannelHasZeroBandwidth) {
   const IoReport r = io_report(two_task_trace());
-  const IoChannelReport& fs = r.channel("fs_read");
+  const IoChannelReport& fs = r.channels.at(1);
+  EXPECT_EQ(fs.channel, "fs_read");
   EXPECT_DOUBLE_EQ(fs.bytes, 0.0);
   EXPECT_DOUBLE_EQ(fs.achieved_bandwidth(), 0.0);
-  EXPECT_THROW(r.channel("nonexistent"), util::NotFound);
 }
 
 TEST(DescribeTrace, MentionsTasksAndMakespan) {

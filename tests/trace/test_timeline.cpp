@@ -58,14 +58,6 @@ TEST(WorkflowTrace, RejectsInvertedRecords) {
   EXPECT_THROW(t.add_record(std::move(r)), util::InvalidArgument);
 }
 
-TEST(WorkflowTrace, RecordLookupByName) {
-  WorkflowTrace t;
-  t.add_record(make_record("epsilon", 0.0, 490.0));
-  t.add_record(make_record("sigma", 490.0, 1779.0));
-  EXPECT_DOUBLE_EQ(t.record("sigma").duration(), 1289.0);
-  EXPECT_THROW(t.record("gamma"), util::NotFound);
-}
-
 TEST(WorkflowTrace, TotalCountersSum) {
   WorkflowTrace t;
   TaskRecord a = make_record("a", 0.0, 1.0);

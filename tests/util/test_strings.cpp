@@ -91,18 +91,6 @@ TEST(Strings, SplitSingleField) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Strings, SplitWhitespaceDropsEmpties) {
-  const auto parts = split_whitespace("  a \t b\n c  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(Strings, SplitWhitespaceEmpty) {
-  EXPECT_TRUE(split_whitespace("   ").empty());
-}
-
 TEST(Strings, ToLower) {
   EXPECT_EQ(to_lower("GB/s MiXeD"), "gb/s mixed");
 }
@@ -121,8 +109,6 @@ TEST(Strings, Join) {
 }
 
 TEST(Strings, RepeatAndPad) {
-  EXPECT_EQ(repeat("ab", 3), "ababab");
-  EXPECT_EQ(repeat("x", 0), "");
   EXPECT_EQ(pad_right("ab", 5), "ab   ");
   EXPECT_EQ(pad_left("ab", 5), "   ab");
   EXPECT_EQ(pad_right("abcdef", 3), "abcdef");

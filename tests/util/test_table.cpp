@@ -28,8 +28,7 @@ TEST(TextTable, RightAlignment) {
 TEST(TextTable, ShortRowsArePadded) {
   TextTable t({"a", "b", "c"});
   t.add_row({"only"});
-  EXPECT_NO_THROW(t.str());
-  EXPECT_EQ(t.row_count(), 1u);
+  EXPECT_EQ(t.str(), "a     b  c\n----  -  -\nonly\n");
 }
 
 TEST(TextTable, LongRowsExtendColumns) {
@@ -42,7 +41,6 @@ TEST(TextTable, LongRowsExtendColumns) {
 TEST(TextTable, RuleMatchesWidth) {
   TextTable t({"col"});
   t.add_row({"wide-value"});
-  t.add_rule();
   t.add_row({"v"});
   const std::string s = t.str();
   EXPECT_NE(s.find("----------"), std::string::npos);

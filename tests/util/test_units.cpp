@@ -83,8 +83,6 @@ class UnitsDiff {
             reference_with_prefix(value, "FLOP"));
     compare("format_flops_rate", value, format_flops_rate(value),
             reference_with_prefix(value, "FLOP/s"));
-    compare("format_si", value, format_si(value, "Hz"),
-            reference_with_prefix(value, "Hz"));
     compare("format_seconds", value, format_seconds(value),
             reference_seconds(value));
   }

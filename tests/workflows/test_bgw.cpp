@@ -2,8 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace wfr::workflows {
 namespace {
+
+// The trace record of the task named `name`.
+const trace::TaskRecord& record_of(const trace::WorkflowTrace& trace,
+                                   const std::string& name) {
+  for (const trace::TaskRecord& r : trace.records())
+    if (r.name == name) return r;
+  throw std::out_of_range("no task record named " + name);
+}
+
+// The task view entry labelled `label`.
+const core::TaskViewEntry& entry_of(const core::TaskView& view,
+                                    const std::string& label) {
+  for (const core::TaskViewEntry& e : view.entries())
+    if (e.label == label) return e;
+  throw std::out_of_range("no task view entry " + label);
+}
 
 TEST(BgwStudy, MakespanMatchesPaperAtBothScales) {
   EXPECT_NEAR(run_bgw(64).trace.makespan_seconds(), 4184.86, 5.0);
@@ -54,8 +73,8 @@ TEST(BgwStudy, CombinedTaskViewHasFourEntries) {
   // Lower dot = longer makespan: sigma @ 64 has the largest measured time.
   EXPECT_EQ(v.dominant().label, "sigma @ 64 nodes");
   // At 1024 nodes the two dots crowd together but sigma still trails.
-  const core::TaskViewEntry& e1024 = v.entry("epsilon @ 1024 nodes");
-  const core::TaskViewEntry& s1024 = v.entry("sigma @ 1024 nodes");
+  const core::TaskViewEntry& e1024 = entry_of(v, "epsilon @ 1024 nodes");
+  const core::TaskViewEntry& s1024 = entry_of(v, "sigma @ 1024 nodes");
   EXPECT_GT(s1024.measured_seconds, e1024.measured_seconds);
   EXPECT_LT(s1024.measured_seconds / e1024.measured_seconds, 3.0);
 }
@@ -77,8 +96,8 @@ TEST(BgwStudy, CriticalPathShapeInvariantAcrossScales) {
 
 TEST(BgwStudy, SigmaStartsWhenEpsilonEnds) {
   const BgwStudyResult r = run_bgw(64);
-  const trace::TaskRecord& e = r.trace.record("epsilon");
-  const trace::TaskRecord& s = r.trace.record("sigma");
+  const trace::TaskRecord& e = record_of(r.trace, "epsilon");
+  const trace::TaskRecord& s = record_of(r.trace, "sigma");
   EXPECT_NEAR(s.start_seconds, e.end_seconds, 1e-6);
 }
 
