@@ -12,7 +12,14 @@
 #   * wfr simulate --json --gantt and wfr analyze --svg --ascii
 #     --node-roofline on every data/workflows/*.json, on perlmutter-cpu
 #     and perlmutter-gpu;
-#   * wfr archetype --kind random --seed 1..5.
+#   * wfr archetype --kind random --seed 1..5;
+#   * wfr import of every data/wfcommons/*.json, as one merged workflow;
+#   * wfr sweep --ndjson (the buffering path) and wfr sweep --stream
+#     --ndjson at --jobs 1 and 4, each with --reorder-window 1, 16 and
+#     1024, on a 10240-row bgw_64 grid whose outputs are non-integers.
+#     Within each build every sweep file must equal the --jobs 1 stream
+#     with --reorder-window 1, the reference; a file that differs is
+#     listed in sweep_mismatches.txt and fails the run (exit 1).
 # Each command's exit status is recorded with its stdout and stderr.  The
 # two directories are then compared with diff -r; the script exits 1 on
 # any difference and 0 when every byte matches.  A build that lacks one of
@@ -34,6 +41,15 @@ benches=(fig01_model fig02_zones fig03_bounds fig04_lcls_skeleton
          fig09_gptune_flows fig10_gptune ablation_contention
          ablation_fairshare ablation_io_pattern tab1_characterization
          archetype_gallery drilldown_node_roofline facility_coscheduling)
+
+# The sweep grid: 16 x 16 x 40 = 10240 rows of non-integral throughputs
+# and makespans, so every row goes through the non-integer formatter.
+sweep_grid=(--system perlmutter-gpu
+            --characterization "$data/characterizations/bgw_64.json"
+            --param "nodes_per_task=$(LC_ALL=C seq -s, 1 16)"
+            --param "efficiency=$(LC_ALL=C seq -s, 0.5 0.03 0.95)"
+            --param "fs_gbs=$(LC_ALL=C seq -s, 1010000000000.5 33300000000 \
+                                2308700000000.5)")
 
 # run <name> <command...>: stdout, stderr and exit status into <name>.txt
 run() {
@@ -81,15 +97,40 @@ artifacts() {
       run "archetype_random_$seed" "$wfr" archetype --kind random \
         --seed "$seed"
     done
+    run import_wfcommons "$wfr" import "$data"/wfcommons/*.json
+    run sweep_batch "$wfr" sweep "${sweep_grid[@]}" --jobs 4 \
+      --ndjson sweep_batch.ndjson
+    for jobs in 1 4; do
+      for window in 1 16 1024; do
+        local tag="j${jobs}_w${window}"
+        run "sweep_stream_$tag" "$wfr" sweep "${sweep_grid[@]}" --stream \
+          --jobs "$jobs" --reorder-window "$window" \
+          --ndjson "sweep_stream_$tag.ndjson"
+      done
+    done
+    for file in sweep_batch.ndjson sweep_stream_*.ndjson; do
+      cmp -s sweep_stream_j1_w1.ndjson "$file" ||
+        echo "$file differs from sweep_stream_j1_w1.ndjson"
+    done > sweep_mismatches.txt
   )
 }
 
 artifacts "$1" "$out/parent"
 artifacts "$2" "$out/change"
 
+status=0
+for side in parent change; do
+  if [[ -s "$out/$side/sweep_mismatches.txt" ]]; then
+    echo "same bytes: $side sweep files differ from their reference:" >&2
+    cat "$out/$side/sweep_mismatches.txt" >&2
+    status=1
+  fi
+done
+
 if diff -r "$out/parent" "$out/change"; then
   echo "same bytes: $(find "$out/parent" -type f | wc -l) files match"
 else
   echo "same bytes: the builds differ (see above)" >&2
-  exit 1
+  status=1
 fi
+exit $status

@@ -87,8 +87,6 @@
 //   wfr presets
 //       List the built-in system presets.
 //
-// System presets: perlmutter-gpu, perlmutter-cpu, cori-haswell.
-//
 // Each subcommand reads only the options that `wfr help` lists for it
 // (sweep also reads the test hook --abort-after-rows).  Any other
 // --option is an error that exits 1 before the command reads or writes
@@ -275,7 +273,14 @@ void print_usage() {
       "                [--nodes <n>] [--seed <n>]\n"
       "  wfr presets\n"
       "\n"
-      "presets: perlmutter-gpu, perlmutter-cpu, cori-haswell\n"
+      "presets:";
+  const char* separator = " ";
+  for (const core::SystemPreset& preset : core::kSystemPresets) {
+    std::cout << separator << preset.name;
+    separator = ", ";
+  }
+  std::cout <<
+      "\n"
       "--workflow accepts - for stdin (e.g. wfr import ... | wfr run\n"
       "  --workflow -); wfr import reads - as stdin too\n"
       "sweep axes: nodes_per_task (factor), efficiency, parallel_tasks,\n"

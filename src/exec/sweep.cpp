@@ -305,15 +305,16 @@ namespace {
 constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 
 /// Rows a streaming worker claims, evaluates and deposits per lock round
-/// trip (fewer when the grid's end or the window's edge comes first).
+/// trip, and the most the emitter sinks per round trip (fewer when the
+/// grid's end, the window's edge or a row not yet ready comes first).
 constexpr std::size_t kClaimBatch = 16;
 
 /// Shared state of one streaming fan-out: a claim frontier throttled
 /// against the emit frontier (bounded reorder window), a ring of
 /// completed-but-unemitted lines, and first-by-index error capture.
 /// Workers format each row straight into its ring slot, and the emitter
-/// swaps the slot with the emit scratch, so line buffers are recycled
-/// instead of reallocated every row.
+/// sinks it from there, so line buffers are recycled instead of
+/// reallocated every row.
 struct StreamState {
   std::mutex mutex;
   std::condition_variable can_claim;
@@ -324,8 +325,6 @@ struct StreamState {
   std::size_t window = 1;
   std::vector<std::string> ring;
   std::vector<char> ready;
-  /// The line currently handed to the sink (single emitter; reused).
-  std::string emit_line;
   bool emitting = false;
   std::size_t live_runners = 0;
   std::exception_ptr error;
@@ -411,34 +410,43 @@ void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
         state.error = std::move(error);
         state.can_claim.notify_all();
       }
-      // Drain the contiguous head.  Only one worker emits at a time and
-      // rows leave in strictly increasing order; the sink runs unlocked
-      // so evaluation continues behind it.
-      while (!state.emitting && state.error_index == kNoError &&
-             state.emit_next < state.end &&
-             state.ready[state.emit_next % state.window]) {
+      // Drain the contiguous head, up to a batch of ready rows per lock
+      // round trip.  Only one worker emits at a time and rows leave in
+      // strictly increasing order; the sink runs unlocked, on each line
+      // in its ring slot, so evaluation continues behind it.  emit_next
+      // moves only after the sink returns, so no claim reaches a slot
+      // being sunk; a batch within the window never wraps onto its own
+      // slots.
+      while (!state.emitting && state.error_index == kNoError) {
+        const std::size_t first_row = state.emit_next;
+        const std::size_t limit =
+            std::min({kClaimBatch, state.window, state.end - first_row});
+        std::size_t batch = 0;
+        while (batch < limit &&
+               state.ready[(first_row + batch) % state.window])
+          ++batch;
+        if (batch == 0) break;
         state.emitting = true;
-        const std::size_t emit_row = state.emit_next;
-        state.ring[emit_row % state.window].swap(state.emit_line);
-        state.ready[emit_row % state.window] = 0;
         lock.unlock();
+        std::size_t sunk = 0;
         std::exception_ptr sink_error;
         try {
-          sink(emit_row, state.emit_line);
+          for (; sunk < batch; ++sunk) {
+            const std::size_t row = first_row + sunk;
+            sink(row, state.ring[row % state.window]);
+          }
         } catch (...) {
           sink_error = std::current_exception();
         }
         lock.lock();
         state.emitting = false;
-        if (sink_error) {
-          if (emit_row < state.error_index) {
-            state.error_index = emit_row;
-            state.error = std::move(sink_error);
-          }
-          state.can_claim.notify_all();
-          break;
+        for (std::size_t i = 0; i < sunk; ++i)
+          state.ready[(first_row + i) % state.window] = 0;
+        state.emit_next += sunk;
+        if (sink_error && first_row + sunk < state.error_index) {
+          state.error_index = first_row + sunk;
+          state.error = std::move(sink_error);
         }
-        ++state.emit_next;
         state.can_claim.notify_all();
       }
     }

@@ -23,10 +23,11 @@
 //     completions, claims are throttled against the emit frontier, and
 //     there is no end-of-grid barrier.  A worker claims and deposits up to
 //     16 consecutive rows per lock, never past the window's edge, so rows
-//     claimed but not yet emitted stay <= reorder_window.  Rows are
-//     formatted straight into the window's ring of line buffers, so peak
-//     resident state is O(reorder_window + jobs), independent of grid
-//     size.
+//     claimed but not yet emitted stay <= reorder_window; the emitter
+//     sinks up to 16 ready rows (never more than the window) per lock.
+//     Rows are formatted straight into the window's ring of line buffers
+//     and sunk from there, so peak resident state is
+//     O(reorder_window + jobs), independent of grid size.
 
 #include <atomic>
 #include <functional>
@@ -202,9 +203,10 @@ class SweepRunner {
   /// Sink of one streamed NDJSON line, '\n'-terminated: append_result_line
   /// of the row's summary, then "\n".  Invoked by exactly one worker at a
   /// time (the runner serializes emission), with `row` strictly increasing
-  /// from options.start_row; the buffer is owned by the runner and valid
-  /// only during the call.  A sink exception stops the stream after the
-  /// current row and propagates to the caller.
+  /// from options.start_row; the buffer is the row's slot in the reorder
+  /// window, owned by the runner and valid only during the call.  A sink
+  /// exception stops the stream after the current row and propagates to
+  /// the caller.
   using LineSink = std::function<void(std::size_t row, std::string_view line)>;
 
   /// Streams rows [options.start_row, rows) of the grid (or of its shard)

@@ -383,7 +383,13 @@ void write_number(std::string* out, double d) {
 
 void json_append_escaped(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
+  // Bytes that need no escape go out in runs, one append per run.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -392,14 +398,10 @@ void json_append_escaped(std::string& out, std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: out += format("\\u%04x", c);
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 

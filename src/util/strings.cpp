@@ -1,10 +1,12 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 namespace wfr::util {
 
@@ -103,13 +105,53 @@ void append_double(std::string& out, double value) {
     return;
   }
   // The shortest round-tripping digit string sets the lowest precision
-  // worth trying: a %g string at fewer digits cannot round-trip.  The
-  // correctly rounded one at that many digits may still miss (next to a
-  // power of two, whose lower neighbour is half as far), hence the loop.
-  // "inf" has no digits and round-trips at once; NaN never compares equal
-  // and ends at precision 17, as printf's "nan" or "-nan".
-  const char* const shortest_end =
+  // worth trying: a %g string at fewer digits cannot round-trip.
+  char* const shortest_end =
       std::to_chars(buf, end, value, std::chars_format::scientific).ptr;
+  int binary_exponent = 0;
+  if (std::isfinite(value) &&
+      std::fabs(std::frexp(value, &binary_exponent)) != 0.5) {
+    // Away from a power of two the rounding interval is symmetric, so the
+    // shortest digits d[.ddd]e±X (n of them) are also the correctly
+    // rounded n-digit ones, which "%.{n}g" prints: as they stand when
+    // X < -4 or X >= n, else in fixed notation with no trailing zero.
+    const char* const digits = buf + (buf[0] == '-');
+    const char* const exp_mark = static_cast<const char*>(std::memchr(
+        digits, 'e', static_cast<std::size_t>(shortest_end - digits)));
+    const int mantissa_chars = static_cast<int>(exp_mark - digits);
+    const int n = mantissa_chars == 1 ? 1 : mantissa_chars - 1;
+    int exponent = 0;
+    std::from_chars(exp_mark + 1 + (exp_mark[1] == '+'), shortest_end,
+                    exponent);
+    if (exponent < -4 || exponent >= n) {
+      out.append(buf, shortest_end);
+      return;
+    }
+    // Fixed: "0.000" up to the first digit when X < 0, else X + 1
+    // integer digits; the rest follow the point.
+    char fixed[32];
+    char* p = fixed;
+    if (digits != buf) *p++ = '-';
+    if (exponent < 0) p = std::copy_n("0.000", 1 - exponent, p);
+    *p++ = digits[0];
+    const char* rest = digits + 2;
+    if (exponent > 0) {
+      p = std::copy_n(rest, exponent, p);
+      rest += exponent;
+    }
+    if (rest < exp_mark) {
+      if (exponent >= 0) *p++ = '.';
+      p = std::copy(rest, exp_mark, p);
+    }
+    out.append(fixed, p);
+    return;
+  }
+  // At a power of two the lower neighbour is half as far as the upper one,
+  // so the correctly rounded string at the shortest length may miss:
+  // check each to_chars(general, p) — the standard's "%.{p}g" — with
+  // from_chars, raising p until it round-trips.  "inf" has no digits and
+  // round-trips at once; NaN never compares equal and ends at precision
+  // 17, as printf's "nan" or "-nan".
   int precision = 0;
   for (const char* p = buf; p != shortest_end && *p != 'e'; ++p)
     precision += *p >= '0' && *p <= '9';

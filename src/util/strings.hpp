@@ -46,13 +46,18 @@ std::string vformat(const char* fmt, va_list args)
 /// "%.{p}g" at the lowest precision p whose parse recovers the input
 /// bit-for-bit ("0.1", not "0.10000000000000001").
 ///
-/// The algorithm runs on <charconv>, with no printf or strtod: the digit
-/// count of the shortest std::to_chars scientific form is the first p
-/// tried, since no %g string with fewer digits can round-trip; from there
-/// to_chars(general, p) — the standard's definition of "%.{p}g" — is
-/// checked with from_chars, raising p until it round-trips (at a power of
-/// two, the correctly rounded string at the shortest length may miss).
-/// The bytes equal those of a printf/strtod loop from p = 1, which
+/// The algorithm runs on <charconv>, with no printf or strtod, and makes
+/// one conversion per value: the shortest std::to_chars scientific form,
+/// n digits with decimal exponent X.  No %g string with fewer digits can
+/// round-trip, and away from a power of two those n digits are also the
+/// correctly rounded ones, so they are laid out as "%.{n}g" prints them:
+/// the scientific form itself when X < -4 or X >= n, else fixed notation
+/// (the point inside the digits, or a "0.000" prefix).  Non-finite values
+/// and exact powers of two, whose lower neighbour is half as far as the
+/// upper one so the correctly rounded string at the shortest length may
+/// miss, take the loop: to_chars(general, p) — the standard's "%.{p}g" —
+/// checked with from_chars from p = n up until it round-trips.  The bytes
+/// equal those of a printf/strtod loop from p = 1, which
 /// tests/util/test_strings.cpp keeps as the reference.
 ///
 /// This is the single number formatter shared by JSON serialization, the

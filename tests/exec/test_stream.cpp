@@ -114,15 +114,21 @@ std::string stream_ndjson(const SweepGrid& grid, int jobs,
   return ndjson;
 }
 
+// Windows 15, 16 and 17 sit at the claim and emit batch size (16), where
+// a batch stops being bounded by the window; the 64-row grid spans
+// several batches at each.
 TEST(StreamModelsTest, MatchesBatchBytesAtAnyJobsAndWindow) {
-  const SweepGrid grid = test_grid();
-  const std::string reference = batch_ndjson(grid);
-  ASSERT_FALSE(reference.empty());
-  for (int jobs : {1, 2, 8})
-    for (std::size_t window : {std::size_t{1}, std::size_t{4},
-                               std::size_t{1024}})
-      EXPECT_EQ(reference, stream_ndjson(grid, jobs, window))
-          << "jobs=" << jobs << " window=" << window;
+  for (const SweepGrid& grid : {test_grid(), total_tasks_grid({})}) {
+    const std::string reference = batch_ndjson(grid);
+    ASSERT_FALSE(reference.empty());
+    for (int jobs : {1, 2, 8})
+      for (std::size_t window :
+           {std::size_t{1}, std::size_t{4}, std::size_t{15}, std::size_t{16},
+            std::size_t{17}, std::size_t{1024}})
+        EXPECT_EQ(reference, stream_ndjson(grid, jobs, window))
+            << "rows=" << grid.size() << " jobs=" << jobs
+            << " window=" << window;
+  }
 }
 
 TEST(StreamModelsTest, RowsArriveStrictlyInOrder) {
@@ -174,8 +180,9 @@ TEST(StreamModelsTest, SinkExceptionStopsAfterCurrentRow) {
   for (const std::size_t failing_row : {std::size_t{3}, std::size_t{20}}) {
     for (const int jobs : {2, 4, 8}) {
       SweepRunner runner({jobs});
-      for (const std::size_t window : {std::size_t{1}, std::size_t{4},
-                                       std::size_t{8}, std::size_t{1024}}) {
+      for (const std::size_t window :
+           {std::size_t{1}, std::size_t{4}, std::size_t{8}, std::size_t{15},
+            std::size_t{16}, std::size_t{17}, std::size_t{1024}}) {
         StreamOptions stream;
         stream.reorder_window = window;
         std::vector<std::size_t> rows;

@@ -73,9 +73,9 @@ std::size_t allocations_to_stream(SweepRunner& runner, const SweepGrid& grid) {
 // Streaming 4096 more rows on a warm runner may cost one allocation per
 // row (the binding label each summary formats) and a little slack for a
 // line buffer that grows, at one job and at four: rows are formatted into
-// line buffers that are reused from row to row (the reorder ring's slots
-// and the line being emitted), and every other per-stream cost is the
-// same for both grids, so it cancels.
+// line buffers that are reused from row to row (the reorder ring's slots,
+// which the emitter sinks the lines from), and every other per-stream
+// cost is the same for both grids, so it cancels.
 TEST(StreamAlloc, OneAllocationPerStreamedRow) {
   const SweepGrid small = grid_of(64);
   const SweepGrid large = grid_of(128);

@@ -1,11 +1,54 @@
 #include "util/json.hpp"
 
+#include <cstdio>
+#include <random>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
 
 namespace wfr::util {
 namespace {
+
+// json_append_escaped as first written, one byte at a time: the reference
+// the bulk-appending escaper must reproduce byte for byte.
+void reference_append_escaped(std::string& out, std::string_view s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char escape[8];
+          std::snprintf(escape, sizeof(escape), "\\u%04x", c);
+          out += escape;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+std::string escaped(std::string_view s) {
+  std::string out = "prefix:";
+  json_append_escaped(out, s);
+  return out;
+}
+
+std::string reference_escaped(std::string_view s) {
+  std::string out = "prefix:";
+  reference_append_escaped(out, s);
+  return out;
+}
 
 TEST(Json, ParsesScalars) {
   EXPECT_EQ(Json::parse("null"), Json());
@@ -104,6 +147,34 @@ TEST(Json, FallbackAccessors) {
   EXPECT_DOUBLE_EQ(v.number_or("missing", 9.0), 9.0);
   EXPECT_EQ(v.string_or("s", "d"), "x");
   EXPECT_EQ(v.string_or("missing", "d"), "d");
+}
+
+TEST(JsonEscape, MatchesReferenceOnEverySingleByte) {
+  for (int byte = 0; byte <= 0xff; ++byte) {
+    const std::string s(1, static_cast<char>(byte));
+    EXPECT_EQ(escaped(s), reference_escaped(s)) << "byte " << byte;
+  }
+  EXPECT_EQ(escaped("a\"b\\c\n\x01\x1f"),
+            "prefix:\"a\\\"b\\\\c\\n\\u0001\\u001f\"");
+}
+
+TEST(JsonEscape, MatchesReferenceOnRandomByteStrings) {
+  // Seeded strings of 0-64 bytes, half of them drawn from the bytes that
+  // need escaping plus a few plain ones, so runs of every length meet
+  // escapes at both ends.
+  std::mt19937_64 rng(20261019);
+  constexpr char kMostlyEscaped[] = "\"\\\b\f\n\r\t\x01\x1f ax\x7f\xc3";
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::size_t length = rng() % 65;
+    std::string s(length, '\0');
+    for (char& c : s)
+      c = i % 2 == 0 ? static_cast<char>(rng() & 0xff)
+                     : kMostlyEscaped[rng() % (sizeof(kMostlyEscaped) - 1)];
+    if (escaped(s) != reference_escaped(s) && ++mismatches <= 5)
+      ADD_FAILURE() << "string " << i << " of length " << length;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Json, EqualityIsStructural) {

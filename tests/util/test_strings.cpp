@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +200,57 @@ TEST(FormatDouble, MatchesReferenceOnGridStyleDecimals) {
     }
   }
   EXPECT_EQ(diff.mismatches(), 0u);
+}
+
+TEST(FormatDouble, MatchesReferenceAtTheLayoutSwitchPoints) {
+  // "%.{n}g" prints n significant digits in fixed notation from decimal
+  // exponent -4 up to n - 1 and in scientific notation outside that
+  // range.  Each value below sits on one side of a switch point, or is a
+  // power of two or limit where the layout is easy to get wrong; each is
+  // checked with both signs and both neighbours.
+  std::vector<double> values = {
+      0.0001234, 1.234e-05, 0.0001, 1e-05, 0.00012, 9.5e-05,
+      0.00099999, 9.9999e-05, 1234567890123456.0, 12345678901234560.0,
+      1.5e16, 1e15 + 0.5, 1.2e15, 1.25e16,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::max(), 4.9406564584124654e-320,
+      2.2250738585072e-310};
+  // Halves between 2^51 and 2^52: 16 integer digits and ".5".
+  for (double k = 0; k < 2000; ++k) {
+    values.push_back(std::ldexp(1.0, 51) + k + 0.5);
+    values.push_back(std::ldexp(1.0, 52) - k - 0.5);
+  }
+  // Exact ties: at a spacing of 1/8 or 1/4, x.25 and x.75 sit halfway
+  // between two one-decimal strings that both round-trip.
+  for (double k = 0; k < 2000; ++k) {
+    for (const int e : {49, 50}) {
+      values.push_back(std::ldexp(1.0, e) + k + 0.25);
+      values.push_back(std::ldexp(1.0, e) + k + 0.75);
+    }
+  }
+  // Subnormals: small multiples of the smallest, and the largest ones.
+  for (double k = 1; k <= 2000; ++k) {
+    values.push_back(k * std::numeric_limits<double>::denorm_min());
+    values.push_back(std::numeric_limits<double>::min() -
+                     k * std::numeric_limits<double>::denorm_min());
+  }
+  FormatDiff diff;
+  for (const double value : values) {
+    for (const double signed_value : {value, -value}) {
+      diff.check(signed_value);
+      diff.check(std::nextafter(signed_value, 0.0));
+      diff.check(std::nextafter(signed_value, 2 * signed_value));
+    }
+  }
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
+  EXPECT_EQ(format_double(0.0001234), "0.0001234");
+  EXPECT_EQ(format_double(1.234e-05), "1.234e-05");
+  EXPECT_EQ(format_double(1234567890123456.0), "1234567890123456");
+  EXPECT_EQ(format_double(12345678901234560.0), "1.234567890123456e+16");
+  EXPECT_EQ(format_double(-1.5e16), "-1.5e+16");
+  EXPECT_EQ(format_double(std::numeric_limits<double>::denorm_min()), "5e-324");
 }
 
 TEST(Strings, ReplaceAll) {
