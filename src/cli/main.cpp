@@ -812,6 +812,12 @@ int run_sweep_spawn(const Args& args, const exec::SweepGrid& grid,
 // contract (docs/PARALLELISM.md): output bytes are identical at --jobs 1
 // and --jobs N.
 int cmd_sweep(const Args& args) {
+  // Every sweep path prints its rows on standard output already, so "-"
+  // could only name a file called "-".
+  if (args.get_optional("ndjson") == "-")
+    throw util::InvalidArgument(
+        "--ndjson - is not an output file: the rows already go to standard "
+        "output; drop --ndjson or name a file");
   const core::SystemSpec system = load_system(args.get("system"));
 
   core::WorkflowCharacterization base;

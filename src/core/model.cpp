@@ -345,40 +345,62 @@ void compute_ceilings(const SystemSpec& s,
 
 std::string ceiling_label(const CeilingSpec& spec, const SystemSpec& s,
                           const WorkflowCharacterization& w) {
+  // One string, reserved for the longest label, that every piece is
+  // appended to.
+  std::string out;
+  out.reserve(64);
+  auto bytes_at_rate = [&out](const char* name, double bytes, double rate) {
+    out += name;
+    util::append_bytes(out, bytes);
+    out += " @ ";
+    util::append_rate(out, rate);
+  };
   switch (spec.channel) {
     case Channel::kCompute:
-      return "Compute " + util::format_flops(w.flops_per_node) + " @ " +
-             util::format_flops_rate(s.node.peak_flops);
+      out += "Compute ";
+      util::append_flops(out, w.flops_per_node);
+      out += " @ ";
+      util::append_flops_rate(out, s.node.peak_flops);
+      break;
     case Channel::kDram:
-      return "CPU Bytes " + util::format_bytes(w.dram_bytes_per_node) +
-             " @ " + util::format_rate(s.node.dram_gbs);
+      bytes_at_rate("CPU Bytes ", w.dram_bytes_per_node, s.node.dram_gbs);
+      break;
     case Channel::kHbm:
-      return "HBM Bytes " + util::format_bytes(w.hbm_bytes_per_node) +
-             " @ " + util::format_rate(s.node.hbm_gbs);
+      bytes_at_rate("HBM Bytes ", w.hbm_bytes_per_node, s.node.hbm_gbs);
+      break;
     case Channel::kPcie:
-      return "PCIe Bytes " + util::format_bytes(w.pcie_bytes_per_node) +
-             " @ " + util::format_rate(s.node.pcie_gbs);
+      bytes_at_rate("PCIe Bytes ", w.pcie_bytes_per_node, s.node.pcie_gbs);
+      break;
     case Channel::kNetwork:
-      return "Network " + util::format_bytes(w.network_bytes_per_task) +
-             " @ " + std::to_string(w.nodes_per_task) + " x " +
-             util::format_rate(s.node.nic_gbs);
+      out += "Network ";
+      util::append_bytes(out, w.network_bytes_per_task);
+      out += " @ ";
+      out += std::to_string(w.nodes_per_task);
+      out += " x ";
+      util::append_rate(out, s.node.nic_gbs);
+      break;
     case Channel::kOverhead:
-      return "Control-flow overhead " +
-             util::format_seconds(w.overhead_seconds_per_task) + "/task";
+      out += "Control-flow overhead ";
+      util::append_seconds(out, w.overhead_seconds_per_task);
+      out += "/task";
+      break;
     case Channel::kFilesystem:
-      return "File System " + util::format_bytes(w.fs_bytes_per_task) +
-             " @ " + util::format_rate(s.fs_gbs);
+      bytes_at_rate("File System ", w.fs_bytes_per_task, s.fs_gbs);
+      break;
     case Channel::kExternal:
-      return "System External " +
-             util::format_bytes(w.external_bytes_per_task) + " @ " +
-             util::format_rate(s.external_gbs);
+      bytes_at_rate("System External ", w.external_bytes_per_task,
+                    s.external_gbs);
+      break;
     case Channel::kParallelism:
-      return "System parallelism @ " +
-             std::to_string(spec.max_parallel_tasks) + " tasks";
+      out += "System parallelism @ ";
+      out += std::to_string(spec.max_parallel_tasks);
+      out += " tasks";
+      break;
     case Channel::kCustom:
+      out += "custom";
       break;
   }
-  return "custom";
+  return out;
 }
 
 RooflineModel build_model(const SystemSpec& system,

@@ -102,9 +102,8 @@ void compute_ceilings(const SystemSpec& system,
 /// "File System 35 GB @ 5.6 TB/s" or "Network 2.68 TB @ 4 x 25 GB/s".
 /// Ceiling math and presentation meet only here, so the sweep hot path
 /// can format exactly one label (its binding ceiling's) instead of all of
-/// them.  Built by concatenating literal text with the util/units.hpp
-/// strings and std::to_string, with no printf, so a label costs a few
-/// hundred nanoseconds.
+/// them.  Built in one reserved string from literal text, the
+/// util/units.hpp append forms and std::to_string, with no printf.
 std::string ceiling_label(const CeilingSpec& spec, const SystemSpec& system,
                           const WorkflowCharacterization& workflow);
 

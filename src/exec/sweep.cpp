@@ -19,20 +19,18 @@ namespace {
 
 using Params = std::vector<std::pair<std::string, double>>;
 
-/// Appends a row's coordinates as "name=value name=value ...", each value
-/// as printf's "%g" would print it (general at precision 6, without
-/// printf's format parsing).  Grid labels and row errors share it.
-void append_coordinates(std::string& out, const Params& params) {
+/// Appends one coordinate as "name=value", the value as printf's "%g"
+/// would print it (general at precision 6, without printf's format
+/// parsing).  Grid labels and row errors share it.
+void append_coordinate(std::string& out, std::string_view name,
+                       double value) {
   char value_text[32];
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (i != 0) out += ' ';
-    out += params[i].first;
-    out += '=';
-    out.append(value_text,
-               std::to_chars(value_text, value_text + sizeof(value_text),
-                             params[i].second, std::chars_format::general, 6)
-                   .ptr);
-  }
+  out += name;
+  out += '=';
+  out.append(value_text,
+             std::to_chars(value_text, value_text + sizeof(value_text), value,
+                           std::chars_format::general, 6)
+                 .ptr);
 }
 
 /// Rethrows `error`, raised while building or evaluating grid row `flat`
@@ -43,11 +41,11 @@ void append_coordinates(std::string& out, const Params& params) {
 [[noreturn]] void rethrow_row_error(std::size_t flat, const Params& params,
                                     const util::InvalidArgument& error) {
   std::string message = "sweep row " + std::to_string(flat);
-  if (!params.empty()) {
-    message += " (";
-    append_coordinates(message, params);
-    message += ')';
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    message += i == 0 ? " (" : " ";
+    append_coordinate(message, params[i].first, params[i].second);
   }
+  if (!params.empty()) message += ')';
   message += ": ";
   message += error.what();
   throw util::InvalidArgument(message);
@@ -206,6 +204,10 @@ SweepGrid::SweepGrid(core::SystemSpec base_system,
                                  axis.values.size(),
                   "sweep grid size overflows");
     points_ *= axis.values.size();
+    for (const double value : axis.values) {
+      append_coordinate(label_text_, axis.name, value);
+      label_ends_.push_back(label_text_.size());
+    }
   }
 }
 
@@ -219,17 +221,27 @@ void SweepGrid::at_into(std::size_t flat, Scenario& out) const {
 
   // Row-major cross product: the first axis varies slowest.  The params
   // vector is resized (not rebuilt) so its name strings keep their
-  // capacity across points.
+  // capacity across points, and the label joins the values' text, made
+  // by the constructor, with single spaces.
   out.params.resize(axes_.size());
+  out.label.clear();
   std::size_t remainder = flat;
   std::size_t stride = points_;
+  std::size_t first_text = 0;  // index of this axis's first value text
   for (std::size_t i = 0; i < axes_.size(); ++i) {
     const ParamAxis& axis = axes_[i];
     stride /= axis.values.size();
-    out.params[i].first = axis.name;
-    out.params[i].second = axis.values[remainder / stride];
+    const std::size_t index = remainder / stride;
     remainder %= stride;
+    out.params[i].first = axis.name;
+    out.params[i].second = axis.values[index];
+    const std::size_t text = first_text + index;
+    const std::size_t begin = text == 0 ? 0 : label_ends_[text - 1];
+    if (i != 0) out.label += ' ';
+    out.label.append(label_text_, begin, label_ends_[text] - begin);
+    first_text += axis.values.size();
   }
+  if (axes_.empty()) out.label = base_workflow_.name;
 
   double intra_factor = 1.0;
   double efficiency = 1.0;
@@ -262,10 +274,6 @@ void SweepGrid::at_into(std::size_t flat, Scenario& out) const {
                                                       intra_factor,
                                                       efficiency);
   }
-
-  out.label.clear();
-  append_coordinates(out.label, out.params);
-  if (out.label.empty()) out.label = base_workflow_.name;
 }
 
 util::Hash128 SweepGrid::grid_hash() const {
@@ -305,8 +313,7 @@ namespace {
 constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 
 /// Rows a streaming worker claims, evaluates and deposits per lock round
-/// trip, and the most the emitter sinks per round trip (fewer when the
-/// grid's end, the window's edge or a row not yet ready comes first).
+/// trip (fewer when the grid's end or the window's edge comes first).
 constexpr std::size_t kClaimBatch = 16;
 
 /// Shared state of one streaming fan-out: a claim frontier throttled
@@ -410,17 +417,17 @@ void run_stream_engine(ThreadPool& pool, std::size_t start, std::size_t end,
         state.error = std::move(error);
         state.can_claim.notify_all();
       }
-      // Drain the contiguous head, up to a batch of ready rows per lock
-      // round trip.  Only one worker emits at a time and rows leave in
-      // strictly increasing order; the sink runs unlocked, on each line
-      // in its ring slot, so evaluation continues behind it.  emit_next
-      // moves only after the sink returns, so no claim reaches a slot
-      // being sunk; a batch within the window never wraps onto its own
+      // Drain the contiguous ready head, all of it (never more than the
+      // window) per lock round trip.  Only one worker emits at a time and
+      // rows leave in strictly increasing order; the sink runs unlocked,
+      // on each line in its ring slot, so evaluation continues behind it.
+      // emit_next moves only after the sink returns, so no claim reaches a
+      // slot being sunk; a run within the window never wraps onto its own
       // slots.
       while (!state.emitting && state.error_index == kNoError) {
         const std::size_t first_row = state.emit_next;
         const std::size_t limit =
-            std::min({kClaimBatch, state.window, state.end - first_row});
+            std::min(state.window, state.end - first_row);
         std::size_t batch = 0;
         while (batch < limit &&
                state.ready[(first_row + batch) % state.window])

@@ -24,7 +24,8 @@
 //     there is no end-of-grid barrier.  A worker claims and deposits up to
 //     16 consecutive rows per lock, never past the window's edge, so rows
 //     claimed but not yet emitted stay <= reorder_window; the emitter
-//     sinks up to 16 ready rows (never more than the window) per lock.
+//     sinks every contiguous ready row (never more than the window) per
+//     lock round trip.
 //     Rows are formatted straight into the window's ring of line buffers
 //     and sunk from there, so peak resident state is
 //     O(reorder_window + jobs), independent of grid size.
@@ -150,6 +151,12 @@ class SweepGrid {
   core::WorkflowCharacterization base_workflow_;
   std::vector<ParamAxis> axes_;
   std::size_t points_ = 1;
+  /// The label text "name=%g" of every axis value, formatted once, axis
+  /// after axis: value j of axis i (k = j + the lengths of the axes before
+  /// i) is label_text_[label_ends_[k - 1], label_ends_[k]), from 0 for
+  /// k = 0.
+  std::string label_text_;
+  std::vector<std::size_t> label_ends_;
 };
 
 /// Materializes a whole grid into a vector (the small-grid path: tables,

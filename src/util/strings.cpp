@@ -94,15 +94,22 @@ std::string vformat(const char* fmt, va_list args) {
 }
 
 void append_double(std::string& out, double value) {
-  // Large enough for fixed-0 below 1e15 (16 digits + sign) and for general
-  // at precision 17 (17 significand digits + point + "e-308" + sign, or
-  // "0.0001" + 17 digits + sign).
+  // Large enough for general at precision 17 (17 significand digits +
+  // point + "e-308" + sign, or "0.0001" + 17 digits + sign).
   char buf[40];
   char* const end = buf + sizeof(buf);
-  if (value == std::nearbyint(value) && std::fabs(value) < 1e15) {
-    out.append(buf,
-               std::to_chars(buf, end, value, std::chars_format::fixed, 0).ptr);
-    return;
+  // An integer below 1e15 prints as the long long it converts to exactly,
+  // the bytes of "%.0f"; -0.0 converts to 0 but prints "-0".  NaN and the
+  // infinities fail the range test.
+  if (std::fabs(value) < 1e15) {
+    const auto whole = static_cast<long long>(value);
+    if (static_cast<double>(whole) == value) {
+      if (whole == 0 && std::signbit(value))
+        out += "-0";
+      else
+        out.append(buf, std::to_chars(buf, end, whole).ptr);
+      return;
+    }
   }
   // The shortest round-tripping digit string sets the lowest precision
   // worth trying: a %g string at fewer digits cannot round-trip.

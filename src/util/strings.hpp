@@ -46,8 +46,10 @@ std::string vformat(const char* fmt, va_list args)
 /// "%.{p}g" at the lowest precision p whose parse recovers the input
 /// bit-for-bit ("0.1", not "0.10000000000000001").
 ///
-/// The algorithm runs on <charconv>, with no printf or strtod, and makes
-/// one conversion per value: the shortest std::to_chars scientific form,
+/// The algorithm runs on <charconv>, with no printf or strtod.  An integer
+/// below 1e15 (a value equal to its long long conversion) prints that long
+/// long through the integer std::to_chars, -0.0 as "-0".  Every other
+/// value makes one conversion: the shortest std::to_chars scientific form,
 /// n digits with decimal exponent X.  No %g string with fewer digits can
 /// round-trip, and away from a power of two those n digits are also the
 /// correctly rounded ones, so they are laid out as "%.{n}g" prints them:

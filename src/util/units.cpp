@@ -1,5 +1,6 @@
 #include "util/units.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
@@ -27,26 +28,25 @@ constexpr std::array<Prefix, 7> kPrefixes{{
     {1.0, ""},
 }};
 
-// "%.3g" of `value` through std::to_chars (see units.hpp), a space, then
-// `prefix` and `unit`.
-std::string with_unit(double value, std::string_view prefix,
+// Every power of ten from 1e0 to 1e22 is exactly a double.
+constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                             1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                             1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+// "%.3g" of `value` (see units.hpp), a space, then `prefix` and `unit`.
+void append_with_unit(std::string& out, double value, std::string_view prefix,
                       std::string_view unit) {
-  char buf[16];  // fits the longest %.3g string, "-1.23e-308"
-  char* const end =
-      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general,
-                    3)
-          .ptr;
-  std::string out(buf, end);
+  append_g3(out, value);
   out += ' ';
   out += prefix;
   out += unit;
-  return out;
 }
 
 // Formats `value` scaled by the largest prefix whose factor it reaches,
 // trimming trailing zeros ("5 TB" rather than "5.00 TB").
-std::string format_with_prefix(double value, std::string_view unit) {
-  if (value == 0.0) return with_unit(0.0, "", unit);
+void append_with_prefix(std::string& out, double value,
+                        std::string_view unit) {
+  if (value == 0.0) return append_with_unit(out, 0.0, "", unit);
   const double mag = std::fabs(value);
   const Prefix* chosen = &kPrefixes.back();
   for (const Prefix& p : kPrefixes) {
@@ -55,7 +55,14 @@ std::string format_with_prefix(double value, std::string_view unit) {
       break;
     }
   }
-  return with_unit(value / chosen->factor, chosen->symbol, unit);
+  append_with_unit(out, value / chosen->factor, chosen->symbol, unit);
+}
+
+template <void (*kAppend)(std::string&, double)>
+std::string formatted(double value) {
+  std::string out;
+  kAppend(out, value);
+  return out;
 }
 
 double prefix_factor(char c) {
@@ -89,28 +96,123 @@ void split_number_and_unit(std::string_view text, double* number,
 
 }  // namespace
 
-std::string format_bytes(double bytes) { return format_with_prefix(bytes, "B"); }
+void append_g3(std::string& out, double value) {
+  const double mag = std::fabs(value);
+  // NaN fails both comparisons.
+  if (mag >= 1e-4 && mag < 1e22) {
+    // The decimal exponent X: 10^X <= mag < 10^(X+1).  Exact from 1 up;
+    // below 1, where mag * 10^-X rounds, X may come out one too high, but
+    // only within an ulp of 10^X, where t below is 100 (X and X - 1 then
+    // print the same digits) or just under it.  mag >= 1e-4 stops the
+    // scan at -4.
+    int exponent = 0;
+    if (mag >= 1.0) {
+      while (kPow10[exponent + 1] <= mag) ++exponent;
+    } else {
+      while (mag * kPow10[-exponent] < 1.0) --exponent;
+    }
+    // t = mag * 10^(2 - X) in one rounding, by an exact power of ten, so
+    // it is within 2^-53 * 1000 of the true product, and unless it is
+    // within 1e-9 of a tie its nearest integer is the correctly rounded
+    // three digits.  Near-ties, and t outside [100, 1000), take to_chars.
+    const double t = exponent <= 2 ? mag * kPow10[2 - exponent]
+                                   : mag / kPow10[exponent - 2];
+    if (t >= 100.0 && t < 1000.0 &&
+        std::fabs(t - std::floor(t) - 0.5) > 1e-9) {
+      int rounded = static_cast<int>(t + 0.5);
+      if (rounded == 1000) {
+        rounded = 100;
+        ++exponent;
+      }
+      const char digits[3] = {static_cast<char>('0' + rounded / 100),
+                              static_cast<char>('0' + rounded / 10 % 10),
+                              static_cast<char>('0' + rounded % 10)};
+      // Significant digits left once trailing zeros are dropped.
+      const int kept = digits[2] != '0' ? 3 : digits[1] != '0' ? 2 : 1;
+      char buf[16];
+      char* p = buf;
+      if (value < 0.0) *p++ = '-';
+      if (exponent >= 3) {  // X < -4 cannot reach here
+        *p++ = digits[0];
+        if (kept > 1) {
+          *p++ = '.';
+          p = std::copy(digits + 1, digits + kept, p);
+        }
+        *p++ = 'e';
+        *p++ = '+';
+        *p++ = static_cast<char>('0' + exponent / 10);
+        *p++ = static_cast<char>('0' + exponent % 10);
+      } else if (exponent >= 0) {
+        p = std::copy(digits, digits + exponent + 1, p);
+        if (kept > exponent + 1) {
+          *p++ = '.';
+          p = std::copy(digits + exponent + 1, digits + kept, p);
+        }
+      } else {
+        p = std::copy_n("0.000", 1 - exponent, p);
+        p = std::copy(digits, digits + kept, p);
+      }
+      out.append(buf, p);
+      return;
+    }
+  }
+  char buf[16];  // fits the longest %.3g string, "-1.23e-308"
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                std::chars_format::general, 3)
+                      .ptr);
+}
+
+void append_bytes(std::string& out, double bytes) {
+  append_with_prefix(out, bytes, "B");
+}
+
+void append_rate(std::string& out, double bytes_per_second) {
+  append_with_prefix(out, bytes_per_second, "B/s");
+}
+
+void append_flops(std::string& out, double flops) {
+  append_with_prefix(out, flops, "FLOP");
+}
+
+void append_flops_rate(std::string& out, double flops_per_second) {
+  append_with_prefix(out, flops_per_second, "FLOP/s");
+}
+
+void append_seconds(std::string& out, double seconds) {
+  const double mag = std::fabs(seconds);
+  if (mag == 0.0) {
+    out += "0 s";
+  } else if (mag < 1e-3) {
+    append_with_unit(out, seconds * 1e6, "", "us");
+  } else if (mag < 1.0) {
+    append_with_unit(out, seconds * 1e3, "", "ms");
+  } else if (mag < 120.0) {
+    append_with_unit(out, seconds, "", "s");
+  } else if (mag < 2.0 * kHour) {
+    append_with_unit(out, seconds / kMinute, "", "min");
+  } else {
+    append_with_unit(out, seconds / kHour, "", "h");
+  }
+}
+
+std::string format_bytes(double bytes) {
+  return formatted<append_bytes>(bytes);
+}
 
 std::string format_rate(double bytes_per_second) {
-  return format_with_prefix(bytes_per_second, "B/s");
+  return formatted<append_rate>(bytes_per_second);
 }
 
 std::string format_flops(double flops) {
-  return format_with_prefix(flops, "FLOP");
+  return formatted<append_flops>(flops);
 }
 
 std::string format_flops_rate(double flops_per_second) {
-  return format_with_prefix(flops_per_second, "FLOP/s");
+  return formatted<append_flops_rate>(flops_per_second);
 }
 
 std::string format_seconds(double seconds) {
-  const double mag = std::fabs(seconds);
-  if (mag == 0.0) return "0 s";
-  if (mag < 1e-3) return with_unit(seconds * 1e6, "", "us");
-  if (mag < 1.0) return with_unit(seconds * 1e3, "", "ms");
-  if (mag < 120.0) return with_unit(seconds, "", "s");
-  if (mag < 2.0 * kHour) return with_unit(seconds / kMinute, "", "min");
-  return with_unit(seconds / kHour, "", "h");
+  return formatted<append_seconds>(seconds);
 }
 
 namespace {

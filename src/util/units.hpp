@@ -48,12 +48,24 @@ inline constexpr double kHour = 3600.0;
 // --- Formatting ----------------------------------------------------------
 //
 // Each formatter prints printf's "%.3g" of the scaled value, then a space,
-// the SI prefix (or time unit) and the unit text.  The number comes from
-// std::to_chars(general, 3), which the standard specifies as "%.3g" in the
-// C locale, so no printf runs; tests/util/test_units.cpp checks the bytes
-// against an snprintf reference.  The prefix is picked before rounding, so
-// a value just under a threshold carries into the next decade: "1e+03 GB",
-// "120 min".
+// the SI prefix (or time unit) and the unit text; no printf runs, and
+// tests/util/test_units.cpp checks the bytes against an snprintf
+// reference.  The prefix is picked before rounding, so a value just under
+// a threshold carries into the next decade: "1e+03 GB", "120 min".
+// Each format_* function has an append_* form that appends the same bytes
+// to a string, for callers building a longer text (core::ceiling_label).
+
+/// Appends printf's "%.3g" of `value`: three significant digits, trailing
+/// zeros dropped, scientific notation ("1.5e+04") for a decimal exponent
+/// below -4 or above 2.  A magnitude in [1e-4, 1e22) takes an exact fast
+/// path: its decimal exponent X from a table of the exact powers of ten,
+/// t = |value| * 10^(2-X) in one rounding, then t's nearest integer laid
+/// out as "%.3g" does, carrying 999.5 to "1e+03".  A t within 1e-9 of a
+/// rounding tie, or outside [100, 1000), and every other input (0,
+/// subnormals, magnitudes outside the range, inf, NaN) take
+/// std::to_chars(general, 3), which the standard specifies as "%.3g" in
+/// the C locale.
+void append_g3(std::string& out, double value);
 
 /// Formats a byte volume with an auto-selected SI prefix, e.g. "5 TB".
 std::string format_bytes(double bytes);
@@ -69,6 +81,12 @@ std::string format_flops_rate(double flops_per_second);
 
 /// Formats a duration: "85 ms", "17.2 s", "12.5 min", "3.4 h".
 std::string format_seconds(double seconds);
+
+void append_bytes(std::string& out, double bytes);
+void append_rate(std::string& out, double bytes_per_second);
+void append_flops(std::string& out, double flops);
+void append_flops_rate(std::string& out, double flops_per_second);
+void append_seconds(std::string& out, double seconds);
 
 // --- Parsing -------------------------------------------------------------
 

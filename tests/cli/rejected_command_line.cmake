@@ -1,6 +1,6 @@
 # Asserts that wfr rejects a command line it cannot honour: exit status
 # 1, a message naming the problem, nothing on stdout, and no output file
-# written.
+# written, in OUT_DIR or in the working directory, which is OUT_DIR.
 #   sweep_unknown_option_fails         the removed --shard-mode on a
 #                                      sharded streaming sweep
 #   model_unknown_option_fails         sweep's --stream passed to wfr model
@@ -8,6 +8,9 @@
 #   model_stray_word_fails             a word after the value-less --ascii
 #   archetype_random_nodes_fails       --nodes, which random_dag never reads
 #   archetype_seed_fails               --seed on a kind that is not seeded
+#   sweep_ndjson_dash_fails            --ndjson - (the rows already go to
+#                                      stdout) on the batch, --stream and
+#                                      --spawn paths
 # Usage: cmake -DWFR=<wfr-binary> -DDATA=<data-dir> -DOUT_DIR=<dir>
 #              -DCASE=<one of the cases above> -P this-file
 foreach(variable WFR DATA OUT_DIR CASE)
@@ -19,6 +22,8 @@ endforeach()
 file(REMOVE_RECURSE ${OUT_DIR})
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(characterization ${DATA}/characterizations/bgw_64.json)
+# Each variant runs the case's command with extra arguments.
+set(variants plain)
 if(CASE STREQUAL sweep_unknown_option_fails)
   set(command
     sweep --system perlmutter-gpu --characterization ${characterization}
@@ -48,25 +53,41 @@ elseif(CASE STREQUAL archetype_random_nodes_fails)
 elseif(CASE STREQUAL archetype_seed_fails)
   set(command archetype --kind fork-join --size 4 --seed 7)
   set(expected "unknown option --seed for wfr archetype --kind fork-join")
+elseif(CASE STREQUAL sweep_ndjson_dash_fails)
+  set(command
+    sweep --system perlmutter-gpu --characterization ${characterization}
+    --param nodes_per_task=1,2 --ndjson -)
+  set(expected "--ndjson - is not an output file")
+  set(variants plain stream spawn)
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()
 
-execute_process(
-  COMMAND ${WFR} ${command}
-  OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr RESULT_VARIABLE status)
-if(NOT status EQUAL 1)
-  message(FATAL_ERROR
-    "wfr ${CASE} exited ${status}, want 1:\n${stdout}${stderr}")
-endif()
-if(NOT stderr MATCHES "${expected}")
-  message(FATAL_ERROR "wfr ${CASE} did not print '${expected}':\n${stderr}")
-endif()
-if(NOT stdout STREQUAL "")
-  message(FATAL_ERROR "wfr ${CASE} printed before failing:\n${stdout}")
-endif()
-file(GLOB written ${OUT_DIR}/*)
-if(written)
-  message(FATAL_ERROR "wfr ${CASE} wrote ${written} before failing")
-endif()
+foreach(variant IN LISTS variants)
+  set(extra)
+  if(variant STREQUAL stream)
+    set(extra --stream)
+  elseif(variant STREQUAL spawn)
+    set(extra --stream --shards 2 --spawn)
+  endif()
+  execute_process(
+    COMMAND ${WFR} ${command} ${extra}
+    WORKING_DIRECTORY ${OUT_DIR}
+    OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr RESULT_VARIABLE status)
+  set(run "${CASE} (${variant})")
+  if(NOT status EQUAL 1)
+    message(FATAL_ERROR
+      "wfr ${run} exited ${status}, want 1:\n${stdout}${stderr}")
+  endif()
+  if(NOT stderr MATCHES "${expected}")
+    message(FATAL_ERROR "wfr ${run} did not print '${expected}':\n${stderr}")
+  endif()
+  if(NOT stdout STREQUAL "")
+    message(FATAL_ERROR "wfr ${run} printed before failing:\n${stdout}")
+  endif()
+  file(GLOB written ${OUT_DIR}/*)
+  if(written)
+    message(FATAL_ERROR "wfr ${run} wrote ${written} before failing")
+  endif()
+endforeach()
 message(STATUS "wfr ${CASE}: ${expected}")

@@ -114,9 +114,9 @@ std::string stream_ndjson(const SweepGrid& grid, int jobs,
   return ndjson;
 }
 
-// Windows 15, 16 and 17 sit at the claim and emit batch size (16), where
-// a batch stops being bounded by the window; the 64-row grid spans
-// several batches at each.
+// Windows 15, 16 and 17 sit at the claim batch size (16), where a claim
+// stops being bounded by the window (an emitted run is bounded by the
+// window alone); the 64-row grid spans several batches at each.
 TEST(StreamModelsTest, MatchesBatchBytesAtAnyJobsAndWindow) {
   for (const SweepGrid& grid : {test_grid(), total_tasks_grid({})}) {
     const std::string reference = batch_ndjson(grid);

@@ -200,24 +200,92 @@ TEST(SweepGridTest, LazyAtMatchesExpandGrid) {
 }
 
 TEST(SweepGridTest, LabelValuesArePrintfG) {
-  // Labels print each axis value as printf's "%g" would.
-  std::vector<double> values = {0.0, -0.0, 1.0, 0.8, 0.5, 2.5e-7, 1e6,
-                                123456.5, 1234567.0, 1e-5, 9.9999995e5,
-                                std::numeric_limits<double>::max(),
-                                std::numeric_limits<double>::denorm_min()};
+  // Labels print each axis value as printf's "%g" would, "name=value" per
+  // axis joined by single spaces, for every known axis.
+  const auto printf_g = [](const std::string& name, double value) {
+    char text[64];
+    std::snprintf(text, sizeof(text), "%s=%g", name.c_str(), value);
+    return std::string(text);
+  };
+  std::vector<double> rates = {0.0, -0.0, 1.0, 0.8, 0.5, 2.5e-7, 1e6,
+                               123456.5, 1234567.0, 1e-5, 9.9999995e5,
+                               std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::denorm_min()};
+  std::vector<double> efficiencies = {1.0, 0.5, 0.95, 1e-6};
   std::mt19937_64 rng(7);
   for (int i = 0; i < 2000; ++i) {
     double value = 0.0;
     const std::uint64_t bits = rng();
     std::memcpy(&value, &bits, sizeof(value));
-    if (std::isfinite(value)) values.push_back(value);
-    values.push_back(static_cast<double>(rng() % 100000) / 1000.0);
+    if (std::isfinite(value)) rates.push_back(value);
+    rates.push_back(static_cast<double>(rng() % 100000) / 1000.0);
+    efficiencies.push_back(static_cast<double>(rng() % 1000 + 1) / 1000.0);
   }
-  const SweepGrid grid(test_system(), test_workflow(), {{"fs_gbs", values}});
-  char expected[32];
+  // The base workflow runs 2 nodes per task, so each nodes_per_task factor
+  // gives whole nodes; the integer axes take positive integers.
+  const std::vector<double> factors = {0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 16.0,
+                                       31.5, 100.0, 1234.5};
+  const std::vector<double> counts = {
+      1.0, 2.0, 7.0, 28.0, 999999.0, 1e6, 1234567.0, 123456789.0,
+      2147483647.0};
+  const std::vector<ParamAxis> axes = {
+      {"nodes_per_task", factors}, {"efficiency", efficiencies},
+      {"parallel_tasks", counts},  {"total_tasks", counts},
+      {"total_nodes", counts},     {"fs_gbs", rates},
+      {"external_gbs", rates},     {"nic_gbs", rates},
+      {"peak_flops", rates}};
+  Scenario scenario;
+  for (const ParamAxis& axis : axes) {
+    const SweepGrid grid(test_system(), test_workflow(), {axis});
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      grid.at_into(i, scenario);
+      EXPECT_EQ(scenario.label, printf_g(axis.name, axis.values[i]));
+    }
+  }
+
+  // All nine axes at once, two values each: the label joins the row's
+  // coordinates in axis order.
+  std::vector<ParamAxis> nine;
+  for (const ParamAxis& axis : axes)
+    nine.push_back({axis.name, {axis.values[1], axis.values.back()}});
+  const SweepGrid grid(test_system(), test_workflow(), nine);
+  ASSERT_EQ(grid.size(), 512u);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    std::snprintf(expected, sizeof(expected), "%g", values[i]);
-    EXPECT_EQ(row_at(grid, i).label, std::string("fs_gbs=") + expected);
+    grid.at_into(i, scenario);
+    std::string want;
+    for (std::size_t a = 0; a < nine.size(); ++a) {
+      const double value = nine[a].values[(i >> (8 - a)) & 1];
+      if (a != 0) want += ' ';
+      want += printf_g(nine[a].name, value);
+      EXPECT_EQ(scenario.params[a].first, nine[a].name);
+      EXPECT_EQ(scenario.params[a].second, value);
+    }
+    EXPECT_EQ(scenario.label, want);
+  }
+
+  // No axes: the label is the base workflow's name, also in a scenario
+  // reused from a nine-axis row.
+  const SweepGrid single(test_system(), test_workflow(), {});
+  grid.at_into(0, scenario);
+  single.at_into(0, scenario);
+  EXPECT_EQ(scenario.label, "sweep-test-workflow");
+  EXPECT_TRUE(scenario.params.empty());
+
+  // A non-integral integer axis fails its row, whose error still names the
+  // coordinates, and the rows after it label as before.
+  const std::vector<ParamAxis> bad = {{"fs_gbs", {1e12}},
+                                      {"parallel_tasks", {4.0, 2.5, 8.0}}};
+  const SweepGrid with_bad_row(test_system(), test_workflow(), bad);
+  EXPECT_THROW(with_bad_row.at_into(1, scenario), util::InvalidArgument);
+  with_bad_row.at_into(2, scenario);
+  EXPECT_EQ(scenario.label, "fs_gbs=1e+12 parallel_tasks=8");
+  try {
+    expand_grid(test_system(), test_workflow(), bad);
+    ADD_FAILURE() << "expand_grid accepted parallel_tasks=2.5";
+  } catch (const util::InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "sweep row 1 (fs_gbs=1e+12 parallel_tasks=2.5): sweep axis "
+                 "'parallel_tasks' needs positive integers, got 2.5");
   }
 }
 

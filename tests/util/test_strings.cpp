@@ -188,6 +188,39 @@ TEST(FormatDouble, MatchesReferenceAroundTheIntegerCutoff) {
   EXPECT_EQ(diff.mismatches(), 0u);
 }
 
+TEST(FormatDouble, MatchesReferenceOnTheIntegerPath) {
+  // Integers below 1e15 print as the long long they convert to: zero of
+  // both signs, small and negative integers, random ones up to the
+  // cutoff, and the cutoff's neighbours, which are integers on both sides
+  // of it (1e15 - 1, 1e15, 1e15 + 2).
+  FormatDiff diff;
+  for (double k = -5000; k <= 5000; ++k) diff.check(k);
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 100'000; ++i) {
+    const auto whole = static_cast<double>(rng() % 1'000'000'000'000'000ULL);
+    diff.check(whole);
+    diff.check(-whole);
+  }
+  for (const double value : {1e15 - 1, 1e15, 1e15 + 2}) {
+    for (const double signed_value : {value, -value}) {
+      diff.check(signed_value);
+      diff.check(std::nextafter(signed_value, 0.0));
+      diff.check(std::nextafter(signed_value, 2 * signed_value));
+    }
+  }
+  diff.check(-0.0);
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
+  EXPECT_EQ(format_double(0.0), "0");
+  EXPECT_EQ(format_double(-0.0), "-0");
+  EXPECT_EQ(format_double(1.0), "1");
+  EXPECT_EQ(format_double(-1.0), "-1");
+  EXPECT_EQ(format_double(-4096.0), "-4096");
+  EXPECT_EQ(format_double(1e15 - 1), "999999999999999");
+  EXPECT_EQ(format_double(-(1e15 - 1)), "-999999999999999");
+  EXPECT_EQ(format_double(1e15), "1e+15");
+  EXPECT_EQ(format_double(1e15 + 2), "1000000000000002");
+}
+
 TEST(FormatDouble, MatchesReferenceOnGridStyleDecimals) {
   // The values sweep axes and model outputs are made of: short decimals,
   // their reciprocals and products, across magnitudes.

@@ -5,10 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -91,6 +93,20 @@ class UnitsDiff {
     check(value);
     check(std::nextafter(value, -std::numeric_limits<double>::infinity()));
     check(std::nextafter(value, std::numeric_limits<double>::infinity()));
+  }
+  // The "%.3g" routine alone against snprintf's "%.3g".
+  void check_g3(double value) {
+    ++checked_;
+    std::string got;
+    append_g3(got, value);
+    char want[32];
+    std::snprintf(want, sizeof(want), "%.3g", value);
+    compare("append_g3", value, got, want);
+  }
+  void check_g3_with_neighbours(double value) {
+    check_g3(value);
+    check_g3(std::nextafter(value, -std::numeric_limits<double>::infinity()));
+    check_g3(std::nextafter(value, std::numeric_limits<double>::infinity()));
   }
   std::size_t checked() const { return checked_; }
   std::size_t mismatches() const { return mismatches_; }
@@ -305,6 +321,121 @@ TEST(UnitsFormat, MatchesReferenceOnSpecialValues) {
   EXPECT_EQ(format_bytes(-0.0), "0 B");
   EXPECT_EQ(format_seconds(-0.0), "0 s");
   EXPECT_EQ(format_rate(-inf), "-inf EB/s");
+}
+
+// The double nearest the decimal d.dd5 * 10^k (d = 100..999), a
+// rounding tie of "%.3g" unless the conversion moved it off.
+double three_digit_tie(int d, int k) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%d.%02d5e%d", d / 100, d % 100, k);
+  return std::strtod(text, nullptr);
+}
+
+TEST(UnitsFormat, G3MatchesReferenceOnDecimalTies) {
+  // Every d.dd5 * 10^k from decimal exponent -6 to 23, the fast path's
+  // range [1e-4, 1e22) and a decade or two beyond it, with both
+  // neighbours and both signs.  d = 999 sits at the carry into the next
+  // decade.
+  UnitsDiff diff;
+  for (int k = -6; k <= 23; ++k) {
+    for (int d = 100; d <= 999; ++d) {
+      const double tie = three_digit_tie(d, k);
+      diff.check_g3_with_neighbours(tie);
+      diff.check_g3_with_neighbours(-tie);
+    }
+  }
+  EXPECT_EQ(diff.checked(), 30u * 900u * 6u);
+  EXPECT_EQ(diff.mismatches(), 0u);
+}
+
+TEST(UnitsFormat, MatchesReferenceOnDecimalTiesInEverySiBand) {
+  // The same ties through every formatter, from 1e-12 (picoseconds as
+  // "us") to 1e24 (beyond exa), so each prefix and time unit sees them.
+  UnitsDiff diff;
+  for (int k = -12; k <= 24; ++k) {
+    for (int d = 100; d <= 999; ++d) {
+      const double tie = three_digit_tie(d, k);
+      diff.check_with_neighbours(tie);
+      diff.check_with_neighbours(-tie);
+    }
+  }
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
+}
+
+TEST(UnitsFormat, G3MatchesReferenceOnExactBinaryTies) {
+  // Values whose three-digit rounding is an exact tie, which printf
+  // breaks to the even digit: n / 2^j (112.5, 1.125, 0.5625, ...) and
+  // the integers (10d + 5) * 10^j.
+  UnitsDiff diff;
+  for (int j = 0; j <= 14; ++j)
+    for (int n = 1; n < 8192; ++n)
+      diff.check_g3(std::ldexp(static_cast<double>(n), -j));
+  for (int d = 100; d <= 999; ++d) {
+    double value = 10.0 * d + 5.0;
+    for (int j = 0; j <= 15; ++j, value *= 10.0) {
+      diff.check_g3(value);
+      diff.check_g3(-value);
+    }
+  }
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
+  std::string text;
+  append_g3(text, 112.5);
+  EXPECT_EQ(text, "112");
+  text.clear();
+  append_g3(text, 113.5);
+  EXPECT_EQ(text, "114");
+}
+
+TEST(UnitsFormat, G3MatchesReferenceOnCarriesPowersAndRangeEdges) {
+  UnitsDiff diff;
+  // Carries to the next decade, in fixed and scientific notation.
+  for (int k = -7; k <= 23; ++k) {
+    diff.check_g3_with_neighbours(std::strtod(
+        ("9.995e" + std::to_string(k)).c_str(), nullptr));
+    diff.check_g3_with_neighbours(std::strtod(
+        ("9.9949999e" + std::to_string(k)).c_str(), nullptr));
+  }
+  // Every power of ten 10^k, within the table and beyond, +- 1 ulp.
+  for (int k = -30; k <= 30; ++k) {
+    const double power = std::strtod(("1e" + std::to_string(k)).c_str(),
+                                     nullptr);
+    diff.check_g3_with_neighbours(power);
+    diff.check_g3_with_neighbours(-power);
+  }
+  // Just inside and outside [1e-4, 1e22): eight ulps each way, both signs.
+  for (const double edge : {1e-4, 1e22, 9.9995e-5, 9.995e21, 9.9995e21}) {
+    double below = edge;
+    double above = edge;
+    for (int i = 0; i < 8; ++i) {
+      for (const double value : {below, above}) {
+        diff.check_g3(value);
+        diff.check_g3(-value);
+      }
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 2.0 * edge);
+    }
+  }
+  // Zeros, subnormals, the smallest normal, the largest finite, inf, NaN.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double min = std::numeric_limits<double>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double value :
+       {0.0, -0.0, inf, -inf, nan, -nan, denorm, 3.0 * denorm, min / 3.0,
+        std::nextafter(min, 0.0), min, std::numeric_limits<double>::max()}) {
+    diff.check_g3(value);
+    diff.check_g3(-value);
+  }
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
+  const std::pair<double, const char*> examples[] = {
+      {999.5, "1e+03"},      {0.00099996, "0.001"}, {99.96, "100"},
+      {-1.5e4, "-1.5e+04"},  {0.000123456, "0.000123"},
+      {1e21, "1e+21"},       {9.9996e21, "1e+22"},  {-0.0, "-0"}};
+  for (const auto& [value, want] : examples) {
+    std::string text;
+    append_g3(text, value);
+    EXPECT_EQ(text, want) << value;
+  }
 }
 
 }  // namespace
