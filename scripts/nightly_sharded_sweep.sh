@@ -1,22 +1,24 @@
 #!/usr/bin/env bash
 # Nightly sharded-sweep lane (docs/PARALLELISM.md, "Sharded sweeps"):
-# streams one campaign-scale grid twice — single-process `--stream` and
-# N-way `--spawn` multi-process sharding — byte-compares the two outputs
-# (the merge contract: re-assembly must be exact, not approximate), and
-# gates the measured points/s of both runs against
-# bench/baselines/BENCH_sweep_shard.json via scripts/check_bench.py.
-# --require-metric makes the throughput and identity cells mandatory, so
-# the lane fails loudly if a metric silently disappears even on machines
-# where the baseline comparison is skipped as not like-for-like.
+# streams one campaign-scale grid twice — as one `--stream` process, and
+# as N concurrent `--shards N --shard-id I` workers whose parts
+# `wfr merge --rows <total>` puts back together — byte-compares the two
+# outputs (the merge contract: re-assembly must be exact, not
+# approximate), and gates the measured points/s of both runs against
+# bench/baselines/BENCH_sweep_shard.json via scripts/check_bench.py.  The
+# sharded rate times the workers plus the merge.  --require-metric makes
+# the throughput and identity cells mandatory, so the lane fails loudly
+# if a metric silently disappears even on machines where the baseline
+# comparison is skipped as not like-for-like.
 #
 # Environment:
 #   WFR     path to the wfr binary   (default build/src/cli/wfr)
 #   POINTS  approximate grid points  (default 250000)
-#   SHARDS  shard count for the multi-process run (default 4)
+#   SHARDS  worker processes for the sharded run (default 4)
 #   OUT     output directory         (default nightly-sharded-sweep)
 #
-# Exit status: 0 when the outputs are byte-identical and no gated metric
-# regressed.
+# Exit status: 0 when every worker and the merge succeed, the outputs are
+# byte-identical and no gated metric regressed.
 set -uo pipefail
 
 WFR=${WFR:-build/src/cli/wfr}
@@ -31,35 +33,67 @@ fi
 mkdir -p "$OUT"
 
 # An all-distinct SIDE x SIDE grid of roughly POINTS points: every point
-# is a distinct scenario.
+# is a distinct scenario.  fs_gbs takes bytes per second; at k * 1e8 B/s
+# (10 GB/s and up) the rows bind on compute or on the filesystem.
 SIDE=$(awk -v p="$POINTS" 'BEGIN { printf "%d", sqrt(p) + 0.999999 }')
-FS_AXIS=$(seq 100 $((100 + SIDE - 1)) | paste -sd, -)
+FS_AXIS=$(seq 100 $((100 + SIDE - 1)) | sed 's/$/e8/' | paste -sd, -)
 FLOPS_AXIS=$(seq 50 $((50 + SIDE - 1)) | sed 's/$/e12/' | paste -sd, -)
 TOTAL=$((SIDE * SIDE))
 echo "nightly_sharded_sweep: ${SIDE}x${SIDE} grid ($TOTAL points), $SHARDS shards"
 
-run_sweep() {
-  # run_sweep <output.ndjson> [extra flags...]; prints elapsed seconds.
-  local ndjson=$1
-  shift
-  local t0 t1
-  t0=$(date +%s%N)
+sweep() {
+  # sweep [flags...]: streams the grid with the given extra flags.
   "$WFR" sweep --system perlmutter-gpu \
     --characterization data/characterizations/bgw_64.json \
     --param fs_gbs="$FS_AXIS" --param peak_flops="$FLOPS_AXIS" \
-    --stream --ndjson "$ndjson" "$@" > /dev/null || return 1
-  t1=$(date +%s%N)
-  awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", (b - a) / 1e9 }'
+    --stream "$@" > /dev/null
+}
+
+seconds_since() {
+  # seconds_since <start ns>: prints the seconds elapsed since then.
+  awk -v a="$1" -v b="$(date +%s%N)" 'BEGIN { printf "%.3f", (b - a) / 1e9 }'
+}
+
+run_single() {
+  # run_single <output.ndjson>; prints elapsed seconds.
+  local t0
+  t0=$(date +%s%N)
+  sweep --ndjson "$1" || return 1
+  seconds_since "$t0"
+}
+
+run_sharded() {
+  # run_sharded <output.ndjson>: SHARDS concurrent workers, each with an
+  # equal share of the cores, then the merge of their parts in shard
+  # order; prints elapsed seconds.
+  local jobs=$(( $(nproc) / SHARDS )) t0 i failed=0
+  local -a pids=() parts=()
+  [ "$jobs" -ge 1 ] || jobs=1
+  t0=$(date +%s%N)
+  for ((i = 0; i < SHARDS; i++)); do
+    parts+=("$OUT/part$i.ndjson")
+    sweep --jobs "$jobs" --shards "$SHARDS" --shard-id "$i" \
+      --ndjson "$OUT/part$i.ndjson" &
+    pids+=($!)
+  done
+  for i in "${!pids[@]}"; do
+    if ! wait "${pids[$i]}"; then
+      echo "nightly_sharded_sweep: shard $i/$SHARDS failed" >&2
+      failed=1
+    fi
+  done
+  [ "$failed" -eq 0 ] || return 1
+  "$WFR" merge --rows "$TOTAL" "${parts[@]}" > "$1" || return 1
+  seconds_since "$t0"
 }
 
 status=0
 
 echo "=== single-process stream (shards 1) ==="
-SINGLE_S=$(run_sweep "$OUT/single.ndjson") || status=1
+SINGLE_S=$(run_single "$OUT/single.ndjson") || status=1
 
-echo "=== $SHARDS-way --spawn sharding ==="
-SHARDED_S=$(run_sweep "$OUT/sharded.ndjson" --shards "$SHARDS" --spawn) \
-  || status=1
+echo "=== $SHARDS --shard-id workers + wfr merge ==="
+SHARDED_S=$(run_sharded "$OUT/sharded.ndjson") || status=1
 
 MERGE_OK=0
 if [ "$status" -eq 0 ]; then

@@ -33,7 +33,7 @@
 //                [--stream] [--reorder-window <n>]
 //                [--checkpoint <ckpt.json>] [--checkpoint-every <rows>]
 //                [--resume <ckpt.json>]
-//                [--shards <n> (--spawn | --shard-id <i>)]
+//                [--shards <n> --shard-id <i>]
 //       Fan a what-if parameter grid (cross product of every --param
 //       axis) across the scenario thread pool and tabulate each point's
 //       parallelism wall, attainable throughput, and binding ceiling.
@@ -44,14 +44,25 @@
 //       as they complete (deterministic order, flat RSS — the
 //       campaign-scale path); --checkpoint/--resume persist and pick up
 //       progress so a killed sweep re-assembles byte-identically.
-//       --shards N splits the grid deterministically across N worker
-//       processes: --spawn forks the workers, retries a failed shard
-//       once, and merges their part files byte-identically to a
-//       single-process stream; --shard-id I runs one worker by hand
-//       (e.g. one per host).  Shard I owns the rows whose index is I
-//       modulo N.  A row that fails to build or evaluate stops the sweep
+//       --shards N --shard-id I streams only shard I of the grid, the
+//       rows whose index is I modulo N, so N processes (e.g. one per
+//       host) split one grid and `wfr merge` puts their parts back
+//       together.  A row that fails to build or evaluate stops the sweep
 //       with an error naming the row and its parameters; rows before it
 //       stay emitted.
+//   wfr merge    --rows <n> <part0> ... <partN-1>
+//       Re-interleave the NDJSON parts of an N-way sharded sweep (from
+//       `wfr sweep --stream --shards N --shard-id I --ndjson <part>` or
+//       from N `wfr serve` backends, one "shard" each) and print the
+//       merged stream on stdout, byte-identical to one unsharded
+//       --stream.  --rows is the whole grid's point count, the T of the
+//       sharded summary line "sweep shard I/N of ...: R of T points".
+//       Parts go in shard order, 0 to N-1: parts of equal length given
+//       out of order merge into wrong bytes unnoticed, and a shell glob
+//       sorts shard10 before shard2.  A part that cannot be opened, is
+//       short a row, lost its final newline or holds rows past its
+//       shard's last exits 1 naming the part; the rows merged before the
+//       bad one stay printed, as a failing sweep's rows do.
 //   wfr import   <instance.json>... [--jobs <n>] [--out-dir <dir>]
 //       Convert WfCommons/WfBench workflow instances (wfformat >= 1.4
 //       specification/execution layout or the legacy <= 1.3 inline
@@ -92,16 +103,8 @@
 // --option is an error that exits 1 before the command reads or writes
 // a file.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -199,7 +202,7 @@ struct Args {
 };
 
 /// Options that never take a value, so a word after one is positional.
-constexpr std::string_view kValuelessFlags[] = {"ascii", "stream", "spawn",
+constexpr std::string_view kValuelessFlags[] = {"ascii", "stream",
                                                 "no-trace"};
 
 Args parse_args(int argc, char** argv) {
@@ -255,7 +258,8 @@ void print_usage() {
       "               [--stream] [--reorder-window <n>]\n"
       "               [--checkpoint <ckpt.json>] [--checkpoint-every <rows>]\n"
       "               [--resume <ckpt.json>]\n"
-      "               [--shards <n> (--spawn | --shard-id <i>)]\n"
+      "               [--shards <n> --shard-id <i>]\n"
+      "  wfr merge    --rows <n> <part0> ... <partN-1>\n"
       "  wfr serve    [--port <n>] [--host <addr>] [--jobs <n>]\n"
       "               [--io-threads <n>] [--idle-timeout <ms>]\n"
       "               [--max-queue <n>] [--max-body <bytes>]\n"
@@ -437,123 +441,6 @@ void write_sweep_metrics(const std::string& path, std::uint64_t scenarios) {
   std::cout << "wrote " << path << "\n";
 }
 
-// One streaming sweep execution — the whole grid or one shard of it:
-// open (or resume into) the NDJSON output, stream rows through
-// SweepRunner::stream_lines, and persist flush-then-checkpoint prefix
-// ranges.  Shared by the in-process `--stream` path and the forked
-// `--spawn` shard workers, so both emit the same bytes by construction.
-struct StreamJob {
-  exec::ShardSpec shard;
-  std::size_t reorder_window = 1024;
-  std::string ndjson_path;      ///< empty: no file output
-  std::string checkpoint_path;  ///< empty: no checkpointing
-  std::string resume_path;      ///< empty: fresh run
-  std::size_t checkpoint_every = 4096;
-  bool echo_stdout = true;
-  /// Throw (after flushing checkpoints written so far) once this many new
-  /// rows have been emitted — the crash half of the resume tests.
-  std::optional<std::uint64_t> abort_after;
-  /// Crash injection for the --spawn retry path: throw *before* emitting
-  /// row fail_after, as if the worker died mid-run, leaving whatever the
-  /// last checkpoint covered plus possibly-unflushed tail bytes
-  /// (WFR_SWEEP_TEST_FAIL_SHARD).
-  std::optional<std::uint64_t> fail_after;
-};
-
-/// Runs `job` and returns the number of rows it emitted.
-std::uint64_t run_stream_job(const exec::SweepGrid& grid,
-                             const exec::SweepOptions& options,
-                             const StreamJob& job) {
-  exec::StreamOptions stream;
-  stream.reorder_window = job.reorder_window;
-  stream.shard = job.shard;
-  const std::uint64_t shard_rows = job.shard.rows(grid.size());
-
-  std::uint64_t ndjson_bytes = 0;
-  std::ofstream out;
-  if (!job.resume_path.empty()) {
-    const exec::SweepCheckpoint ckpt = exec::validate_resume(
-        job.resume_path, grid.grid_hash(), job.shard, shard_rows,
-        job.ndjson_path);
-    stream.start_row = static_cast<std::size_t>(ckpt.rows);
-    ndjson_bytes = ckpt.ndjson_bytes;
-    out.open(job.ndjson_path, std::ios::binary | std::ios::app);
-  } else if (!job.ndjson_path.empty()) {
-    out.open(job.ndjson_path, std::ios::binary | std::ios::trunc);
-  }
-  if (!job.ndjson_path.empty() && !out)
-    throw util::Error("cannot write '" + job.ndjson_path +
-                      "': failed to open for writing");
-
-  exec::SweepRunner runner(options);
-  std::uint64_t rows_done = stream.start_row;
-  std::uint64_t new_rows = 0;
-
-  // Flush-then-checkpoint: the output file is always at least as long as
-  // the checkpoint claims, even if the process dies right after.
-  auto save = [&] {
-    out.flush();
-    if (!out)
-      throw util::Error("cannot write '" + job.ndjson_path +
-                        "': flush failed");
-    exec::save_checkpoint(
-        job.checkpoint_path,
-        {grid.grid_hash(), rows_done, ndjson_bytes, job.shard});
-  };
-
-  runner.stream_lines(
-      grid, stream, [&](std::size_t row, std::string_view line) {
-        if (job.fail_after && new_rows >= *job.fail_after)
-          throw util::Error(util::format(
-              "injected failure after %llu rows (WFR_SWEEP_TEST_FAIL_SHARD)",
-              static_cast<unsigned long long>(new_rows)));
-        if (job.echo_stdout) std::cout << line;
-        if (!job.ndjson_path.empty()) {
-          out.write(line.data(), static_cast<std::streamsize>(line.size()));
-          if (!out)
-            throw util::Error("cannot write '" + job.ndjson_path +
-                              "': write failed");
-          ndjson_bytes += line.size();
-        }
-        rows_done = row + 1;
-        ++new_rows;
-        if (!job.checkpoint_path.empty() &&
-            rows_done % job.checkpoint_every == 0)
-          save();
-        if (job.abort_after && new_rows >= *job.abort_after)
-          throw util::Error(util::format(
-              "sweep aborted after %llu rows (--abort-after-rows)",
-              static_cast<unsigned long long>(new_rows)));
-      });
-
-  if (!job.ndjson_path.empty()) {
-    out.flush();
-    if (!out)
-      throw util::Error("cannot write '" + job.ndjson_path +
-                        "': flush failed");
-    out.close();
-  }
-  if (!job.checkpoint_path.empty())
-    exec::save_checkpoint(
-        job.checkpoint_path,
-        {grid.grid_hash(), rows_done, ndjson_bytes, job.shard});
-  return new_rows;
-}
-
-// WFR_SWEEP_TEST_FAIL_SHARD="i" (die before the first row) or "i:rows"
-// (die after emitting `rows` rows): the crash-injection hook behind the
-// spawn retry tests.  Returns the fail row when the hook targets
-// `shard_index`, nullopt otherwise.
-std::optional<std::uint64_t> parse_fail_shard_hook(const std::string& spec,
-                                                   int shard_index) {
-  const auto colon = spec.find(':');
-  const std::string id = spec.substr(0, colon);
-  if (parse_long_flag("WFR_SWEEP_TEST_FAIL_SHARD", id) != shard_index)
-    return std::nullopt;
-  if (colon == std::string::npos) return 0;
-  return parse_u64_flag("WFR_SWEEP_TEST_FAIL_SHARD", spec.substr(colon + 1));
-}
-
 // wfr sweep --stream — the campaign-scale path: rows stream to stdout
 // (and --ndjson) in deterministic row order as slots complete, with no
 // end-of-grid buffering, so RSS stays flat at any grid size.  With
@@ -562,31 +449,31 @@ std::optional<std::uint64_t> parse_fail_shard_hook(const std::string& spec,
 // --resume picks up where a killed run left off, re-assembling the
 // NDJSON file byte-identically to an uninterrupted run.  With
 // --shards N --shard-id I this process streams only shard I of the grid
-// (shard-local rows, shard-keyed checkpoints; exec/shard.hpp) — the
-// worker half of the multi-process driver below.
+// (shard-local rows, shard-keyed checkpoints; exec/shard.hpp), and
+// `wfr merge` re-interleaves the N parts.
 int run_sweep_stream(const Args& args, const exec::SweepGrid& grid,
-                     exec::SweepOptions options) {
+                     const exec::SweepOptions& options) {
   if (args.get_optional("svg"))
     throw util::InvalidArgument(
         "--svg buffers every scenario model; drop --stream to render it");
 
-  StreamJob job;
+  exec::StreamOptions stream;
   if (auto window = args.get_optional("reorder-window"))
-    job.reorder_window = static_cast<std::size_t>(
+    stream.reorder_window = static_cast<std::size_t>(
         parse_long_flag_in("reorder-window", *window, 1, 1 << 24));
 
+  exec::ShardSpec& shard = stream.shard;
   if (auto shards = args.get_optional("shards"))
-    job.shard.count =
+    shard.count =
         static_cast<int>(parse_long_flag_in("shards", *shards, 1, 1 << 12));
   if (auto id = args.get_optional("shard-id")) {
     if (!args.get_optional("shards"))
       throw util::InvalidArgument("--shard-id needs --shards");
-    job.shard.index = static_cast<int>(
-        parse_long_flag_in("shard-id", *id, 0, job.shard.count - 1));
-  } else if (job.shard.sharded()) {
+    shard.index = static_cast<int>(
+        parse_long_flag_in("shard-id", *id, 0, shard.count - 1));
+  } else if (shard.sharded()) {
     throw util::InvalidArgument(
-        "--shards without --spawn needs --shard-id (which slice this "
-        "process owns)");
+        "--shards needs --shard-id (which slice this process owns)");
   }
 
   const auto ndjson_path = args.get_optional("ndjson");
@@ -599,28 +486,82 @@ int run_sweep_stream(const Args& args, const exec::SweepGrid& grid,
   // Resuming keeps checkpointing to the same file unless overridden.
   if (resume_path && !checkpoint_path) checkpoint_path = resume_path;
 
+  std::size_t checkpoint_every = 4096;
   if (auto every = args.get_optional("checkpoint-every"))
-    job.checkpoint_every = static_cast<std::size_t>(
+    checkpoint_every = static_cast<std::size_t>(
         parse_long_flag_in("checkpoint-every", *every, 1, 1 << 30));
+  // Throw (after flushing checkpoints written so far) once this many new
+  // rows have been emitted — the crash half of the resume tests.
+  std::optional<std::uint64_t> abort_after;
   if (auto rows = args.get_optional("abort-after-rows"))
-    job.abort_after = parse_u64_flag("abort-after-rows", *rows);
-  if (job.shard.sharded())
-    if (const char* hook = std::getenv("WFR_SWEEP_TEST_FAIL_SHARD"))
-      job.fail_after = parse_fail_shard_hook(hook, job.shard.index);
+    abort_after = parse_u64_flag("abort-after-rows", *rows);
 
-  job.ndjson_path = ndjson_path.value_or("");
-  job.checkpoint_path = checkpoint_path.value_or("");
-  job.resume_path = resume_path.value_or("");
+  std::uint64_t ndjson_bytes = 0;
+  std::ofstream out;
+  if (resume_path) {
+    const exec::SweepCheckpoint ckpt = exec::validate_resume(
+        *resume_path, grid.grid_hash(), shard, shard.rows(grid.size()),
+        *ndjson_path);
+    stream.start_row = static_cast<std::size_t>(ckpt.rows);
+    ndjson_bytes = ckpt.ndjson_bytes;
+    out.open(*ndjson_path, std::ios::binary | std::ios::app);
+  } else if (ndjson_path) {
+    out.open(*ndjson_path, std::ios::binary | std::ios::trunc);
+  }
+  if (ndjson_path && !out)
+    throw util::Error("cannot write '" + *ndjson_path +
+                      "': failed to open for writing");
 
-  const std::uint64_t new_rows = run_stream_job(grid, options, job);
+  exec::SweepRunner runner(options);
+  std::uint64_t rows_done = stream.start_row;
+  std::uint64_t new_rows = 0;
 
-  if (job.shard.sharded()) {
+  // Flush-then-checkpoint: the output file is always at least as long as
+  // the checkpoint claims, even if the process dies right after.
+  auto save = [&] {
+    out.flush();
+    if (!out)
+      throw util::Error("cannot write '" + *ndjson_path + "': flush failed");
+    exec::save_checkpoint(*checkpoint_path,
+                          {grid.grid_hash(), rows_done, ndjson_bytes, shard});
+  };
+
+  runner.stream_lines(
+      grid, stream, [&](std::size_t row, std::string_view line) {
+        std::cout << line;
+        if (ndjson_path) {
+          out.write(line.data(), static_cast<std::streamsize>(line.size()));
+          if (!out)
+            throw util::Error("cannot write '" + *ndjson_path +
+                              "': write failed");
+          ndjson_bytes += line.size();
+        }
+        rows_done = row + 1;
+        ++new_rows;
+        if (checkpoint_path && rows_done % checkpoint_every == 0) save();
+        if (abort_after && new_rows >= *abort_after)
+          throw util::Error(util::format(
+              "sweep aborted after %llu rows (--abort-after-rows)",
+              static_cast<unsigned long long>(new_rows)));
+      });
+
+  if (ndjson_path) {
+    out.flush();
+    if (!out)
+      throw util::Error("cannot write '" + *ndjson_path + "': flush failed");
+    out.close();
+  }
+  if (checkpoint_path)
+    exec::save_checkpoint(*checkpoint_path,
+                          {grid.grid_hash(), rows_done, ndjson_bytes, shard});
+
+  if (shard.sharded()) {
     std::cout << util::format(
         "sweep shard %d/%d of '%s' on '%s': %llu of %zu points, "
         "%llu emitted\n",
-        job.shard.index, job.shard.count, grid.base_workflow().name.c_str(),
+        shard.index, shard.count, grid.base_workflow().name.c_str(),
         grid.base_system().name.c_str(),
-        static_cast<unsigned long long>(job.shard.rows(grid.size())),
+        static_cast<unsigned long long>(shard.rows(grid.size())),
         grid.size(), static_cast<unsigned long long>(new_rows));
   } else {
     std::cout << util::format(
@@ -632,178 +573,6 @@ int run_sweep_stream(const Args& args, const exec::SweepGrid& grid,
   if (checkpoint_path) std::cout << "wrote " << *checkpoint_path << "\n";
   if (auto path = args.get_optional("metrics"))
     write_sweep_metrics(*path, new_rows);
-  return 0;
-}
-
-// wfr sweep --stream --shards N --spawn — the multi-process campaign
-// driver: fork one shard worker per shard (strictly before any thread
-// pool exists), monitor them, retry a failed shard once (resuming from
-// its checkpoint when checkpointing is on), and merge the per-shard part
-// files byte-identically to a single-process stream.  Workers write
-// '<ndjson>.shard<i>' and checkpoint to '<checkpoint>.shard<i>'; both
-// are scaffolding, removed once the merged output is durable.
-int run_sweep_spawn(const Args& args, const exec::SweepGrid& grid,
-                    const exec::SweepOptions& options) {
-  for (const char* flag : {"shard-id", "metrics", "abort-after-rows", "svg"})
-    if (args.get_optional(flag))
-      throw util::InvalidArgument(std::string("--") + flag +
-                                  " cannot be combined with --spawn");
-  const auto shards_flag = args.get_optional("shards");
-  if (!shards_flag)
-    throw util::InvalidArgument("--spawn needs --shards <n>");
-  const int shards =
-      static_cast<int>(parse_long_flag_in("shards", *shards_flag, 1, 1 << 12));
-  const auto ndjson_path = args.get_optional("ndjson");
-  if (!ndjson_path)
-    throw util::InvalidArgument(
-        "--spawn needs --ndjson: shard workers write '<out>.shard<i>' part "
-        "files and the merged output lands at <out>");
-
-  StreamJob base;
-  base.echo_stdout = false;
-  if (auto window = args.get_optional("reorder-window"))
-    base.reorder_window = static_cast<std::size_t>(
-        parse_long_flag_in("reorder-window", *window, 1, 1 << 24));
-  if (auto every = args.get_optional("checkpoint-every"))
-    base.checkpoint_every = static_cast<std::size_t>(
-        parse_long_flag_in("checkpoint-every", *every, 1, 1 << 30));
-  auto checkpoint_path = args.get_optional("checkpoint");
-  const auto resume_path = args.get_optional("resume");
-  if (resume_path && !checkpoint_path) checkpoint_path = resume_path;
-
-  // Workers split the job budget: an unset --jobs gives each child an
-  // equal share of the hardware instead of N full pools.
-  exec::SweepOptions child_options = options;
-  if (child_options.jobs == 0)
-    child_options.jobs = std::max(1, exec::resolve_jobs(0) / shards);
-
-  auto part_path = [&](int i) {
-    return *ndjson_path + ".shard" + std::to_string(i);
-  };
-  auto ckpt_path = [&](int i) {
-    return checkpoint_path
-               ? *checkpoint_path + ".shard" + std::to_string(i)
-               : std::string();
-  };
-
-  // Fork strictly before any SweepRunner exists: a child must never
-  // inherit a half-alive thread pool.  `allow_resume` gates whether the
-  // child picks up its per-shard checkpoint (initial runs only under
-  // --resume; retries whenever checkpointing is on) — a fresh run never
-  // silently resumes from a stale checkpoint of an earlier campaign.
-  auto spawn = [&](int shard_id, bool allow_resume) -> pid_t {
-    std::cout.flush();
-    std::cerr.flush();
-    const pid_t pid = ::fork();
-    if (pid < 0)
-      throw util::Error(util::format("fork of shard %d/%d failed: %s",
-                                     shard_id, shards,
-                                     std::strerror(errno)));
-    if (pid > 0) return pid;
-    int status = 1;
-    try {
-      StreamJob job = base;
-      job.shard = {shards, shard_id};
-      job.ndjson_path = part_path(shard_id);
-      job.checkpoint_path = ckpt_path(shard_id);
-      if (allow_resume && !job.checkpoint_path.empty() &&
-          std::filesystem::exists(job.checkpoint_path) &&
-          std::filesystem::exists(job.ndjson_path))
-        job.resume_path = job.checkpoint_path;
-      if (const char* hook = std::getenv("WFR_SWEEP_TEST_FAIL_SHARD"))
-        job.fail_after = parse_fail_shard_hook(hook, shard_id);
-      run_stream_job(grid, child_options, job);
-      status = 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "wfr: shard %d/%d: %s\n", shard_id, shards,
-                   e.what());
-    }
-    std::_Exit(status);
-  };
-
-  struct Child {
-    pid_t pid;
-    int shard;
-    bool retried;
-  };
-  std::vector<Child> running;
-  running.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i)
-    running.push_back({spawn(i, resume_path.has_value()), i, false});
-
-  auto kill_all = [&running] {
-    for (const Child& c : running) ::kill(c.pid, SIGKILL);
-    for (const Child& c : running) ::waitpid(c.pid, nullptr, 0);
-    running.clear();
-  };
-
-  while (!running.empty()) {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, 0);
-    if (pid < 0) {
-      if (errno == EINTR) continue;
-      const std::string reason = std::strerror(errno);
-      kill_all();
-      throw util::Error("waitpid for shard workers failed: " + reason);
-    }
-    const auto it =
-        std::find_if(running.begin(), running.end(),
-                     [pid](const Child& c) { return c.pid == pid; });
-    if (it == running.end()) continue;
-    const Child child = *it;
-    running.erase(it);
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-      std::cout << util::format("shard %d/%d done\n", child.shard, shards);
-      continue;
-    }
-    const std::string reason =
-        WIFSIGNALED(status)
-            ? util::format("killed by signal %d", WTERMSIG(status))
-            : util::format("exit status %d",
-                           WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-    if (child.retried) {
-      kill_all();
-      throw util::Error(util::format(
-          "shard %d/%d failed twice (%s); giving up", child.shard, shards,
-          reason.c_str()));
-    }
-    // One retry, resuming from the shard's checkpoint when there is one.
-    // The injected-failure hook is cleared first so a test crash is not
-    // replayed forever.
-    ::unsetenv("WFR_SWEEP_TEST_FAIL_SHARD");
-    std::cout << util::format("shard %d/%d failed (%s); retrying%s\n",
-                              child.shard, shards, reason.c_str(),
-                              checkpoint_path ? " from its checkpoint" : "");
-    running.push_back(
-        {spawn(child.shard, checkpoint_path.has_value()), child.shard, true});
-  }
-
-  std::vector<std::string> parts;
-  parts.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) parts.push_back(part_path(i));
-  {
-    std::ofstream out(*ndjson_path, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw util::Error("cannot write '" + *ndjson_path +
-                        "': failed to open for writing");
-    exec::merge_shard_outputs(parts, grid.size(), out);
-    out.flush();
-    if (!out)
-      throw util::Error("cannot write '" + *ndjson_path + "': flush failed");
-  }
-  // The merged file is the durable artifact; parts and per-shard
-  // checkpoints are scaffolding.
-  std::error_code ec;
-  for (int i = 0; i < shards; ++i) {
-    std::filesystem::remove(parts[static_cast<std::size_t>(i)], ec);
-    if (checkpoint_path) std::filesystem::remove(ckpt_path(i), ec);
-  }
-
-  std::cout << util::format(
-      "sweep of '%s' on '%s': %zu points across %d shards\n",
-      grid.base_workflow().name.c_str(), grid.base_system().name.c_str(),
-      grid.size(), shards);
-  std::cout << "wrote " << *ndjson_path << "\n";
   return 0;
 }
 
@@ -855,14 +624,12 @@ int cmd_sweep(const Args& args) {
   if (auto jobs = args.get_optional("jobs"))
     options.jobs = static_cast<int>(parse_long_flag("jobs", *jobs));
 
-  if (args.flag("stream")) {
-    const exec::SweepGrid grid(system, base, axes);
-    if (args.flag("spawn")) return run_sweep_spawn(args, grid, options);
-    return run_sweep_stream(args, grid, options);
-  }
+  if (args.flag("stream"))
+    return run_sweep_stream(args, exec::SweepGrid(system, base, axes),
+                            options);
   for (const char* flag :
        {"reorder-window", "checkpoint", "checkpoint-every", "resume",
-        "abort-after-rows", "shards", "shard-id", "spawn"})
+        "abort-after-rows", "shards", "shard-id"})
     if (args.get_optional(flag))
       throw util::InvalidArgument(std::string("--") + flag +
                                   " needs --stream");
@@ -933,6 +700,21 @@ int cmd_sweep(const Args& args) {
     plot::write_roofline_svg(model, *svg);
     std::cout << "wrote " << *svg << "\n";
   }
+  return 0;
+}
+
+// wfr merge — re-interleave the parts of an N-way sharded sweep in
+// global row order (exec::merge_shard_outputs), byte-identical to one
+// unsharded --stream.  --rows is the whole grid's point count, not the
+// sum of the parts' rows: a part that lost its final line must fail even
+// when that line held the grid's last row.
+int cmd_merge(const Args& args) {
+  const std::uint64_t rows = parse_u64_flag("rows", args.get("rows"));
+  exec::merge_shard_outputs(args.positional, static_cast<std::size_t>(rows),
+                            std::cout);
+  std::cout.flush();
+  if (!std::cout)
+    throw util::Error("writing the merged stream to standard output failed");
   return 0;
 }
 
@@ -1210,8 +992,9 @@ int main(int argc, char** argv) {
       {"sweep", cmd_sweep,
        {"system", "characterization", "workflow", "target", "param", "jobs",
         "ndjson", "svg", "metrics", "stream", "reorder-window", "checkpoint",
-        "checkpoint-every", "resume", "shards", "shard-id", "spawn",
+        "checkpoint-every", "resume", "shards", "shard-id",
         "abort-after-rows"}},
+      {"merge", cmd_merge, {"rows"}},
       {"import", cmd_import, {"jobs", "out-dir"}},
       {"serve", cmd_serve,
        {"port", "host", "jobs", "io-threads", "idle-timeout", "max-queue",
@@ -1225,7 +1008,8 @@ int main(int argc, char** argv) {
   };
   try {
     const Args args = parse_args(argc, argv);
-    if (args.command != "import" && !args.positional.empty())
+    if (args.command != "import" && args.command != "merge" &&
+        !args.positional.empty())
       throw util::InvalidArgument("unexpected argument '" +
                                   args.positional.front() + "'");
     for (const Command& command : commands) {

@@ -59,7 +59,7 @@ struct AppOptions {
   /// Independent of the server's connection workers, so sweep results
   /// stay deterministic regardless of how many connections are served.
   int sweep_jobs = 0;
-  /// Reject grids whose cross product exceeds this many points (400).
+  /// Reject grids whose cross product exceeds this many points.
   std::size_t max_sweep_points = 10000;
   /// Master switch for the request/sweep tracer behind /debug/trace and
   /// --trace-out.  Disabled, every span site costs one branch.

@@ -10,7 +10,10 @@
 #   archetype_seed_fails               --seed on a kind that is not seeded
 #   sweep_ndjson_dash_fails            --ndjson - (the rows already go to
 #                                      stdout) on the batch, --stream and
-#                                      --spawn paths
+#                                      --shard-id paths
+#   sweep_spawn_removed                the removed --spawn on a sharded
+#                                      streaming sweep
+#   merge_needs_rows                   wfr merge without --rows
 # Usage: cmake -DWFR=<wfr-binary> -DDATA=<data-dir> -DOUT_DIR=<dir>
 #              -DCASE=<one of the cases above> -P this-file
 foreach(variable WFR DATA OUT_DIR CASE)
@@ -58,7 +61,16 @@ elseif(CASE STREQUAL sweep_ndjson_dash_fails)
     sweep --system perlmutter-gpu --characterization ${characterization}
     --param nodes_per_task=1,2 --ndjson -)
   set(expected "--ndjson - is not an output file")
-  set(variants plain stream spawn)
+  set(variants plain stream shard)
+elseif(CASE STREQUAL sweep_spawn_removed)
+  set(command
+    sweep --system perlmutter-gpu --characterization ${characterization}
+    --param nodes_per_task=1,2 --stream --shards 2 --spawn
+    --ndjson ${OUT_DIR}/out.ndjson)
+  set(expected "unknown option --spawn for wfr sweep")
+elseif(CASE STREQUAL merge_needs_rows)
+  set(command merge a b)
+  set(expected "missing required option --rows")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()
@@ -67,8 +79,8 @@ foreach(variant IN LISTS variants)
   set(extra)
   if(variant STREQUAL stream)
     set(extra --stream)
-  elseif(variant STREQUAL spawn)
-    set(extra --stream --shards 2 --spawn)
+  elseif(variant STREQUAL shard)
+    set(extra --stream --shards 2 --shard-id 0)
   endif()
   execute_process(
     COMMAND ${WFR} ${command} ${extra}

@@ -134,12 +134,29 @@ TEST(FormatDouble, ShortestRoundTripExamples) {
   EXPECT_EQ(out, "x=0.25");
 }
 
-TEST(FormatDouble, MatchesReferenceOnRandomBitPatterns) {
+// 1M random bit patterns from one seeded sequence, in 8 disjoint slices
+// so that ctest -j spreads the reference's snprintf/strtod rounds over
+// the cores.  Slice k checks patterns [k * 125000, (k + 1) * 125000).
+constexpr int kRandomPatterns = 1'000'000;
+constexpr int kRandomSlices = 8;
+static_assert(kRandomPatterns % kRandomSlices == 0);
+
+class FormatDoubleRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(FormatDoubleRandom, MatchesReferenceOnRandomBitPatterns) {
+  constexpr int per_slice = kRandomPatterns / kRandomSlices;
   std::mt19937_64 rng(20240611);
+  rng.discard(static_cast<unsigned long long>(GetParam()) * per_slice);
   FormatDiff diff;
-  for (int i = 0; i < 1'000'000; ++i) diff.check(from_bits(rng()));
+  for (int i = 0; i < per_slice; ++i) diff.check(from_bits(rng()));
+  std::printf("slice %d of %d: %zu of %d patterns checked\n", GetParam(),
+              kRandomSlices, diff.checked(), kRandomPatterns);
+  EXPECT_EQ(diff.checked(), static_cast<std::size_t>(per_slice));
   EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
 }
+
+INSTANTIATE_TEST_SUITE_P(Slices, FormatDoubleRandom,
+                         ::testing::Range(0, kRandomSlices));
 
 TEST(FormatDouble, MatchesReferenceOnPowersOfTwoAndNeighbours) {
   // The binary exponent boundaries, where the gap below a value is half

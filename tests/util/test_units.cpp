@@ -247,12 +247,29 @@ TEST(Units, RoundTripThroughFormatAndParse) {
   EXPECT_NEAR(parsed / value, 1.0, 1e-2);
 }
 
-TEST(UnitsFormat, MatchesReferenceOnRandomBitPatterns) {
+// 1M random bit patterns from one seeded sequence, in 4 disjoint slices
+// so that ctest -j spreads them over the cores.  Slice k checks patterns
+// [k * 250000, (k + 1) * 250000).
+constexpr int kRandomPatterns = 1'000'000;
+constexpr int kRandomSlices = 4;
+static_assert(kRandomPatterns % kRandomSlices == 0);
+
+class UnitsFormatRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(UnitsFormatRandom, MatchesReferenceOnRandomBitPatterns) {
+  constexpr int per_slice = kRandomPatterns / kRandomSlices;
   std::mt19937_64 rng(20240612);
+  rng.discard(static_cast<unsigned long long>(GetParam()) * per_slice);
   UnitsDiff diff;
-  for (int i = 0; i < 1'000'000; ++i) diff.check(from_bits(rng()));
+  for (int i = 0; i < per_slice; ++i) diff.check(from_bits(rng()));
+  std::printf("slice %d of %d: %zu of %d patterns checked\n", GetParam(),
+              kRandomSlices, diff.checked(), kRandomPatterns);
+  EXPECT_EQ(diff.checked(), static_cast<std::size_t>(per_slice));
   EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked();
 }
+
+INSTANTIATE_TEST_SUITE_P(Slices, UnitsFormatRandom,
+                         ::testing::Range(0, kRandomSlices));
 
 TEST(UnitsFormat, MatchesReferenceOnLogSpreadMagnitudes) {
   // Random bit patterns are mostly far outside any unit's range; these are
