@@ -1,107 +1,10 @@
 // wfr — the Workflow Roofline command-line tool.
 //
-// Subcommands:
-//   wfr analyze  --system <spec.json|preset> --workflow <wf.json>
-//                [--target <seconds>] [--svg <out.svg>] [--ascii]
-//                [--node-roofline <out.svg>]
-//       Characterize a workflow description, run it through the
-//       simulator, print the model report and optimization advice, and
-//       optionally render the roofline.  --node-roofline drills down into
-//       the traditional node Roofline when the workflow is node-bound.
-//   wfr model    --system <spec.json|preset> --characterization <c.json>
-//                [--svg <out.svg>] [--ascii]
-//       Build a roofline directly from a characterization file (no
-//       execution) — the "analyze without traces" path.
-//   wfr simulate --system <spec.json|preset> --workflow <wf.json>
-//                [--gantt <out.svg>] [--json <trace.json>]
-//       Execute the workflow on the simulator and print the trace.
-//   wfr run      --system <spec.json|preset> --workflow <wf.json>
-//                [--chrome-trace <out.json>] [--metrics <out.json>]
-//                [--svg <out.svg>] [--gantt <out.svg>]
-//       Execute the workflow with full observation: per-phase spans and
-//       per-resource counter tracks export as a Chrome/Perfetto
-//       trace_event file (open at https://ui.perfetto.dev), engine and
-//       runner self-metrics plus p50/p95 shared-resource utilization
-//       export as a metrics snapshot, and --svg renders the roofline
-//       with the *measured* operating point placed next to the analytic
-//       ceilings.
-//   wfr sweep    --system <spec.json|preset>
-//                (--characterization <c.json> | --workflow <wf.json>)
-//                [--param name=v1,v2,...]... [--jobs <n>]
-//                [--target <seconds>] [--ndjson <out>] [--svg <out.svg>]
-//                [--metrics <out.json>]
-//                [--stream] [--reorder-window <n>]
-//                [--checkpoint <ckpt.json>] [--checkpoint-every <rows>]
-//                [--resume <ckpt.json>]
-//                [--shards <n> --shard-id <i>]
-//       Fan a what-if parameter grid (cross product of every --param
-//       axis) across the scenario thread pool and tabulate each point's
-//       parallelism wall, attainable throughput, and binding ceiling.
-//       Emits one NDJSON line per point; --svg renders a multi-curve
-//       roofline overlaying every scenario's binding ceiling.  --jobs
-//       (then WFR_JOBS, then the hardware) sets the worker count; output
-//       is bit-for-bit identical for any job count.  --stream emits rows
-//       as they complete (deterministic order, flat RSS — the
-//       campaign-scale path); --checkpoint/--resume persist and pick up
-//       progress so a killed sweep re-assembles byte-identically.
-//       --shards N --shard-id I streams only shard I of the grid, the
-//       rows whose index is I modulo N, so N processes (e.g. one per
-//       host) split one grid and `wfr merge` puts their parts back
-//       together.  A row that fails to build or evaluate stops the sweep
-//       with an error naming the row and its parameters; rows before it
-//       stay emitted.
-//   wfr merge    --rows <n> <part0> ... <partN-1>
-//       Re-interleave the NDJSON parts of an N-way sharded sweep (from
-//       `wfr sweep --stream --shards N --shard-id I --ndjson <part>` or
-//       from N `wfr serve` backends, one "shard" each) and print the
-//       merged stream on stdout, byte-identical to one unsharded
-//       --stream.  --rows is the whole grid's point count, the T of the
-//       sharded summary line "sweep shard I/N of ...: R of T points".
-//       Parts go in shard order, 0 to N-1: parts of equal length given
-//       out of order merge into wrong bytes unnoticed, and a shell glob
-//       sorts shard10 before shard2.  A part that cannot be opened, is
-//       short a row, lost its final newline or holds rows past its
-//       shard's last exits 1 naming the part; the rows merged before the
-//       bad one stay printed, as a failing sweep's rows do.
-//   wfr import   <instance.json>... [--jobs <n>] [--out-dir <dir>]
-//       Convert WfCommons/WfBench workflow instances (wfformat >= 1.4
-//       specification/execution layout or the legacy <= 1.3 inline
-//       layout) to our workflow description JSON on stdout, ready to pipe
-//       into analyze/run/simulate/sweep via --workflow -.  Multiple
-//       inputs merge into one union workflow (task names prefixed per
-//       instance) unless --out-dir writes one file per input.  Output is
-//       byte-identical at any --jobs count.
-//   wfr check    [--seeds <n>] [--tolerance <x>] [--jobs <n>]
-//                [--base-seed <n>] [--gen rectangular|irregular]
-//                [--repro-dir <dir>] [--replay <repro.json>]
-//       Differential validation: synthesize seeded scenarios and execute
-//       each on the simulator.  The rectangular generator engineers
-//       provably tight predictions and asserts
-//       throughput/wall/binding/classification agreement; --gen irregular
-//       draws fan-out/fan-in/diamond/multi-phase/straggler topologies
-//       with heterogeneous volumes, asserts the roofline stays an upper
-//       bound, and reports the prediction gap per topology class against
-//       documented ceilings.  Divergences exit 1 and dump replayable
-//       repro files; --replay re-runs one recorded scenario.  Output is
-//       byte-identical at any --jobs count.
-//   wfr compare  --system <spec.json|preset> --before <c.json>
-//                --after <c.json>
-//       Compare two characterizations of the same workflow (before/after
-//       an optimization): speedup, dot direction, bound shift, headroom.
-//   wfr archetype --kind <ensemble|pipeline|fork-join|map-reduce|
-//                         sim-insitu|random> [--size <n>] [--scale <x>]
-//                 [--nodes <n>] [--seed <n>]
-//       Generate a workflow description for a NERSC-10-style archetype
-//       and print it as JSON (pipe to a file to feed analyze/simulate).
-//       --seed is read by --kind random only, --nodes by every other
-//       kind.
-//   wfr presets
-//       List the built-in system presets.
-//
-// Each subcommand reads only the options that `wfr help` lists for it
-// (sweep also reads the test hook --abort-after-rows).  Any other
-// --option is an error that exits 1 before the command reads or writes
-// a file.
+// The command table in main lists every subcommand with the options it
+// reads: `wfr help` prints it, and parse_args reads each command line
+// against it.  A line the table rejects exits 1 before the command reads
+// or writes a file.  What each subcommand does is said above its cmd_*
+// function.
 
 #include <algorithm>
 #include <cstdint>
@@ -172,28 +75,24 @@ core::SystemSpec load_system(const std::string& arg) {
 }
 
 struct Args {
-  std::string command;
   /// Tokens that are not options ("wfr import a.json b.json").
   std::vector<std::string> positional;
-  /// Options in command-line order; a flag may repeat (e.g. --param).
+  /// Options in command-line order; only a kRepeated option repeats.
   std::vector<std::pair<std::string, std::string>> options;
-  bool flag(const std::string& name) const {
-    for (const auto& [key, value] : options)
-      if (key == name) return true;
-    return false;
+  bool flag(std::string_view name) const {
+    return get_optional(name).has_value();
   }
-  std::string get(const std::string& name) const {
-    auto value = get_optional(name);
-    if (!value) throw util::InvalidArgument("missing required option --" + name);
-    return *value;
+  /// The value of an option parse_args made sure is given.
+  std::string get(std::string_view name) const {
+    return get_optional(name).value();
   }
-  std::optional<std::string> get_optional(const std::string& name) const {
+  std::optional<std::string> get_optional(std::string_view name) const {
     for (const auto& [key, value] : options)
       if (key == name) return value;
     return std::nullopt;
   }
   /// Every value of a repeated option, in command-line order.
-  std::vector<std::string> get_all(const std::string& name) const {
+  std::vector<std::string> get_all(std::string_view name) const {
     std::vector<std::string> values;
     for (const auto& [key, value] : options)
       if (key == name) values.push_back(value);
@@ -201,29 +100,72 @@ struct Args {
   }
 };
 
-/// Options that never take a value, so a word after one is positional.
-constexpr std::string_view kValuelessFlags[] = {"ascii", "stream",
-                                                "no-trace"};
+/// How a command reads one of its options.
+enum class Use {
+  kOptional,
+  kRequired,
+  kEither,    // required unless another kEither option is given
+  kRepeated,  // optional, and every value is read
+  kHidden,    // optional and left out of `wfr help` (a test hook)
+};
 
-Args parse_args(int argc, char** argv) {
+struct Option {
+  std::string_view name;
+  /// The value's placeholder in `wfr help`; empty for a flag, which
+  /// never takes a value.
+  std::string_view value = {};
+  Use use = Use::kOptional;
+};
+
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<Option> options;
+  /// The positional arguments' placeholder in `wfr help`; empty when the
+  /// command takes none, so that a stray word is an error.
+  std::string_view positional = {};
+};
+
+/// Reads argv[2...] against `command`'s table entry in one pass.  An
+/// option the command does not read, a word it takes no positional for,
+/// a value option with no value (last, or followed by another --option),
+/// a repeat of an option that is not kRepeated and a missing required
+/// option all throw.
+Args parse_args(const Command& command, int argc, char** argv) {
   Args args;
-  if (argc < 2) return args;
-  args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (!util::starts_with(token, "--")) {
-      args.positional.push_back(std::move(token));
+    const std::string token = argv[i];
+    if (!token.starts_with("--")) {
+      if (command.positional.empty())
+        throw util::InvalidArgument("unexpected argument '" + token + "'");
+      args.positional.push_back(token);
       continue;
     }
-    token = token.substr(2);
-    const bool valueless = std::ranges::find(kValuelessFlags, token) !=
-                           std::end(kValuelessFlags);
-    if (!valueless && i + 1 < argc && !util::starts_with(argv[i + 1], "--")) {
-      args.options.emplace_back(token, argv[++i]);
-    } else {
-      args.options.emplace_back(token, "");
-    }
+    const std::string name = token.substr(2);
+    const auto option = std::ranges::find(command.options, name, &Option::name);
+    if (option == command.options.end())
+      throw util::InvalidArgument("unknown option " + token + " for wfr " +
+                                  std::string(command.name));
+    if (option->use != Use::kRepeated && args.flag(name))
+      throw util::InvalidArgument(token + " given twice");
+    if (!option->value.empty() &&
+        (i + 1 == argc || util::starts_with(argv[i + 1], "--")))
+      throw util::InvalidArgument(token + " needs a value (" +
+                                  std::string(option->value) + ")");
+    args.options.emplace_back(name, option->value.empty() ? "" : argv[++i]);
   }
+  std::string either;
+  bool either_given = false;
+  for (const Option& option : command.options) {
+    if (option.use == Use::kRequired && !args.flag(option.name))
+      throw util::InvalidArgument("missing required option --" +
+                                  std::string(option.name));
+    if (option.use != Use::kEither) continue;
+    either += (either.empty() ? "--" : " or --") + std::string(option.name);
+    either_given = either_given || args.flag(option.name);
+  }
+  if (!either.empty() && !either_given)
+    throw util::InvalidArgument("missing required option " + either);
   return args;
 }
 
@@ -234,65 +176,6 @@ using util::parse_double_flag;
 using util::parse_long_flag;
 using util::parse_long_flag_in;
 using util::parse_u64_flag;
-
-void print_usage() {
-  std::cout <<
-      "wfr — Workflow Roofline analysis\n"
-      "\n"
-      "usage:\n"
-      "  wfr analyze  --system <spec|preset> --workflow <wf.json>\n"
-      "               [--target <seconds>] [--svg <out.svg>] [--ascii]\n"
-      "               [--node-roofline <out.svg>]\n"
-      "  wfr model    --system <spec|preset> --characterization <c.json>\n"
-      "               [--svg <out.svg>] [--ascii]\n"
-      "  wfr simulate --system <spec|preset> --workflow <wf.json>\n"
-      "               [--gantt <out.svg>] [--json <trace.json>]\n"
-      "  wfr run      --system <spec|preset> --workflow <wf.json>\n"
-      "               [--chrome-trace <out.json>] [--metrics <out.json>]\n"
-      "               [--svg <out.svg>] [--gantt <out.svg>]\n"
-      "  wfr sweep    --system <spec|preset>\n"
-      "               (--characterization <c.json> | --workflow <wf.json>)\n"
-      "               [--param name=v1,v2,...]... [--jobs <n>]\n"
-      "               [--target <seconds>] [--ndjson <out>] [--svg <out.svg>]\n"
-      "               [--metrics <out.json>]\n"
-      "               [--stream] [--reorder-window <n>]\n"
-      "               [--checkpoint <ckpt.json>] [--checkpoint-every <rows>]\n"
-      "               [--resume <ckpt.json>]\n"
-      "               [--shards <n> --shard-id <i>]\n"
-      "  wfr merge    --rows <n> <part0> ... <partN-1>\n"
-      "  wfr serve    [--port <n>] [--host <addr>] [--jobs <n>]\n"
-      "               [--io-threads <n>] [--idle-timeout <ms>]\n"
-      "               [--max-queue <n>] [--max-body <bytes>]\n"
-      "               [--sweep-jobs <n>]\n"
-      "               [--trace-out <trace.json>] [--trace-cap <spans>]\n"
-      "               [--no-trace]\n"
-      "  wfr import   <instance.json>... [--jobs <n>] [--out-dir <dir>]\n"
-      "  wfr check    [--seeds <n>] [--tolerance <x>] [--jobs <n>]\n"
-      "               [--base-seed <n>] [--gen rectangular|irregular]\n"
-      "               [--repro-dir <dir>] [--replay <repro.json>]\n"
-      "  wfr compare  --system <spec|preset> --before <c.json>\n"
-      "               --after <c.json>\n"
-      "  wfr archetype --kind <ensemble|pipeline|fork-join|map-reduce|\n"
-      "                       sim-insitu|random> [--size <n>] [--scale <x>]\n"
-      "                [--nodes <n>] [--seed <n>]\n"
-      "  wfr presets\n"
-      "\n"
-      "presets:";
-  const char* separator = " ";
-  for (const core::SystemPreset& preset : core::kSystemPresets) {
-    std::cout << separator << preset.name;
-    separator = ", ";
-  }
-  std::cout <<
-      "\n"
-      "--workflow accepts - for stdin (e.g. wfr import ... | wfr run\n"
-      "  --workflow -); wfr import reads - as stdin too\n"
-      "sweep axes: nodes_per_task (factor), efficiency, parallel_tasks,\n"
-      "  total_tasks, total_nodes, fs_gbs, external_gbs, nic_gbs, peak_flops\n"
-      "archetype: --seed is read by --kind random only, --nodes by every\n"
-      "  other kind\n"
-      "jobs resolution: --jobs > WFR_JOBS > hardware concurrency\n";
-}
 
 // --target on analyze and sweep: seconds or a duration ("10 min").  A
 // non-positive target is an error, never "no target".
@@ -313,6 +196,10 @@ void emit_model_outputs(const core::RooflineModel& model, const Args& args) {
   }
 }
 
+// wfr analyze — characterize a workflow description, run it through the
+// simulator, print the model report and optimization advice, and
+// optionally render the roofline.  --node-roofline drills down into the
+// traditional node Roofline when the workflow is node-bound.
 int cmd_analyze(const Args& args) {
   const core::SystemSpec system = load_system(args.get("system"));
   const dag::WorkflowGraph graph =
@@ -342,6 +229,8 @@ int cmd_analyze(const Args& args) {
   return 0;
 }
 
+// wfr model — a roofline built straight from a characterization file,
+// with no execution: the "analyze without traces" path.
 int cmd_model(const Args& args) {
   const core::SystemSpec system = load_system(args.get("system"));
   const core::WorkflowCharacterization c =
@@ -352,6 +241,8 @@ int cmd_model(const Args& args) {
   return 0;
 }
 
+// wfr simulate — execute the workflow on the simulator and print the
+// trace.
 int cmd_simulate(const Args& args) {
   const core::SystemSpec system = load_system(args.get("system"));
   const dag::WorkflowGraph graph =
@@ -371,6 +262,12 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
+// wfr run — execute the workflow with full observation: per-phase spans
+// and per-resource counter tracks export as a Chrome/Perfetto trace_event
+// file (open at https://ui.perfetto.dev), engine and runner self-metrics
+// plus p50/p95 shared-resource utilization export as a metrics snapshot,
+// and --svg renders the roofline with the *measured* operating point
+// placed next to the analytic ceilings.
 int cmd_run(const Args& args) {
   const core::SystemSpec system = load_system(args.get("system"));
   const dag::WorkflowGraph graph =
@@ -388,7 +285,7 @@ int cmd_run(const Args& args) {
     util::TextTable table({"resource", "capacity", "busy", "delivered",
                            "p50 util", "p95 util", "max util",
                            "peak flows"});
-    for (int column = 1; column <= 7; ++column)
+    for (std::size_t column = 1; column <= 7; ++column)
       table.set_align(column, util::Align::kRight);
     for (const obs::ResourceSummary& s : result.resource_summaries) {
       table.add_row({s.name, util::format_rate(s.capacity),
@@ -576,10 +473,16 @@ int run_sweep_stream(const Args& args, const exec::SweepGrid& grid,
   return 0;
 }
 
-// wfr sweep — fan a parameter grid across the thread pool and tabulate
-// the resulting ceilings.  Scenario fan-out follows the determinism
+// wfr sweep — fan a what-if parameter grid (the cross product of every
+// --param axis) across the scenario thread pool and tabulate each point's
+// parallelism wall, attainable throughput and binding ceiling, one NDJSON
+// line per point; --svg renders a multi-curve roofline overlaying every
+// scenario's binding ceiling.  --jobs (then WFR_JOBS, then the hardware)
+// sets the worker count, and scenario fan-out follows the determinism
 // contract (docs/PARALLELISM.md): output bytes are identical at --jobs 1
-// and --jobs N.
+// and --jobs N.  A row that fails to build or evaluate stops the sweep
+// with an error naming the row and its parameters; rows before it stay
+// emitted.
 int cmd_sweep(const Args& args) {
   // Every sweep path prints its rows on standard output already, so "-"
   // could only name a file called "-".
@@ -593,16 +496,13 @@ int cmd_sweep(const Args& args) {
   if (auto path = args.get_optional("characterization")) {
     base = core::WorkflowCharacterization::from_json(
         util::Json::parse(read_file(*path)));
-  } else if (auto path = args.get_optional("workflow")) {
+  } else {
     // Characterize by one serial simulation; the sweep then explores the
     // model around that measured point.
     const dag::WorkflowGraph graph =
-        dag::load_workflow(read_workflow_text(*path));
+        dag::load_workflow(read_workflow_text(args.get("workflow")));
     base = core::characterize_trace(
         graph, sim::run_workflow(graph, system.to_machine()));
-  } else {
-    throw util::InvalidArgument(
-        "sweep needs --characterization or --workflow");
   }
   if (auto target = args.get_optional("target"))
     base.target_makespan_seconds = parse_target(*target);
@@ -642,7 +542,7 @@ int cmd_sweep(const Args& args) {
 
   util::TextTable table({"scenario", "wall", "attainable", "binding ceiling",
                          "slot latency", "campaign makespan"});
-  for (int column = 1; column <= 2; ++column)
+  for (std::size_t column = 1; column <= 2; ++column)
     table.set_align(column, util::Align::kRight);
   std::string ndjson;
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -703,11 +603,20 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-// wfr merge — re-interleave the parts of an N-way sharded sweep in
-// global row order (exec::merge_shard_outputs), byte-identical to one
-// unsharded --stream.  --rows is the whole grid's point count, not the
-// sum of the parts' rows: a part that lost its final line must fail even
-// when that line held the grid's last row.
+// wfr merge — re-interleave the NDJSON parts of an N-way sharded sweep
+// (from `wfr sweep --stream --shards N --shard-id I --ndjson <part>` or
+// from N `wfr serve` backends, one "shard" each) in global row order
+// (exec::merge_shard_outputs) and print the merged stream on stdout,
+// byte-identical to one unsharded --stream.  --rows is the whole grid's
+// point count, the T of the sharded summary line "sweep shard I/N of
+// ...: R of T points", not the sum of the parts' rows: a part that lost
+// its final line must fail even when that line held the grid's last row.
+// Parts go in shard order, 0 to N-1: parts of equal length given out of
+// order merge into wrong bytes unnoticed, and a shell glob sorts shard10
+// before shard2.  A part that cannot be opened, is short a row, lost its
+// final newline or holds rows past its shard's last exits 1 naming the
+// part; the rows merged before the bad one stay printed, as a failing
+// sweep's rows do.
 int cmd_merge(const Args& args) {
   const std::uint64_t rows = parse_u64_flag("rows", args.get("rows"));
   exec::merge_shard_outputs(args.positional, static_cast<std::size_t>(rows),
@@ -778,8 +687,10 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-// wfr import — convert WfCommons/WfBench workflow instances to our
-// workflow description JSON (docs/SERVER.md has the HTTP equivalent).
+// wfr import — convert WfCommons/WfBench workflow instances (wfformat
+// >= 1.4 specification/execution layout or the legacy <= 1.3 inline
+// layout) to our workflow description JSON (docs/SERVER.md has the HTTP
+// equivalent).
 // One input prints its converted workflow; several inputs merge into one
 // union workflow (task names prefixed with their instance name so ids
 // stay unique) unless --out-dir writes one converted file per input.
@@ -864,7 +775,14 @@ int cmd_import(const Args& args) {
 // wfr check — the differential validation harness (docs/TESTING.md):
 // seed-generate scenarios, feed each through both the analytical roofline
 // and the simulator, and print a deterministic pass/divergence table.
-// Divergences exit 1 and dump replayable repro JSON files.
+// The rectangular generator engineers provably tight predictions and
+// asserts throughput/wall/binding/classification agreement; --gen
+// irregular draws fan-out/fan-in/diamond/multi-phase/straggler topologies
+// with heterogeneous volumes, asserts the roofline stays an upper bound,
+// and reports the prediction gap per topology class against documented
+// ceilings.  Divergences exit 1 and dump replayable repro JSON files;
+// --replay re-runs one recorded scenario.  Output is byte-identical at
+// any --jobs count.
 int cmd_check(const Args& args) {
   check::CheckOptions options;
   if (auto seeds = args.get_optional("seeds"))
@@ -905,6 +823,8 @@ int cmd_check(const Args& args) {
   return report.all_passed() ? 0 : 1;
 }
 
+// wfr compare — two characterizations of the same workflow, before and
+// after an optimization: speedup, dot direction, bound shift, headroom.
 int cmd_compare(const Args& args) {
   const core::SystemSpec system = load_system(args.get("system"));
   auto load = [&](const std::string& option) {
@@ -918,6 +838,9 @@ int cmd_compare(const Args& args) {
   return 0;
 }
 
+// wfr archetype — generate a workflow description for a NERSC-10-style
+// archetype and print it as JSON (pipe to a file to feed
+// analyze/simulate).
 int cmd_archetype(const Args& args) {
   const std::string kind = args.get("kind");
   const int size = static_cast<int>(
@@ -960,6 +883,7 @@ int cmd_archetype(const Args& args) {
   return 0;
 }
 
+// wfr presets — list the built-in system presets.
 int cmd_presets(const Args& /*args*/) {
   for (const core::SystemPreset& preset : core::kSystemPresets) {
     const core::SystemSpec s = preset.make();
@@ -972,59 +896,130 @@ int cmd_presets(const Args& /*args*/) {
   return 0;
 }
 
-struct Command {
-  const char* name;
-  int (*run)(const Args&);
-  /// Every option the command reads.
-  std::vector<std::string_view> options;
-};
+/// Appends `line` and then `words` to `out`: the first word at `column`,
+/// the others one space apart, breaking before column 80 onto lines that
+/// start at `column`.
+void append_wrapped(std::string& out, std::string line, std::size_t column,
+                    const std::vector<std::string>& words) {
+  for (const std::string& word : words) {
+    if (line.size() > column && line.size() + 1 + word.size() >= 80) {
+      (out += line) += '\n';
+      line.clear();
+    }
+    line.resize(std::max(line.size() + 1, column), ' ');
+    line += word;
+  }
+  (out += line) += '\n';
+}
+
+/// Appends "<head> a, b, c" to `out`, wrapped as append_wrapped does.
+void append_list(std::string& out, const std::string& head,
+                 std::vector<std::string> names) {
+  for (std::size_t i = 0; i + 1 < names.size(); ++i) names[i] += ',';
+  append_wrapped(out, head, head.size() + 1, names);
+}
+
+/// `wfr help`, from the command table: each command's required options
+/// bare, then its positional arguments, then its optional options in
+/// brackets.
+void print_usage(const std::vector<Command>& commands) {
+  std::size_t width = 0;
+  for (const Command& command : commands)
+    width = std::max(width, command.name.size());
+  std::string usage = "wfr — Workflow Roofline analysis\n\nusage:\n";
+  for (const Command& command : commands) {
+    std::vector<std::string> words, optional;
+    std::string either;
+    for (const Option& option : command.options) {
+      std::string word = "--" + std::string(option.name);
+      if (!option.value.empty()) (word += ' ') += option.value;
+      if (option.use == Use::kRequired) words.push_back(word);
+      if (option.use == Use::kEither)
+        either += (either.empty() ? "(" : " | ") + word;
+      if (option.use == Use::kOptional) optional.push_back("[" + word + "]");
+      if (option.use == Use::kRepeated)
+        optional.push_back("[" + word + "]...");
+    }
+    if (!either.empty()) words.push_back(either + ")");
+    if (!command.positional.empty()) words.emplace_back(command.positional);
+    words.insert(words.end(), optional.begin(), optional.end());
+    append_wrapped(usage, "  wfr " + std::string(command.name), 7 + width,
+                   words);
+  }
+  usage += '\n';
+  std::vector<std::string> presets;
+  for (const core::SystemPreset& preset : core::kSystemPresets)
+    presets.emplace_back(preset.name);
+  append_list(usage, "presets:", presets);
+  append_list(usage, "sweep axes:",
+              {std::begin(exec::kSweepAxes), std::end(exec::kSweepAxes)});
+  usage +=
+      "--workflow accepts - for stdin (e.g. wfr import ... | wfr run\n"
+      "  --workflow -); wfr import reads - as stdin too\n"
+      "archetype: --seed is read by --kind random only, --nodes by every\n"
+      "  other kind\n"
+      "jobs resolution: --jobs > WFR_JOBS > hardware concurrency\n";
+  std::cout << usage;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum Use;
+  const Option system{"system", "<spec|preset>", kRequired};
+  const Option workflow{"workflow", "<wf.json>", kRequired};
   const std::vector<Command> commands = {
       {"analyze", cmd_analyze,
-       {"system", "workflow", "target", "svg", "ascii", "node-roofline"}},
-      {"model", cmd_model, {"system", "characterization", "svg", "ascii"}},
-      {"simulate", cmd_simulate, {"system", "workflow", "gantt", "json"}},
+       {system, workflow, {"target", "<seconds>"}, {"svg", "<out.svg>"},
+        {"ascii"}, {"node-roofline", "<out.svg>"}}},
+      {"model", cmd_model,
+       {system, {"characterization", "<c.json>", kRequired},
+        {"svg", "<out.svg>"}, {"ascii"}}},
+      {"simulate", cmd_simulate,
+       {system, workflow, {"gantt", "<out.svg>"}, {"json", "<trace.json>"}}},
       {"run", cmd_run,
-       {"system", "workflow", "chrome-trace", "metrics", "svg", "gantt"}},
+       {system, workflow, {"chrome-trace", "<out.json>"},
+        {"metrics", "<out.json>"}, {"svg", "<out.svg>"},
+        {"gantt", "<out.svg>"}}},
       {"sweep", cmd_sweep,
-       {"system", "characterization", "workflow", "target", "param", "jobs",
-        "ndjson", "svg", "metrics", "stream", "reorder-window", "checkpoint",
-        "checkpoint-every", "resume", "shards", "shard-id",
-        "abort-after-rows"}},
-      {"merge", cmd_merge, {"rows"}},
-      {"import", cmd_import, {"jobs", "out-dir"}},
+       {system, {"characterization", "<c.json>", kEither},
+        {"workflow", "<wf.json>", kEither},
+        {"param", "name=v1,v2,...", kRepeated}, {"jobs", "<n>"},
+        {"target", "<seconds>"}, {"ndjson", "<out>"}, {"svg", "<out.svg>"},
+        {"metrics", "<out.json>"}, {"stream"}, {"reorder-window", "<n>"},
+        {"checkpoint", "<ckpt.json>"}, {"checkpoint-every", "<rows>"},
+        {"resume", "<ckpt.json>"}, {"shards", "<n>"}, {"shard-id", "<i>"},
+        {"abort-after-rows", "<rows>", kHidden}}},
+      {"merge", cmd_merge, {{"rows", "<n>", kRequired}},
+       "<part0> ... <partN-1>"},
       {"serve", cmd_serve,
-       {"port", "host", "jobs", "io-threads", "idle-timeout", "max-queue",
-        "max-body", "sweep-jobs", "trace-out", "trace-cap", "no-trace"}},
+       {{"port", "<n>"}, {"host", "<addr>"}, {"jobs", "<n>"},
+        {"io-threads", "<n>"}, {"idle-timeout", "<ms>"},
+        {"max-queue", "<n>"}, {"max-body", "<bytes>"},
+        {"sweep-jobs", "<n>"}, {"trace-out", "<trace.json>"},
+        {"trace-cap", "<spans>"}, {"no-trace"}}},
+      {"import", cmd_import, {{"jobs", "<n>"}, {"out-dir", "<dir>"}},
+       "<instance.json>..."},
       {"check", cmd_check,
-       {"seeds", "tolerance", "jobs", "base-seed", "gen", "repro-dir",
-        "replay"}},
-      {"compare", cmd_compare, {"system", "before", "after"}},
-      {"archetype", cmd_archetype, {"kind", "size", "scale", "nodes", "seed"}},
+       {{"seeds", "<n>"}, {"tolerance", "<x>"}, {"jobs", "<n>"},
+        {"base-seed", "<n>"}, {"gen", "rectangular|irregular"},
+        {"repro-dir", "<dir>"}, {"replay", "<repro.json>"}}},
+      {"compare", cmd_compare,
+       {system, {"before", "<c.json>", kRequired},
+        {"after", "<c.json>", kRequired}}},
+      {"archetype", cmd_archetype,
+       {{"kind", "ensemble|pipeline|fork-join|map-reduce|sim-insitu|random",
+         kRequired},
+        {"size", "<n>"}, {"scale", "<x>"}, {"nodes", "<n>"}, {"seed", "<n>"}}},
       {"presets", cmd_presets, {}},
   };
   try {
-    const Args args = parse_args(argc, argv);
-    if (args.command != "import" && args.command != "merge" &&
-        !args.positional.empty())
-      throw util::InvalidArgument("unexpected argument '" +
-                                  args.positional.front() + "'");
-    for (const Command& command : commands) {
-      if (args.command != command.name) continue;
-      // Checked before the command runs, so a mistyped option never
-      // starts a sweep or truncates an output file.
-      for (const auto& option : args.options)
-        if (std::find(command.options.begin(), command.options.end(),
-                      option.first) == command.options.end())
-          throw util::InvalidArgument("unknown option --" + option.first +
-                                      " for wfr " + args.command);
-      return command.run(args);
-    }
-    print_usage();
-    return args.command == "help" ? 0 : 1;
+    const std::string_view name = argc < 2 ? "" : argv[1];
+    for (const Command& command : commands)
+      if (name == command.name)
+        return command.run(parse_args(command, argc, argv));
+    print_usage(commands);
+    return name == "help" ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "wfr: " << e.what() << "\n";
     return 1;

@@ -160,15 +160,8 @@ void append_result_line(
 
 namespace {
 
-/// The grid axis names SweepGrid understands.
-constexpr const char* kKnownAxes[] = {
-    "nodes_per_task", "efficiency",   "parallel_tasks", "total_tasks",
-    "total_nodes",    "fs_gbs",       "external_gbs",   "nic_gbs",
-    "peak_flops",
-};
-
 bool known_axis(const std::string& name) {
-  for (const char* axis : kKnownAxes)
+  for (const std::string_view axis : kSweepAxes)
     if (name == axis) return true;
   return false;
 }

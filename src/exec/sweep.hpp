@@ -98,7 +98,15 @@ void append_result_line(
     double attainable_tps, std::string_view binding, std::string_view channel,
     double slot_seconds, double campaign_makespan_s);
 
-/// One axis of a parameter grid (see SweepGrid for the known names).
+/// Every axis name SweepGrid understands, in the order `wfr help` lists
+/// them.
+inline constexpr std::string_view kSweepAxes[] = {
+    "nodes_per_task", "efficiency",   "parallel_tasks", "total_tasks",
+    "total_nodes",    "fs_gbs",       "external_gbs",   "nic_gbs",
+    "peak_flops",
+};
+
+/// One axis of a parameter grid (see SweepGrid for what each name sets).
 struct ParamAxis {
   std::string name;
   std::vector<double> values;
@@ -106,7 +114,7 @@ struct ParamAxis {
 
 /// A parameter grid described lazily: the cross product of the axes in
 /// row-major order (first axis slowest), materialized one scenario at a
-/// time by flat index.  Known axis names:
+/// time by flat index.  The kSweepAxes names set:
 ///   nodes_per_task — intra-task-parallelism factor applied via
 ///                    core::scale_intra_task_parallelism;
 ///   efficiency     — strong-scaling efficiency used by nodes_per_task

@@ -402,25 +402,24 @@ util::HttpResponse App::handle_sweep(const util::HttpRequest& request) {
     return response;
   }
 
-  util::JsonObject out;
-  out.set("workflow", util::Json(base.name));
-  out.set("system", util::Json(system.name));
-  if (shard.sharded()) {
-    util::JsonObject shard_obj;
-    shard_obj.set("count", util::Json(shard.count));
-    shard_obj.set("index", util::Json(shard.index));
-    out.set("shard", util::Json(std::move(shard_obj)));
-  }
-  util::JsonArray rows;
+  // Each row is a compact JSON object written with the serializer's own
+  // escaping and number formatting (exec::append_result_line), so it goes
+  // into "points" as it is, less its newline.
+  std::string& out = response.body;
+  out = "{\"workflow\":";
+  util::json_append_escaped(out, base.name);
+  out += ",\"system\":";
+  util::json_append_escaped(out, system.name);
+  if (shard.sharded())
+    out += util::format(",\"shard\":{\"count\":%d,\"index\":%d}",
+                        shard.count, shard.index);
+  out += ",\"points\":[";
   runner_.stream_lines(grid, stream,
-                       [&rows](std::size_t, std::string_view line) {
-                         // Drop the trailing newline; each line is one row
-                         // object.
-                         rows.push_back(util::Json::parse(
-                             line.substr(0, line.size() - 1)));
+                       [&out](std::size_t, std::string_view line) {
+                         if (out.back() != '[') out += ',';
+                         out.append(line.substr(0, line.size() - 1));
                        });
-  out.set("points", util::Json(std::move(rows)));
-  response.body = util::Json(std::move(out)).dump() + "\n";
+  out += "]}\n";
   return response;
 }
 

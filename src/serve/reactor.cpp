@@ -18,6 +18,11 @@
 
 namespace wfr::serve {
 
+namespace {
+/// Nanoseconds per millisecond, a std::uint64_t like every timestamp here.
+constexpr std::uint64_t kNsPerMs = 1'000'000;
+}  // namespace
+
 EventLoop::EventLoop(Server& server)
     : server_(server), listen_fd_(server.listen_fd_) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -152,8 +157,7 @@ void EventLoop::close_connection(Connection& conn) {
 void EventLoop::sweep_timeouts(std::uint64_t now_ns) {
   const bool draining = drain_began_;
   const std::uint64_t idle_ns =
-      static_cast<std::uint64_t>(server_.options_.idle_timeout_ms) *
-      1'000'000ull;
+      static_cast<std::uint64_t>(server_.options_.idle_timeout_ms) * kNsPerMs;
   std::vector<Connection*> doomed;
   for (const auto& [fd, conn] : connections_) {
     if (conn->state() == Connection::State::kDispatched) continue;
@@ -183,7 +187,7 @@ void EventLoop::run() {
       set_listening(false);  // for good: the drain accepts nothing new
       const std::uint64_t now = obs::Tracer::now_ns();
       drain_deadline_ns_ =
-          now + static_cast<std::uint64_t>(poll_interval_ms) * 1'000'000ull;
+          now + static_cast<std::uint64_t>(poll_interval_ms) * kNsPerMs;
       sweep_timeouts(now);
       graveyard_.clear();
     }
@@ -194,7 +198,7 @@ void EventLoop::run() {
       const std::uint64_t now = obs::Tracer::now_ns();
       const std::uint64_t remaining =
           drain_deadline_ns_ > now ? drain_deadline_ns_ - now : 0;
-      const int to_deadline = static_cast<int>(remaining / 1'000'000ull) + 1;
+      const int to_deadline = static_cast<int>(remaining / kNsPerMs) + 1;
       if (to_deadline < timeout_ms) timeout_ms = to_deadline;
     }
 
@@ -239,7 +243,7 @@ void EventLoop::run() {
 
     const std::uint64_t now = obs::Tracer::now_ns();
     const std::uint64_t sweep_interval =
-        static_cast<std::uint64_t>(poll_interval_ms) * 1'000'000ull;
+        static_cast<std::uint64_t>(poll_interval_ms) * kNsPerMs;
     if (drain_began_ || now - last_sweep_ns_ >= sweep_interval) {
       last_sweep_ns_ = now;
       // A listener paused by fd exhaustion rejoins the epoll set here.

@@ -158,17 +158,17 @@ TEST(IrregularGenTest, ConnectivityExpectationMatchesTheEdgeList) {
   for (std::size_t i = 0; i < 200; ++i) {
     const GenScenario s = gen.generate(i);
     // Recompute weak connectivity independently with union-find.
-    std::vector<int> parent(s.tasks.size());
-    std::iota(parent.begin(), parent.end(), 0);
-    const auto find = [&parent](int x) {
+    std::vector<std::size_t> parent(s.tasks.size());
+    std::iota(parent.begin(), parent.end(), std::size_t{0});
+    const auto find = [&parent](std::size_t x) {
       while (parent[x] != x) x = parent[x] = parent[parent[x]];
       return x;
     };
     for (const GenEdge& edge : s.edges)
-      parent[find(edge.from)] = find(edge.to);
-    std::set<int> roots;
-    for (std::size_t t = 0; t < s.tasks.size(); ++t)
-      roots.insert(find(static_cast<int>(t)));
+      parent[find(static_cast<std::size_t>(edge.from))] =
+          find(static_cast<std::size_t>(edge.to));
+    std::set<std::size_t> roots;
+    for (std::size_t t = 0; t < s.tasks.size(); ++t) roots.insert(find(t));
     EXPECT_EQ(s.expected_connected, roots.size() == 1) << "index " << i;
   }
 }

@@ -14,6 +14,15 @@
 #   sweep_spawn_removed                the removed --spawn on a sharded
 #                                      streaming sweep
 #   merge_needs_rows                   wfr merge without --rows
+#   sweep_checkpoint_needs_stream      --checkpoint without --stream
+#   model_svg_missing_value_fails      --svg last on the line, no file name
+#   sweep_ndjson_missing_value_fails   --ndjson with no file name: last on
+#                                      the batch line, followed by --stream
+#                                      and by the --shard-id path's options
+#   stream_checkpoint_missing_value_fails
+#                                      --checkpoint last on a streaming
+#                                      sweep that writes --ndjson
+#   sweep_repeated_option_fails        --ndjson given twice
 # Usage: cmake -DWFR=<wfr-binary> -DDATA=<data-dir> -DOUT_DIR=<dir>
 #              -DCASE=<one of the cases above> -P this-file
 foreach(variable WFR DATA OUT_DIR CASE)
@@ -71,6 +80,34 @@ elseif(CASE STREQUAL sweep_spawn_removed)
 elseif(CASE STREQUAL merge_needs_rows)
   set(command merge a b)
   set(expected "missing required option --rows")
+elseif(CASE STREQUAL sweep_checkpoint_needs_stream)
+  set(command
+    sweep --system perlmutter-gpu --characterization ${characterization}
+    --param nodes_per_task=1,2 --checkpoint ${OUT_DIR}/ckpt.json)
+  set(expected "--checkpoint needs --stream")
+elseif(CASE STREQUAL model_svg_missing_value_fails)
+  set(command
+    model --system perlmutter-gpu --characterization ${characterization}
+    --svg)
+  set(expected "--svg needs a value")
+elseif(CASE STREQUAL sweep_ndjson_missing_value_fails)
+  set(command
+    sweep --system perlmutter-gpu --characterization ${characterization}
+    --param nodes_per_task=1,2 --ndjson)
+  set(expected "--ndjson needs a value")
+  set(variants plain stream shard)
+elseif(CASE STREQUAL stream_checkpoint_missing_value_fails)
+  set(command
+    sweep --system perlmutter-gpu --characterization ${characterization}
+    --param nodes_per_task=1,2 --stream --ndjson ${OUT_DIR}/out.ndjson
+    --checkpoint)
+  set(expected "--checkpoint needs a value")
+elseif(CASE STREQUAL sweep_repeated_option_fails)
+  set(command
+    sweep --system perlmutter-gpu --characterization ${characterization}
+    --param nodes_per_task=1,2 --ndjson ${OUT_DIR}/a.ndjson
+    --ndjson ${OUT_DIR}/b.ndjson)
+  set(expected "--ndjson given twice")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

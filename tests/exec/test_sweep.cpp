@@ -4,6 +4,7 @@
 
 #include "exec/sweep.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/units.hpp"
 
 namespace wfr::exec {
@@ -390,6 +393,75 @@ TEST(ScenarioResultLineTest, StableFieldOrderWithParams) {
             std::string::npos);
   EXPECT_NE(line.find("\"wall\":"), std::string::npos);
   EXPECT_NE(line.find("\"campaign_makespan_s\":"), std::string::npos);
+}
+
+// /v1/sweep?format=json splices the streamed rows into its "points" array
+// as they are.  That equals parsing each row and dumping it again only if
+// the row writer and the Json serializer agree byte for byte, which is
+// checked here on every axis, every binding channel and a workflow name
+// that needs escaping.  The three workflows each make one node memory
+// channel dominant and put every other demand in a band of its own; the
+// rate axes run from far below to far above each demand, so the binding
+// ceiling moves across channels.
+TEST(ScenarioResultLineTest, StreamedRowsDumpAsTheyParse) {
+  const core::SystemSpec system = core::SystemSpec::perlmutter_gpu();
+  core::WorkflowCharacterization named = test_workflow();
+  named.name = "all \"channels\" \\ caf\xc3\xa9 \xe2\x80\x94\t\x01";
+  std::vector<SweepGrid> grids;
+  grids.emplace_back(system, named, std::vector<ParamAxis>{});
+  const std::vector<ParamAxis> axes = {
+      {"peak_flops", {2.5, 2.5e8, 2.5e16, 2.5e22}},
+      {"nic_gbs", {4e2, 4e12, 4e22}},
+      {"fs_gbs", {6e1, 6e11, 6e21}},
+      {"external_gbs", {7e3, 7e13, 7e23}},
+      {"efficiency", {1, 1e-8}},
+      {"nodes_per_task", {1, 8}},
+      {"parallel_tasks", {16, 64}},
+      {"total_tasks", {4096}},
+      {"total_nodes", {1024, 4096}},
+  };
+  struct Demands {
+    double dram, hbm, pcie, flops, network, overhead, fs, external;
+  };
+  for (const Demands& d : {Demands{2e4, 1e1, 1e1, 3e2, 5e4, 2e-7, 8e5, 3e6},
+                           Demands{1e1, 6e5, 1e1, 3e14, 5e2, 4e-2, 8e11, 3e12},
+                           Demands{1e1, 1e1, 1e12, 3e14, 5e9, 5e3, 8e17,
+                                   3e15}}) {
+    core::WorkflowCharacterization wf = named;
+    wf.total_tasks = 4096;
+    wf.parallel_tasks = 64;
+    wf.nodes_per_task = 1;
+    wf.dram_bytes_per_node = d.dram;
+    wf.hbm_bytes_per_node = d.hbm;
+    wf.pcie_bytes_per_node = d.pcie;
+    wf.flops_per_node = d.flops;
+    wf.network_bytes_per_task = d.network;
+    wf.overhead_seconds_per_task = d.overhead;
+    wf.fs_bytes_per_task = d.fs;
+    wf.external_bytes_per_task = d.external;
+    grids.emplace_back(system, wf, axes);
+  }
+  for (const std::string_view axis : kSweepAxes)
+    EXPECT_TRUE(std::ranges::any_of(
+        axes, [axis](const ParamAxis& a) { return a.name == axis; }))
+        << axis;
+
+  SweepRunner runner({2});
+  std::set<std::string> channels;
+  std::size_t rows = 0;
+  for (const SweepGrid& grid : grids)
+    runner.stream_lines(grid, {}, [&](std::size_t, std::string_view line) {
+      const std::string_view row = line.substr(0, line.size() - 1);
+      const util::Json json = util::Json::parse(row);
+      ASSERT_EQ(json.dump(), row);
+      channels.insert(json.at("channel").as_string());
+      ++rows;
+    });
+  EXPECT_EQ(rows, 1 + 3 * grids.back().size());
+  EXPECT_EQ(channels,
+            (std::set<std::string>{"compute", "dram", "hbm", "pcie",
+                                   "network", "overhead", "filesystem",
+                                   "external"}));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -633,6 +634,54 @@ TEST(ServeTest, SweepNdjsonMatchesJsonRows) {
   for (const util::Json& row : doc.at("points").as_array())
     rebuilt += row.dump() + "\n";
   EXPECT_EQ(ndjson.body, rebuilt);
+}
+
+// format=json splices the NDJSON rows into "points" as they are.  The
+// reference is the body the server used to build, every row parsed and
+// the whole object dumped, for an unsharded grid, both halves of a 2-way
+// split and a shard that owns no row, under a workflow name that needs
+// escaping.
+TEST(ServeTest, SweepJsonBodyIsTheDumpOfItsParsedRows) {
+  App app(AppOptions{.sweep_jobs = 2});
+  const std::string name = "unit \"q\" caf\xc3\xa9 \\ \t";
+  const std::string grid =
+      R"({"system": "perlmutter-gpu",
+          "params": {"nodes_per_task": [1, 2], "efficiency": [1, 0.8]},
+          "workflow": {"total_tasks": 600, "parallel_tasks": 120,
+                       "flops_per_node": 1.0e15, "fs_bytes_per_task": 2.0e11,
+                       "name": )" +
+      util::Json(name).dump() + "}";
+  // Shard count, index and the rows that shard owns of the 4-point grid.
+  for (const auto& [count, index, rows] :
+       std::vector<std::tuple<int, int, std::size_t>>{
+           {1, 0, 4}, {2, 0, 2}, {2, 1, 2}, {8, 7, 0}}) {
+    std::string body = grid;
+    if (count > 1)
+      body += ",\"shard\":{\"count\":" + std::to_string(count) +
+              ",\"index\":" + std::to_string(index) + "}";
+    body += "}";
+    const util::HttpResponse ndjson =
+        app.sweep_from_bytes(body, "format=ndjson");
+    const util::HttpResponse json = app.sweep_from_bytes(body, "format=json");
+    ASSERT_EQ(ndjson.status, 200) << ndjson.body;
+    ASSERT_EQ(json.status, 200) << json.body;
+
+    util::JsonObject expected;
+    expected.set("workflow", util::Json(name));
+    expected.set("system", util::Json("perlmutter-gpu"));
+    if (count > 1) {
+      util::JsonObject shard;
+      shard.set("count", util::Json(count));
+      shard.set("index", util::Json(index));
+      expected.set("shard", util::Json(std::move(shard)));
+    }
+    util::JsonArray points;
+    for (const std::string& row : split_lines(ndjson.body))
+      points.push_back(util::Json::parse(row));
+    EXPECT_EQ(points.size(), rows);
+    expected.set("points", util::Json(std::move(points)));
+    EXPECT_EQ(json.body, util::Json(std::move(expected)).dump() + "\n");
+  }
 }
 
 /// Occurrences of `needle` in `text`.
